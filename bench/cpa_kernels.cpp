@@ -1,19 +1,18 @@
-// Per-tier microbenchmarks of the CpaKernel::kSimd accumulation layer:
+// Per-tier microbenchmarks of the CpaAttack::add_traces accumulation layer:
 //
 //   tiers      — add_traces under each dispatch tier (scalar / AVX2 /
-//                AVX-512, whichever the host offers) against the
-//                kClassAccum baseline measured in the same run
+//                AVX-512, whichever the host offers) against the scalar
+//                tier measured in the same run
 //   multibyte  — byte-major panel accumulation (each key byte re-streams
 //                the whole POI matrix) vs the L1-blocked multi-byte order
-//                add_traces_simd uses (each trace block streamed once
-//                across all 16 bytes) — same fma chains, identical output
-//                bits, different cache behavior
+//                add_traces uses (each trace block streamed once across all
+//                16 bytes) — same fma chains, identical output bits,
+//                different cache behavior
 //
 //   $ ./cpa_kernels [--quick]
 //
 // Prints a table and writes BENCH_cpa_kernels.json (host metadata
-// included) into the working directory. The acceptance bar for this
-// machine class: simd_kernel at the detected tier >= 3x class_accum.
+// included) into the working directory.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -86,34 +85,18 @@ int main(int argc, char** argv) {
   }
   for (auto& s : rows) s = 40.0 + rng.gaussian();
 
-  // ---- kClassAccum baseline + kSimd under every available tier ----
-  attack::CpaAttack cls(kPoi, attack::CpaKernel::kClassAccum);
-  const auto baseline = run_bench(40 * kScale, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) cls.add_traces(cts, rows);
-    g_sink = static_cast<double>(cls.trace_count());
-    return n * kBatch;
-  });
-  table.row()
-      .add("tiers")
-      .add("class_accum")
-      .add(baseline.ns_per_op, 2)
-      .add(baseline.ops)
-      .add(1.0, 2);
-  report.row()
-      .set("section", "tiers")
-      .set("variant", "class_accum")
-      .set("ns_per_op", baseline.ns_per_op)
-      .set("speedup_vs_class_accum", 1.0);
-
+  // ---- add_traces under every available tier, scalar tier as baseline ----
+  std::optional<BenchResult> baseline;
   for (const util::SimdTier tier : available_tiers()) {
     util::set_simd_tier_override(tier);
-    attack::CpaAttack simd(kPoi, attack::CpaKernel::kSimd);
+    attack::CpaAttack simd(kPoi);
     const auto res = run_bench(40 * kScale, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) simd.add_traces(cts, rows);
       g_sink = static_cast<double>(simd.trace_count());
       return n * kBatch;
     });
-    const double speedup = baseline.ns_per_op / res.ns_per_op;
+    if (!baseline) baseline = res;  // available_tiers() starts at scalar
+    const double speedup = baseline->ns_per_op / res.ns_per_op;
     const std::string variant =
         std::string("simd_kernel/") + util::to_string(tier);
     table.row()
@@ -126,14 +109,14 @@ int main(int argc, char** argv) {
         .set("section", "tiers")
         .set("variant", variant)
         .set("ns_per_op", res.ns_per_op)
-        .set("speedup_vs_class_accum", speedup);
+        .set("speedup_vs_scalar", speedup);
   }
   util::set_simd_tier_override(std::nullopt);
 
   // ---- multi-byte panel sharing: byte-major vs L1-blocked order ----
   // A panel big enough that re-streaming it 16 times misses cache: the POI
   // matrix is kTraces x kPoi doubles (~1.5 MB), far beyond the ~16 KB trace
-  // blocks add_traces_simd keeps resident while it sweeps all key bytes.
+  // blocks add_traces keeps resident while it sweeps all key bytes.
   {
     const std::size_t kTraces = quick ? 4096 : 16384;
     std::vector<std::uint8_t> row_storage(kTraces * 256);

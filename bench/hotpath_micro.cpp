@@ -5,7 +5,7 @@
 //   stages       — binary-search stages_within vs the O(1) uniform fast path
 //   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig()
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
-//   cpa          — CpaAttack add_trace loop vs batched GEMM vs class kernel
+//   cpa          — CpaAttack add_trace loop vs batched add_traces
 //
 //   $ ./hotpath_micro [--quick]
 //
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     record("tdc_sample", "scalar_loop", scalar, "sample_batch", batch);
   }
 
-  // ---- CPA accumulation: per-trace loop vs GEMM batch vs class kernel ----
+  // ---- CPA accumulation: per-trace add_trace loop vs batched add_traces ----
   {
     constexpr std::size_t kPoi = 12;
     constexpr std::size_t kBatch = 64;
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     }
     for (auto& s : rows) s = 40.0 + rng.gaussian();
 
-    attack::CpaAttack per_trace(kPoi, attack::CpaKernel::kGemm);
+    attack::CpaAttack per_trace(kPoi);
     const auto loop = run_bench(40 * kScale, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t t = 0; t < kBatch; ++t) {
@@ -236,27 +236,13 @@ int main(int argc, char** argv) {
       g_sink = static_cast<double>(per_trace.trace_count());
       return n * kBatch;
     });
-    attack::CpaAttack gemm(kPoi, attack::CpaKernel::kGemm);
-    const auto gemm_res = run_bench(40 * kScale, [&](std::size_t n) {
-      for (std::size_t r = 0; r < n; ++r) gemm.add_traces(cts, rows);
-      g_sink = static_cast<double>(gemm.trace_count());
-      return n * kBatch;
-    });
-    attack::CpaAttack cls(kPoi, attack::CpaKernel::kClassAccum);
-    const auto cls_res = run_bench(40 * kScale, [&](std::size_t n) {
-      for (std::size_t r = 0; r < n; ++r) cls.add_traces(cts, rows);
-      g_sink = static_cast<double>(cls.trace_count());
-      return n * kBatch;
-    });
-    attack::CpaAttack simd(kPoi, attack::CpaKernel::kSimd);
+    attack::CpaAttack simd(kPoi);
     const auto simd_res = run_bench(40 * kScale, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) simd.add_traces(cts, rows);
       g_sink = static_cast<double>(simd.trace_count());
       return n * kBatch;
     });
-    record("cpa_add_traces", "add_trace_loop", loop, "gemm_batch", gemm_res);
-    record("cpa_add_traces", "gemm_batch", gemm_res, "class_accum", cls_res);
-    record("cpa_add_traces", "class_accum", cls_res, "simd_kernel", simd_res);
+    record("cpa_add_traces", "add_trace_loop", loop, "simd_kernel", simd_res);
   }
 
   std::cout << "=== hot-path microbenchmarks"

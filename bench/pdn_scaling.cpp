@@ -2,8 +2,8 @@
 //
 //   scaling  — iterations and wall time per cold dc-droop solve vs grid
 //              size, for every solver variant (plain reference CG, IC(0)
-//              PCG, SSOR PCG, geometric two-grid), plus the one-time
-//              preconditioner setup cost
+//              PCG, geometric two-grid), plus the one-time preconditioner
+//              setup cost
 //   repeated — the campaign-shaped workload: K fresh right-hand sides
 //              against one frozen topology. The pre-PR path re-ran plain
 //              CG per RHS; the cached-context path pays setup once and
@@ -68,9 +68,9 @@ int main(int argc, char** argv) {
 
   const std::vector<int> sizes =
       quick ? std::vector<int>{24, 48} : std::vector<int>{48, 96, 144, 224};
-  const pdn::SolverKind variants[] = {
-      pdn::SolverKind::kReferenceCg, pdn::SolverKind::kPcgIc0,
-      pdn::SolverKind::kPcgSsor, pdn::SolverKind::kTwoGrid};
+  const pdn::SolverKind variants[] = {pdn::SolverKind::kReferenceCg,
+                                      pdn::SolverKind::kPcgIc0,
+                                      pdn::SolverKind::kTwoGrid};
   const std::size_t reps = quick ? 1 : 3;
 
   // ------------------------------------------------ scaling vs grid size

@@ -139,38 +139,49 @@ std::vector<crypto::Block> TraceCampaign::plaintext_chain(
   return chain;
 }
 
+template <class Sink>
+void TraceCampaign::generate_block(const util::Rng& trace_parent,
+                                   std::size_t first_fork,
+                                   std::span<const crypto::Block> plaintexts,
+                                   Sink&& sink) const {
+  sim::SensorRig::Sampler sampler = rig_->make_sampler();
+  victim::AesCoreModel aes = *aes_;  // thread-private encryption state
+  const double gain = rig_->coupling().gain_at_node(aes.pdn_node());
+  std::vector<double> trace(trace_samples_);
+  TraceScratch scratch;
+#if defined(LEAKYDSP_OBS)
+  std::uint64_t rng_draws = 0;
+#endif
+  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
+    util::Rng rng = trace_parent.fork(first_fork + i);
+    sample_trace(sampler, aes, plaintexts[i], gain, rng, scratch, trace);
+#if defined(LEAKYDSP_OBS)
+    rng_draws += rng.draws();
+#endif
+    sink(i, std::span<const double>(trace), aes.ciphertext());
+  }
+  OBS_COUNT("campaign.traces_sampled", plaintexts.size());
+  OBS_COUNT("rng.draws", rng_draws);
+}
+
 void TraceCampaign::process_block(std::size_t first_trace,
                                   std::span<const crypto::Block> plaintexts,
                                   const util::Rng& trace_parent, CpaAttack& cpa,
                                   double& poi_sum) const {
   OBS_SCOPED_HISTO_MS("campaign.block_ms", ({1, 5, 10, 50, 100, 500, 1000}));
-  sim::SensorRig::Sampler sampler = rig_->make_sampler();
-  victim::AesCoreModel aes = *aes_;  // thread-private encryption state
-  const double gain = rig_->coupling().gain_at_node(aes.pdn_node());
   const std::size_t n = plaintexts.size();
   std::vector<crypto::Block> ciphertexts(n);
   util::aligned_vector<double> poi_rows(n * poi_count_);
-  std::vector<double> trace(trace_samples_);
-  TraceScratch scratch;
-
-#if defined(LEAKYDSP_OBS)
-  std::uint64_t rng_draws = 0;
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Rng rng = trace_parent.fork(first_trace + i);
-    sample_trace(sampler, aes, plaintexts[i], gain, rng, scratch, trace);
-#if defined(LEAKYDSP_OBS)
-    rng_draws += rng.draws();
-#endif
-    double* poi = poi_rows.data() + i * poi_count_;
-    for (std::size_t k = 0; k < poi_count_; ++k) {
-      poi[k] = trace[poi_begin_ + k];
-      poi_sum += poi[k];
-    }
-    ciphertexts[i] = aes.ciphertext();
-  }
-  OBS_COUNT("campaign.traces_sampled", n);
-  OBS_COUNT("rng.draws", rng_draws);
+  generate_block(trace_parent, first_trace, plaintexts,
+                 [&](std::size_t i, std::span<const double> trace,
+                     const crypto::Block& ciphertext) {
+                   double* poi = poi_rows.data() + i * poi_count_;
+                   for (std::size_t k = 0; k < poi_count_; ++k) {
+                     poi[k] = trace[poi_begin_ + k];
+                     poi_sum += poi[k];
+                   }
+                   ciphertexts[i] = ciphertext;
+                 });
   {
     OBS_SPAN("cpa.accumulate");
     cpa.add_traces(ciphertexts, poi_rows);
@@ -199,66 +210,17 @@ std::vector<crypto::Block> TraceCampaign::next_plaintexts(
 std::vector<sim::StoredTrace> TraceCampaign::record_block(
     const util::Rng& trace_parent, std::size_t first_trace,
     std::span<const crypto::Block> plaintexts) const {
-  sim::SensorRig::Sampler sampler = rig_->make_sampler();
-  victim::AesCoreModel aes = *aes_;  // thread-private encryption state
-  const double gain = rig_->coupling().gain_at_node(aes.pdn_node());
-  TraceScratch scratch;
   std::vector<sim::StoredTrace> out;
   out.reserve(plaintexts.size());
-#if defined(LEAKYDSP_OBS)
-  std::uint64_t rng_draws = 0;
-#endif
-  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
-    util::Rng trace_rng = trace_parent.fork(first_trace + i + 1);
-    std::vector<double> samples(trace_samples_);
-    sample_trace(sampler, aes, plaintexts[i], gain, trace_rng, scratch,
-                 samples);
-#if defined(LEAKYDSP_OBS)
-    rng_draws += trace_rng.draws();
-#endif
-    out.push_back({aes.ciphertext(), std::move(samples)});
-  }
-  OBS_COUNT("campaign.traces_sampled", plaintexts.size());
-  OBS_COUNT("rng.draws", rng_draws);
+  generate_block(trace_parent, first_trace + 1, plaintexts,
+                 [&](std::size_t, std::span<const double> trace,
+                     const crypto::Block& ciphertext) {
+                   out.push_back(
+                       {ciphertext, std::vector<double>(trace.begin(),
+                                                        trace.end())});
+                 });
   OBS_PROGRESS_TICK();
   return out;
-}
-
-void TraceCampaign::record_blocks(
-    util::ThreadPool& pool, const util::Rng& trace_parent,
-    std::span<const crypto::Block> plaintexts, std::size_t first_block,
-    std::vector<std::vector<sim::StoredTrace>>& shards) const {
-  const std::size_t block = config_.block_traces;
-  const std::size_t n = plaintexts.size();
-  pool.parallel_for(shards.size(), [&](std::size_t w) {
-    const std::size_t lo = (first_block + w) * block;
-    const std::size_t hi = std::min(lo + block, n);
-    shards[w] =
-        record_block(trace_parent, lo, {plaintexts.data() + lo, hi - lo});
-  });
-}
-
-void TraceCampaign::record(util::Rng& rng, std::size_t n,
-                           sim::TraceStore& store) const {
-  LD_REQUIRE(n >= 1, "need at least one trace");
-  LD_REQUIRE(store.samples_per_trace() == trace_samples_,
-             "store expects " << store.samples_per_trace()
-                              << " samples per trace, campaign produces "
-                              << trace_samples_);
-  util::ThreadPool pool(config_.threads);
-
-  crypto::Block plaintext;
-  for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  const util::Rng trace_parent = rng;
-  const std::vector<crypto::Block> plaintexts = plaintext_chain(plaintext, n);
-
-  const std::size_t block = config_.block_traces;
-  const std::size_t blocks = (n + block - 1) / block;
-  std::vector<std::vector<sim::StoredTrace>> shards(blocks);
-  record_blocks(pool, trace_parent, plaintexts, 0, shards);
-  for (auto& shard : shards) {
-    for (auto& rec : shard) store.add(rec.ciphertext, std::move(rec.samples));
-  }
 }
 
 void TraceCampaign::record(util::Rng& rng, std::size_t n,
@@ -269,25 +231,27 @@ void TraceCampaign::record(util::Rng& rng, std::size_t n,
                                << " samples per trace, campaign produces "
                                << trace_samples_);
   util::ThreadPool pool(config_.threads);
-
-  crypto::Block plaintext;
-  for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  const util::Rng trace_parent = rng;
-  const std::vector<crypto::Block> plaintexts = plaintext_chain(plaintext, n);
-
-  // Same fork discipline and block schedule as the in-memory overload,
-  // processed in bounded waves: only one wave of shards is ever resident,
-  // and each drains into the writer in block order, so the resulting file
-  // is byte-identical to record()-then-save() at every thread count.
+  RecordCursor cursor = start_record(rng);
+  // The service's record stream, driven in bounded waves of blocks: only
+  // one wave of plaintexts and shards is ever resident, and each drains
+  // into the writer in block order, so the file is byte-identical at every
+  // thread count.
   const std::size_t block = config_.block_traces;
-  const std::size_t blocks = (n + block - 1) / block;
-  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4;
-  for (std::size_t b0 = 0; b0 < blocks; b0 += wave) {
+  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4 * block;
+  while (cursor.produced < n) {
+    const std::size_t first = cursor.produced;
+    const std::vector<crypto::Block> plaintexts =
+        next_plaintexts(cursor, std::min(wave, n - first));
     std::vector<std::vector<sim::StoredTrace>> shards(
-        std::min(wave, blocks - b0));
-    record_blocks(pool, trace_parent, plaintexts, b0, shards);
-    for (auto& shard : shards) {
-      for (auto& rec : shard) writer.add(rec.ciphertext, rec.samples);
+        (plaintexts.size() + block - 1) / block);
+    pool.parallel_for(shards.size(), [&](std::size_t w) {
+      const std::size_t lo = w * block;
+      const std::size_t hi = std::min(lo + block, plaintexts.size());
+      shards[w] = record_block(cursor.trace_parent, first + lo,
+                               {plaintexts.data() + lo, hi - lo});
+    });
+    for (const auto& shard : shards) {
+      for (const auto& rec : shard) writer.add(rec.ciphertext, rec.samples);
     }
   }
 }

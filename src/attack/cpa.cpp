@@ -10,8 +10,7 @@
 
 namespace leakydsp::attack {
 
-CpaAttack::CpaAttack(std::size_t poi_count, CpaKernel kernel)
-    : poi_(poi_count), kernel_(kernel) {
+CpaAttack::CpaAttack(std::size_t poi_count) : poi_(poi_count) {
   LD_REQUIRE(poi_ >= 1, "need at least one point of interest");
   sum_t_.assign(poi_, 0.0);
   sum_t2_.assign(poi_, 0.0);
@@ -20,9 +19,6 @@ CpaAttack::CpaAttack(std::size_t poi_count, CpaKernel kernel)
 
 void CpaAttack::add_trace(const crypto::Block& ciphertext,
                           std::span<const double> poi_samples) {
-  // A batch of one accumulates identically under either kernel (the class
-  // kernel's per-class sums reduce to the row itself), so this is exactly
-  // the historical per-trace accumulation.
   add_traces({&ciphertext, 1}, poi_samples);
 }
 
@@ -36,113 +32,9 @@ void CpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
   OBS_COUNT("cpa.traces_accumulated", n);
   OBS_HISTO("cpa.batch_traces", ({1, 8, 16, 32, 64, 128, 256, 512}), n);
   traces_ += n;
-  // Trace-side sums are kernel-independent; the op's per-POI chains run in
-  // trace order on every dispatch tier, bit-identical to the historical
-  // inline loop.
+  // The op's per-POI chains run in trace order on every dispatch tier.
   kernels::trace_sums(poi_matrix.data(), n, poi_, sum_t_.data(),
                       sum_t2_.data());
-  switch (kernel_) {
-    case CpaKernel::kClassAccum:
-      add_traces_class(ciphertexts, poi_matrix);
-      break;
-    case CpaKernel::kGemm:
-      add_traces_gemm(ciphertexts, poi_matrix);
-      break;
-    case CpaKernel::kSimd:
-      add_traces_simd(ciphertexts, poi_matrix);
-      break;
-  }
-}
-
-void CpaAttack::add_traces_class(std::span<const crypto::Block> ciphertexts,
-                                 std::span<const double> poi_matrix) {
-  const std::size_t n = ciphertexts.size();
-  row_scratch_.resize(n);
-  class_scratch_.resize(9 * poi_);
-  for (int b = 0; b < 16; ++b) {
-    // One shared-table row per trace covers all 256 guesses of this byte.
-    const int sr = crypto::Aes128::shift_rows_map(b);
-    for (std::size_t t = 0; t < n; ++t) {
-      row_scratch_[t] = last_round_hd_pair_row(
-          ciphertexts[t][b], ciphertexts[t][static_cast<std::size_t>(sr)]);
-    }
-    auto& h_sums = sum_h_[static_cast<std::size_t>(b)];
-    auto& h2_sums = sum_h2_[static_cast<std::size_t>(b)];
-    auto& ht = sum_ht_[static_cast<std::size_t>(b)];
-    for (std::size_t g = 0; g < 256; ++g) {
-      // Bucket pass: pure adds into the 9 Hamming-class sums (resident in
-      // L1), lazily zeroed on first touch.
-      std::array<std::uint32_t, 9> cnt{};
-      for (std::size_t t = 0; t < n; ++t) {
-        const std::size_t h = row_scratch_[t][g];
-        double* cs = class_scratch_.data() + h * poi_;
-        const double* src = poi_matrix.data() + t * poi_;
-        if (cnt[h]++ == 0) {
-          for (std::size_t k = 0; k < poi_; ++k) cs[k] = src[k];
-        } else {
-          for (std::size_t k = 0; k < poi_; ++k) cs[k] += src[k];
-        }
-      }
-      // Fold: one multiply per occupied class; hypothesis sums stay exact
-      // integers (h <= 8, so no overflow for any feasible trace count).
-      double* dst = ht.data() + g * poi_;
-      std::uint64_t hs = 0;
-      std::uint64_t h2s = 0;
-      for (std::size_t h = 1; h < 9; ++h) {
-        if (cnt[h] == 0) continue;
-        hs += h * cnt[h];
-        h2s += h * h * cnt[h];
-        const double hd = static_cast<double>(h);
-        const double* cs = class_scratch_.data() + h * poi_;
-        for (std::size_t k = 0; k < poi_; ++k) dst[k] += hd * cs[k];
-      }
-      h_sums[g] += static_cast<double>(hs);
-      h2_sums[g] += static_cast<double>(h2s);
-    }
-  }
-}
-
-void CpaAttack::add_traces_gemm(std::span<const crypto::Block> ciphertexts,
-                                std::span<const double> poi_matrix) {
-  const std::size_t n = ciphertexts.size();
-  // Hypothesis rows for the whole batch, [t * 256 + g] per byte, so the
-  // guess loop below streams them column-wise without re-deriving SBox
-  // inversions inside the hot kernel.
-  std::vector<std::uint8_t> hyp(n * 256);
-  for (int b = 0; b < 16; ++b) {
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto row = last_round_hd_row(ciphertexts[t], b);
-      std::copy(row.begin(), row.end(), hyp.begin() + static_cast<std::ptrdiff_t>(t * 256));
-    }
-    auto& h_sums = sum_h_[static_cast<std::size_t>(b)];
-    auto& h2_sums = sum_h2_[static_cast<std::size_t>(b)];
-    auto& ht = sum_ht_[static_cast<std::size_t>(b)];
-    // GEMM-style kernel: dst row (one guess x POI stripe) stays resident
-    // across the whole batch instead of the per-trace axpy cycling through
-    // all 256 stripes for every trace.
-    for (int g = 0; g < 256; ++g) {
-      const auto gi = static_cast<std::size_t>(g);
-      double* dst = ht.data() + gi * poi_;
-      double hs = 0.0;
-      double h2s = 0.0;
-      for (std::size_t t = 0; t < n; ++t) {
-        const double h = static_cast<double>(hyp[t * 256 + gi]);
-        hs += h;
-        h2s += h * h;
-        const double* src = poi_matrix.data() + t * poi_;
-        for (std::size_t k = 0; k < poi_; ++k) {
-          dst[k] += h * src[k];
-        }
-      }
-      h_sums[gi] += hs;
-      h2_sums[gi] += h2s;
-    }
-  }
-}
-
-void CpaAttack::add_traces_simd(std::span<const crypto::Block> ciphertexts,
-                                std::span<const double> poi_matrix) {
-  const std::size_t n = ciphertexts.size();
   // Trace blocks sized so one block's POI panel (block * poi doubles) stays
   // L1-resident while all 16 key bytes stream over it — the multi-byte
   // panel sharing that makes this kernel read each trace row once per
@@ -201,16 +93,14 @@ void CpaAttack::merge(const CpaAttack& other) {
 std::size_t CpaAttack::approx_accumulator_bytes(std::size_t poi_count) {
   return sizeof(CpaAttack)                            // inline sum_h / sum_h2
          + 2 * poi_count * sizeof(double)             // sum_t, sum_t2
-         + 16 * 256 * poi_count * sizeof(double)      // sum_ht cross sums
-         + 9 * poi_count * sizeof(double);            // class scratch
+         + 16 * 256 * poi_count * sizeof(double);     // sum_ht cross sums
 }
 
 std::size_t CpaAttack::resident_bytes() const {
-  std::size_t bytes = sizeof(CpaAttack) +
-                      (sum_t_.capacity() + sum_t2_.capacity() +
-                       class_scratch_.capacity()) *
-                          sizeof(double) +
-                      row_scratch_.capacity() * sizeof(const std::uint8_t*);
+  std::size_t bytes =
+      sizeof(CpaAttack) +
+      (sum_t_.capacity() + sum_t2_.capacity()) * sizeof(double) +
+      row_scratch_.capacity() * sizeof(const std::uint8_t*);
   for (const auto& per_byte : sum_ht_) {
     bytes += per_byte.capacity() * sizeof(double);
   }

@@ -28,51 +28,27 @@ struct ByteScores {
   double runner_up_score = 0.0;
 };
 
-/// Batch-accumulation kernel of CpaAttack::add_traces.
-enum class CpaKernel {
-  /// Integer class kernel: hypothesis rows come from the shared
-  /// 256x256x256 pair table, each trace's POI row is bucketed into its
-  /// Hamming class (h in 0..8) and the 9 class sums fold into the
-  /// accumulators with one multiply per class — hypothesis sums stay exact
-  /// integers. Reorders the per-guess additions relative to trace order
-  /// (same values up to fp associativity; identical for n=1).
-  kClassAccum,
-  /// GEMM-style kernel: per-(guess, POI) additions happen in trace order,
-  /// bit-identical to calling add_trace per trace.
-  kGemm,
-  /// Runtime-dispatched SIMD kernel (cpa_kernels.h): register-blocked
-  /// fma chains per (guess, POI) in global trace order, streamed in
-  /// L1-sized trace blocks across all 16 key bytes, with exact-integer
-  /// hypothesis sums. Every dispatch tier (scalar / AVX2 / AVX-512) and
-  /// every batch split produces bit-identical accumulators; values differ
-  /// from kGemm/kClassAccum only by the fused rounding of each
-  /// multiply-add step. Default.
-  kSimd,
-};
-
 /// Online last-round CPA over a fixed number of points of interest.
 class CpaAttack {
  public:
-  explicit CpaAttack(std::size_t poi_count,
-                     CpaKernel kernel = CpaKernel::kSimd);
+  explicit CpaAttack(std::size_t poi_count);
 
   std::size_t poi_count() const { return poi_; }
   std::size_t trace_count() const { return traces_; }
-  CpaKernel kernel() const { return kernel_; }
 
   /// Accumulates one trace: its ciphertext and the sensor readouts at the
-  /// POI window (size must equal poi_count()). Routed through add_traces
-  /// with a batch of one: kClassAccum and kGemm accumulate that identically
-  /// (the historical per-trace accumulation); kSimd accumulates its fused
-  /// form, which is itself identical to kSimd at any batch size.
+  /// POI window (size must equal poi_count()). A batch of one through
+  /// add_traces, so it accumulates exactly what any batched call would.
   void add_trace(const crypto::Block& ciphertext,
                  std::span<const double> poi_samples);
 
   /// Accumulates a batch of traces at once: `poi_matrix` holds the POI rows
   /// of `ciphertexts.size()` traces back to back (row t at offset
-  /// t * poi_count()), dispatched to the configured CpaKernel. Deterministic
-  /// for a given kernel and batch split; the kernels differ from each other
-  /// only in fp summation order.
+  /// t * poi_count()). Runs the runtime-dispatched kernel of cpa_kernels.h:
+  /// one fma chain per (byte, guess, POI) in global trace order, streamed
+  /// in L1-sized trace blocks across all 16 key bytes, with exact-integer
+  /// hypothesis sums. Every dispatch tier (scalar / AVX2 / AVX-512) and
+  /// every batch split produces bit-identical accumulators.
   void add_traces(std::span<const crypto::Block> ciphertexts,
                   std::span<const double> poi_matrix);
 
@@ -104,30 +80,21 @@ class CpaAttack {
   static CpaAttack deserialize(util::ByteReader& in);
 
   /// Approximate heap footprint of one accumulator with `poi_count` points
-  /// of interest: the trace-side sums, the flattened per-(byte, guess)
-  /// cross sums, and the kernel scratch. Coarse by design — the campaign
-  /// service charges this against its memory budget per resident task.
+  /// of interest: the trace-side sums and the flattened per-(byte, guess)
+  /// cross sums. Coarse by design — the campaign service charges this
+  /// against its memory budget per resident task.
   static std::size_t approx_accumulator_bytes(std::size_t poi_count);
 
   /// Actual bytes currently held by this accumulator's heap vectors.
   std::size_t resident_bytes() const;
 
  private:
-  void add_traces_class(std::span<const crypto::Block> ciphertexts,
-                        std::span<const double> poi_matrix);
-  void add_traces_gemm(std::span<const crypto::Block> ciphertexts,
-                       std::span<const double> poi_matrix);
-  void add_traces_simd(std::span<const crypto::Block> ciphertexts,
-                       std::span<const double> poi_matrix);
-
   std::size_t poi_;
   std::size_t traces_ = 0;
-  CpaKernel kernel_ = CpaKernel::kClassAccum;  // not serialized
 
   // Kernel scratch, reused across batches (not part of the accumulator
   // state; never serialized or merged).
   std::vector<const std::uint8_t*> row_scratch_;  // per-trace pair rows
-  util::aligned_vector<double> class_scratch_;    // [9 * poi] class sums
 
   // Trace-side sums (shared across guesses). 64-byte aligned so the SIMD
   // trace_sums kernel never splits a vector across cache lines.
@@ -139,7 +106,7 @@ class CpaAttack {
   std::array<std::array<double, 256>, 16> sum_h2_{};
 
   // Cross sums: [byte][guess * poi + k], flattened for locality and
-  // 64-byte aligned for the kSimd accumulation slabs.
+  // 64-byte aligned for the SIMD accumulation slabs.
   std::array<util::aligned_vector<double>, 16> sum_ht_;
 };
 

@@ -1,14 +1,15 @@
-// Tiled, runtime-dispatched accumulation kernels behind CpaKernel::kSimd.
+// Tiled, runtime-dispatched accumulation kernels behind
+// CpaAttack::add_traces.
 //
 // A "panel" is one trace block's worth of CPA input for a single key byte:
 // n pair-table hypothesis rows (256 Hamming distances each, values 0..8)
 // and the matching n x poi block of sensor readouts. accumulate_panel folds
-// a panel into a 256 x poi cross-sum slab; CpaAttack::add_traces_simd
-// drives it in L1-sized trace blocks across all 16 key bytes so each trace
-// panel is streamed from cache once instead of 16 times.
+// a panel into a 256 x poi cross-sum slab; CpaAttack::add_traces drives it
+// in L1-sized trace blocks across all 16 key bytes so each trace panel is
+// streamed from cache once instead of 16 times.
 //
-// Determinism contract (the reason kSimd can be the default kernel and
-// still honor byte-identical checkpoints): every (guess, POI) cross sum is
+// Determinism contract (the reason the SIMD kernel honors byte-identical
+// checkpoints): every (guess, POI) cross sum is
 // one chain of fused multiply-adds in global trace order,
 //   dst[g*poi+k] = fma(h_t, x[t*poi+k], dst[g*poi+k])   for t ascending,
 // and each chain is a single output lane, so scalar std::fma and the
@@ -42,9 +43,9 @@ void hypothesis_sums(const std::uint8_t* const* rows, std::size_t n,
                      std::uint64_t* hs, std::uint64_t* h2s);
 
 /// sum_t[k] += x[t*poi+k]; sum_t2[k] += x[t*poi+k] * x[t*poi+k] (separate
-/// multiply and add — NOT fused) in trace order: bit-identical to the
-/// historical inline loop in CpaAttack::add_traces for every kernel, so
-/// pre-kSimd goldens keep their trace-side sums. Dispatches on tier.
+/// multiply and add — NOT fused) in trace order: bit-identical to a plain
+/// per-trace loop, so the goldens' trace-side sums never depended on the
+/// SIMD kernel. Dispatches on tier.
 void trace_sums(const double* x, std::size_t n, std::size_t poi_count,
                 double* sum_t, double* sum_t2);
 

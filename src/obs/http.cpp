@@ -96,9 +96,9 @@ HttpServer::~HttpServer() { stop(); }
 void HttpServer::stop() {
   stopping_.store(true, std::memory_order_release);
   // One caller wins the join; stop() from the destructor after an explicit
-  // stop() finds the thread already joined and the fd closed.
-  static std::mutex join_mutex;
-  std::lock_guard<std::mutex> lock(join_mutex);
+  // stop() finds the thread already joined and the fd closed. The mutex is
+  // per instance, so stopping one server never waits on another's join.
+  std::lock_guard<std::mutex> lock(join_mutex_);
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -72,6 +73,7 @@ class HttpServer {
   Handler handler_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> served_{0};
+  std::mutex join_mutex_;  ///< serializes concurrent stop() calls
   std::thread thread_;
 };
 

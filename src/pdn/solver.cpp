@@ -72,8 +72,6 @@ std::string to_string(SolverKind kind) {
       return "reference_cg";
     case SolverKind::kPcgIc0:
       return "pcg_ic0";
-    case SolverKind::kPcgSsor:
-      return "pcg_ssor";
     case SolverKind::kTwoGrid:
       return "twogrid";
   }
@@ -189,7 +187,6 @@ SolverContext::SolverContext(const SparseMatrix& a, int nx, int ny,
 
   switch (kind) {
     case SolverKind::kReferenceCg:
-    case SolverKind::kPcgSsor:
       break;  // setup-free
     case SolverKind::kPcgIc0:
       build_ic0(a);
@@ -202,8 +199,8 @@ SolverContext::SolverContext(const SparseMatrix& a, int nx, int ny,
   }
 
 #if defined(LEAKYDSP_OBS)
-  // Registered after the build: IC(0) setup may have fallen back to SSOR,
-  // and the per-kind series must be named after what actually runs.
+  // Registered after the build: IC(0) setup may have fallen back to
+  // Jacobi-CG, and the per-kind series must be named after what runs.
   obs::Registry& reg = obs::Registry::global();
   reg.add(reg.labeled_counter("pdn.solver.resolved_kind", to_string(resolved_),
                               /*max_labels=*/8),
@@ -232,7 +229,7 @@ void SolverContext::build_ic0(const SparseMatrix& a) {
     l_row_start_.clear();
     l_cols_.clear();
     l_vals_.clear();
-    resolved_ = SolverKind::kPcgSsor;
+    resolved_ = SolverKind::kReferenceCg;
     OBS_COUNT("pdn.solver.ic0.breakdowns", 1);
   };
 
@@ -303,36 +300,6 @@ void SolverContext::apply_ic0(std::span<const double> r,
     for (std::size_t k = l_row_start_[i]; k < dk; ++k) {
       z[l_cols_[k]] -= l_vals_[k] * zi;
     }
-  }
-}
-
-void SolverContext::apply_ssor(const SparseMatrix& a,
-                               std::span<const double> r,
-                               std::span<double> z) const {
-  // M = (D + L) D^{-1} (D + L^T) with omega = 1 (symmetric Gauss–Seidel).
-  const auto rs = a.row_start();
-  const auto acols = a.cols();
-  const auto avals = a.values();
-  // Forward: (D + L) y = r, y stored in z.
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = r[i];
-    for (std::size_t k = rs[i]; k < rs[i + 1]; ++k) {
-      const std::size_t j = acols[k];
-      if (j >= i) break;
-      s -= avals[k] * z[j];
-    }
-    z[i] = s * inv_diag_[i];
-  }
-  // Backward: (I + D^{-1} L^T) z = y, in place — descending order means
-  // every z[j] read (j > i) is already final while z[i] still holds y[i].
-  for (std::size_t i = n_; i-- > 0;) {
-    double s = 0.0;
-    for (std::size_t k = rs[i + 1]; k-- > rs[i];) {
-      const std::size_t j = acols[k];
-      if (j <= i) break;
-      s += avals[k] * z[j];
-    }
-    z[i] -= s * inv_diag_[i];
   }
 }
 
@@ -554,9 +521,6 @@ CgResult SolverContext::solve(const SparseMatrix& a, std::span<const double> b,
     switch (resolved_) {
       case SolverKind::kPcgIc0:
         apply_ic0(rr, zz);
-        break;
-      case SolverKind::kPcgSsor:
-        apply_ssor(a, rr, zz);
         break;
       case SolverKind::kTwoGrid: {
         OBS_SPAN("pdn.solver.vcycle");

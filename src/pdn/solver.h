@@ -5,15 +5,13 @@
 // expensive part — preconditioner setup — is hoisted into a SolverContext
 // that is built once per grid topology and shared through a process-wide
 // cache keyed on that topology. The solve itself is preconditioned
-// conjugate gradient with three interchangeable preconditioners:
+// conjugate gradient with two preconditioners:
 //
 //   IC(0)    — incomplete Cholesky with zero fill-in; exists without
 //              breakdown for the diagonally dominant mesh Laplacian and is
 //              the default below the two-grid threshold. If a pivot does
 //              break down (a non-M-matrix assembled through the same API),
-//              setup falls back to SSOR automatically.
-//   SSOR     — symmetric Gauss–Seidel (omega = 1); setup-free, used as the
-//              IC(0) breakdown fallback and benchable on its own.
+//              the context resolves to the plain Jacobi-CG reference.
 //   Two-grid — geometric coarse-grid correction exploiting node_index's
 //              row-major nx x ny structure: one forward Gauss–Seidel
 //              pre-smooth, a Galerkin-coarsened (P^T A P, bilinear P,
@@ -47,7 +45,6 @@ enum class SolverKind : std::uint8_t {
   kAuto = 0,     ///< IC(0) PCG below the two-grid threshold, two-grid above
   kReferenceCg,  ///< plain Jacobi-CG — the differential reference path
   kPcgIc0,       ///< PCG with incomplete-Cholesky IC(0)
-  kPcgSsor,      ///< PCG with symmetric Gauss–Seidel (SSOR, omega = 1)
   kTwoGrid,      ///< PCG with the geometric two-grid V-cycle preconditioner
 };
 
@@ -102,7 +99,7 @@ class SolverContext {
   /// The kind this context was asked to build.
   SolverKind requested_kind() const { return requested_; }
   /// The kind actually in effect (differs from requested only when IC(0)
-  /// setup broke down and fell back to SSOR).
+  /// setup broke down and fell back to kReferenceCg).
   SolverKind resolved_kind() const { return resolved_; }
 
   /// Solves A x = b to `tolerance` (relative residual). With
@@ -136,8 +133,6 @@ class SolverContext {
   void build_two_grid(const SparseMatrix& a);
 
   void apply_ic0(std::span<const double> r, std::span<double> z) const;
-  void apply_ssor(const SparseMatrix& a, std::span<const double> r,
-                  std::span<double> z) const;
   void apply_two_grid(const SparseMatrix& a, std::span<const double> r,
                       std::span<double> z, Workspace& ws) const;
 
@@ -151,7 +146,7 @@ class SolverContext {
   int ny_ = 0;
   std::size_t n_ = 0;
 
-  // Cached inverse diagonal (Jacobi pieces of SSOR / smoothing).
+  // Cached inverse diagonal (two-grid Gauss–Seidel smoothing).
   std::vector<double> inv_diag_;
 
   // IC(0) factor L (lower triangle incl. diagonal, CSR, cols ascending).

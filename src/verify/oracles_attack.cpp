@@ -1,12 +1,12 @@
 // Differential oracles for the attack pipeline:
-//   - CpaKernel::kClassAccum vs kGemm (and kGemm vs a per-trace add_trace
-//     loop, which the API pins as bit-identical),
+//   - CpaAttack fed at random batch splits vs the plain per-trace reference
+//     (verify/cpa_reference.h), bitwise in serialized state,
 //   - the N-thread campaign vs the 1-thread campaign (bit-identical by the
 //     determinism contract),
 //   - a campaign killed at a generated point and resumed from its durable
 //     checkpoint vs an uninterrupted straight run (bit-identical).
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -21,6 +21,8 @@
 #include "crypto/aes128.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
+#include "util/byte_io.h"
+#include "verify/cpa_reference.h"
 #include "verify/oracle.h"
 #include "victim/aes_core.h"
 
@@ -28,60 +30,60 @@ namespace leakydsp::verify {
 
 namespace {
 
-// ------------------------------------------------ kClassAccum vs kGemm
+// ----------------------------------------- CpaAttack vs plain reference
 
-struct CpaKernelConfig {
+struct CpaCase {
   std::int64_t poi = 4;
   std::int64_t traces = 50;
-  std::int64_t batch = 16;  ///< add_traces batch size for both kernels
+  std::int64_t max_batch = 16;  ///< add_traces calls take 1..max_batch traces
   std::uint64_t seed = 0;
 };
 
-std::string describe_cpa(const CpaKernelConfig& c) {
+std::string describe_cpa(const CpaCase& c) {
   std::ostringstream oss;
-  oss << "{poi=" << c.poi << " traces=" << c.traces << " batch=" << c.batch
-      << " seed=" << c.seed << "}";
+  oss << "{poi=" << c.poi << " traces=" << c.traces
+      << " max_batch=" << c.max_batch << " seed=" << c.seed << "}";
   return oss.str();
 }
 
-Property<CpaKernelConfig> cpa_kernel_property() {
-  Property<CpaKernelConfig> prop;
-  prop.name = "attack.cpa_class_accum_vs_gemm";
+Property<CpaCase> cpa_reference_property() {
+  Property<CpaCase> prop;
+  prop.name = "attack.cpa_vs_reference";
   prop.generate = [](util::Rng& rng) {
-    CpaKernelConfig c;
+    CpaCase c;
     c.poi = gen_int(rng, 1, 12);
-    c.traces = gen_int(rng, 2, 200);  // snapshot() needs >= 2 to correlate
-    c.batch = gen_int(rng, 1, 64);
+    c.traces = gen_int(rng, 1, 200);
+    c.max_batch = gen_int(rng, 1, 600);  // past the kernel's trace block
     c.seed = rng();
     return c;
   };
-  prop.shrink = [](const CpaKernelConfig& c) {
-    std::vector<CpaKernelConfig> out;
-    for (const std::int64_t traces : shrink_int(c.traces, 2)) {
-      CpaKernelConfig s = c;
+  prop.shrink = [](const CpaCase& c) {
+    std::vector<CpaCase> out;
+    for (const std::int64_t traces : shrink_int(c.traces, 1)) {
+      CpaCase s = c;
       s.traces = traces;
       out.push_back(s);
     }
     for (const std::int64_t poi : shrink_int(c.poi, 1)) {
-      CpaKernelConfig s = c;
+      CpaCase s = c;
       s.poi = poi;
       out.push_back(s);
     }
-    for (const std::int64_t batch : shrink_int(c.batch, 1)) {
-      CpaKernelConfig s = c;
-      s.batch = batch;
+    for (const std::int64_t batch : shrink_int(c.max_batch, 1)) {
+      CpaCase s = c;
+      s.max_batch = batch;
       out.push_back(s);
     }
     return out;
   };
   prop.describe = describe_cpa;
-  prop.check = [](const CpaKernelConfig& c) -> CheckOutcome {
+  prop.check = [](const CpaCase& c) -> CheckOutcome {
     const std::size_t poi = static_cast<std::size_t>(c.poi);
     const std::size_t n = static_cast<std::size_t>(c.traces);
     util::Rng rng(c.seed);
     std::vector<crypto::Block> cts(n);
     std::vector<double> rows(n * poi);
-    // Correlated synthetic leakage so scores are far from degenerate.
+    // Correlated synthetic leakage so the sums are far from degenerate.
     for (std::size_t t = 0; t < n; ++t) {
       for (auto& b : cts[t]) b = static_cast<std::uint8_t>(rng() & 0xff);
       for (std::size_t k = 0; k < poi; ++k) {
@@ -90,52 +92,28 @@ Property<CpaKernelConfig> cpa_kernel_property() {
       }
     }
 
-    attack::CpaAttack class_cpa(poi, attack::CpaKernel::kClassAccum);
-    attack::CpaAttack gemm_cpa(poi, attack::CpaKernel::kGemm);
-    attack::CpaAttack reference(poi, attack::CpaKernel::kGemm);
-    const std::size_t batch = static_cast<std::size_t>(c.batch);
-    for (std::size_t lo = 0; lo < n; lo += batch) {
-      const std::size_t hi = std::min(lo + batch, n);
-      const std::span<const crypto::Block> ct_span{cts.data() + lo, hi - lo};
-      const std::span<const double> row_span{rows.data() + lo * poi,
-                                             (hi - lo) * poi};
-      class_cpa.add_traces(ct_span, row_span);
-      gemm_cpa.add_traces(ct_span, row_span);
+    attack::CpaAttack cpa(poi);
+    for (std::size_t lo = 0; lo < n;) {
+      const std::size_t m = std::min<std::size_t>(
+          1 + rng.uniform_u64(static_cast<std::uint64_t>(c.max_batch)),
+          n - lo);
+      cpa.add_traces({cts.data() + lo, m}, {rows.data() + lo * poi, m * poi});
+      lo += m;
     }
-    // Per-trace reference: the API pins kGemm batches bit-identical to the
-    // add_trace loop.
-    for (std::size_t t = 0; t < n; ++t) {
-      reference.add_trace(cts[t], {rows.data() + t * poi, poi});
+    util::ByteWriter state;
+    cpa.serialize(state);
+    const std::vector<std::uint8_t> reference =
+        reference_cpa_state(cts, rows, poi);
+    const auto got = state.span();
+    if (got.size() != reference.size()) {
+      return fail("serialized state size " + std::to_string(got.size()) +
+                  " vs reference " + std::to_string(reference.size()));
     }
-
-    const auto gemm_scores = gemm_cpa.snapshot();
-    const auto ref_scores = reference.snapshot();
-    const auto class_scores = class_cpa.snapshot();
-    for (int b = 0; b < 16; ++b) {
-      const auto& g = gemm_scores[static_cast<std::size_t>(b)];
-      const auto& r = ref_scores[static_cast<std::size_t>(b)];
-      const auto& cl = class_scores[static_cast<std::size_t>(b)];
-      for (int guess = 0; guess < 256; ++guess) {
-        const std::size_t gi = static_cast<std::size_t>(guess);
-        if (g.score[gi] != r.score[gi]) {
-          std::ostringstream oss;
-          oss << "kGemm batches diverge bitwise from per-trace add_trace at "
-              << "byte " << b << " guess " << guess << ": " << g.score[gi]
-              << " vs " << r.score[gi];
-          return fail(oss.str());
-        }
-        // The kernels reorder fp additions; scores must agree to fp
-        // associativity noise. n=1 must be bitwise.
-        const double tol =
-            n == 1 ? 0.0 : 1e-9 * std::max(1.0, std::fabs(r.score[gi]));
-        if (!(std::fabs(cl.score[gi] - r.score[gi]) <= tol)) {
-          std::ostringstream oss;
-          oss << "kClassAccum diverges from reference at byte " << b
-              << " guess " << guess << ": " << cl.score[gi] << " vs "
-              << r.score[gi] << " (tol " << tol << ")";
-          return fail(oss.str());
-        }
-      }
+    const auto diff = std::mismatch(got.begin(), got.end(), reference.begin());
+    if (diff.first != got.end()) {
+      return fail("serialized state diverges from the plain reference at "
+                  "byte offset " +
+                  std::to_string(diff.first - got.begin()));
     }
     return pass();
   };
@@ -366,9 +344,9 @@ Property<CampaignCase> campaign_resume_property() {
 
 void register_attack_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
-      "CpaAttack kClassAccum kernel vs kGemm vs per-trace add_trace: "
-      "bitwise for kGemm/n=1, fp-associativity tolerance otherwise",
-      1, cpa_kernel_property()));
+      "CpaAttack add_traces at random batch splits vs the plain per-trace "
+      "reference: bit-identical serialized state",
+      1, cpa_reference_property()));
   out.push_back(make_oracle(
       "TraceCampaign at N worker threads vs 1 thread: bit-identical "
       "CampaignResult (determinism contract)",

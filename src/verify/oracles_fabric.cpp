@@ -5,8 +5,9 @@
 //     the column rules (first match wins, IO edges strongest, CLB
 //     background), exact clock-region partitioning, per-type site-count
 //     accounting, typed FabricError on out-of-die / bad-region queries,
-//     and a non-empty PDN pad set in every clock-region row band of the
-//     mesh the spec's PadSpec describes.
+//     a non-empty PDN pad set in every clock-region row band of the mesh
+//     the spec's PadSpec describes, and that mesh's solver context running
+//     the kind resolve() picks (no IC(0) breakdown fallback).
 //   - fabric.generated_vs_hardcoded: generate_device over the three named
 //     specs vs a frozen replica of the historical hand-built factories,
 //     site by site and region by region — the pin that keeps basys3(),
@@ -284,6 +285,20 @@ CheckOutcome check_spec_invariants(const SpecConfig& c) {
   // every other node row, and validate_spec pins band height >= 2 node
   // rows).
   const pdn::PdnGrid grid(device, pdn::params_from_pad_spec(spec.pads));
+  // The generated mesh is a diagonally dominant M-matrix, so IC(0) exists
+  // (Meijerink & van der Vorst 1977): the context must run the kind
+  // resolve() picks, never the breakdown fallback.
+  const pdn::SolverKind want_kind = pdn::SolverContext::resolve(
+      grid.params().solver, grid.nodes_x(), grid.nodes_y(),
+      grid.params().two_grid_threshold);
+  if (grid.solver_context().resolved_kind() != want_kind) {
+    std::ostringstream oss;
+    oss << "PDN solver resolved to "
+        << pdn::to_string(grid.solver_context().resolved_kind())
+        << ", expected " << pdn::to_string(want_kind)
+        << " (IC(0) broke down on a generated mesh)";
+    return fail(oss.str());
+  }
   for (int row = 0; row < spec.region_rows; ++row) {
     const int band_y0 = row * rh;
     const int band_y1 = (row + 1) * rh - 1;
@@ -441,7 +456,8 @@ Property<BoardConfig> board_property() {
 void register_fabric_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
       "generate_device vs naive rule evaluation: site types, region "
-      "tiling, site accounting, typed errors, per-band PDN pads",
+      "tiling, site accounting, typed errors, per-band PDN pads, no IC(0) "
+      "fallback",
       1, spec_invariants_property()));
   out.push_back(make_oracle(
       "generate_device(named spec) vs frozen legacy factory floorplans, "

@@ -1,5 +1,5 @@
 // Differential oracles for the SIMD kernel layer (cpu_features.h dispatch):
-//   - CpaKernel::kSimd under every available dispatch tier vs the pinned
+//   - CpaAttack::add_traces under every available dispatch tier vs the pinned
 //     scalar reference tier: byte-identical serialized accumulator state,
 //     at a generated batch split (which must also match the unsplit run),
 //   - the element-op tiers (fill/divides/budget arithmetic/thermometer
@@ -45,7 +45,7 @@ std::vector<util::SimdTier> available_tiers() {
   return tiers;
 }
 
-// ---------------------------------------------- kSimd tier equivalence
+// ------------------------------------------- CPA kernel tier equivalence
 
 struct SimdCpaConfig {
   std::int64_t poi = 4;
@@ -69,7 +69,7 @@ std::vector<std::uint8_t> serialized(const attack::CpaAttack& cpa) {
 
 Property<SimdCpaConfig> simd_cpa_property() {
   Property<SimdCpaConfig> prop;
-  prop.name = "simd.cpa_ksimd_tiers_bitwise";
+  prop.name = "simd.cpa_tiers_bitwise";
   prop.generate = [](util::Rng& rng) {
     SimdCpaConfig c;
     c.poi = gen_int(rng, 1, 12);
@@ -122,17 +122,17 @@ Property<SimdCpaConfig> simd_cpa_property() {
     };
 
     util::set_simd_tier_override(util::SimdTier::kScalar);
-    attack::CpaAttack scalar_whole(poi, attack::CpaKernel::kSimd);
+    attack::CpaAttack scalar_whole(poi);
     feed(scalar_whole, n);
     const auto reference = serialized(scalar_whole);
 
     for (const util::SimdTier tier : available_tiers()) {
       util::set_simd_tier_override(tier);
-      attack::CpaAttack split(poi, attack::CpaKernel::kSimd);
+      attack::CpaAttack split(poi);
       feed(split, batch);
       if (serialized(split) != reference) {
         std::ostringstream oss;
-        oss << "kSimd serialized state under tier "
+        oss << "CPA serialized state under tier "
             << util::to_string(tier) << " at batch " << batch
             << " diverges from the scalar unsplit reference";
         return fail(oss.str());
@@ -292,9 +292,9 @@ Property<SimdOpsConfig> simd_ops_property() {
 
 void register_simd_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
-      "CpaKernel::kSimd under every available dispatch tier and a generated "
-      "batch split vs the scalar unsplit run: byte-identical serialized "
-      "accumulators",
+      "CpaAttack::add_traces under every available dispatch tier and a "
+      "generated batch split vs the scalar unsplit run: byte-identical "
+      "serialized accumulators",
       1, simd_cpa_property()));
   out.push_back(make_oracle(
       "util::simd element ops and ScaleTable::eval_batch under every "

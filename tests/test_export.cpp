@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/http.h"
 #include "obs/metrics.h"
 #include "serve/campaign_service.h"
 #include "serve/standard_jobs.h"
@@ -324,6 +325,36 @@ TEST(ExportServer, ServesMetricsStatuszHealthzAndRejectsUnknown) {
   EXPECT_GE(server.requests_served(), 6u);
   server.stop();
   server.stop();  // idempotent
+}
+
+TEST(ExportServer, StoppingOneServerNeverWaitsOnAnother) {
+  using namespace std::chrono_literals;
+  const auto ok = [](const lo::HttpRequest&) { return lo::HttpResponse{}; };
+  lo::HttpServer a("127.0.0.1", 0, ok);
+  lo::HttpServer b("127.0.0.1", 0, ok);
+
+  // An idle client that never sends a request: A's only thread accepts it
+  // and sits in recv() until the 2 s receive timeout.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(a.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  std::this_thread::sleep_for(300ms);  // A accepts within one 100 ms poll
+
+  // A's stop() blocks joining its thread; B's must not queue behind it.
+  std::thread stop_a([&a] { a.stop(); });
+  std::this_thread::sleep_for(100ms);
+  const auto start = std::chrono::steady_clock::now();
+  b.stop();
+  const auto b_stop = std::chrono::steady_clock::now() - start;
+  ::close(idle);  // releases A's recv()
+  stop_a.join();
+  EXPECT_LT(b_stop, 500ms);
 }
 
 // ----------------------------------------------- scrape-while-drain oracle

@@ -1,8 +1,8 @@
 // Tests for the single-core hot-path kernels (DESIGN.md, "Hot-path kernels
 // & approximation bounds"): the ScaleTable LUT against the exact
 // alpha-power law, the O(1) uniform-chain stages_within fast path, the
-// ziggurat Gaussian sampler, the class-accumulator CPA kernel against the
-// GEMM kernel, and the batched sensor sampling path against the scalar one.
+// ziggurat Gaussian sampler, the CPA kernel's hypothesis rows and integer
+// sums, and the batched sensor sampling path against the scalar one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,7 +249,7 @@ TEST(Ziggurat, MeanAndStddevOverloadScales) {
   EXPECT_THROW(rng.gaussian_zig(0.0, -1.0), lu::PreconditionError);
 }
 
-// ------------------------------------------------- class-accum CPA kernel
+// ------------------------------------------------------------ CPA kernel
 
 TEST(CpaKernels, PairTableMatchesPerByteRows) {
   lu::Rng rng(321);
@@ -267,97 +267,46 @@ TEST(CpaKernels, PairTableMatchesPerByteRows) {
   }
 }
 
-TEST(CpaKernels, SingleTraceBatchIsBitIdenticalAcrossKernels) {
-  // add_trace routes through add_traces with n = 1, where the class
-  // kernel's bucket pass degenerates to the row itself — identical
-  // floating-point operations, identical results.
-  constexpr std::size_t kPoi = 9;
-  lu::Rng rng(606);
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
-  std::vector<double> row(kPoi);
-  for (int t = 0; t < 40; ++t) {
-    const lc::Block ct = random_block(rng);
-    for (auto& s : row) s = 40.0 + rng.gaussian();
-    cls.add_trace(ct, row);
-    gemm.add_trace(ct, row);
-  }
-  const auto a = cls.snapshot();
-  const auto b = gemm.snapshot();
-  for (std::size_t byte = 0; byte < 16; ++byte) {
-    for (std::size_t g = 0; g < 256; ++g) {
-      ASSERT_EQ(a[byte].score[g], b[byte].score[g]);
-    }
-  }
-}
-
-TEST(CpaKernels, ClassKernelMatchesGemmOnBatches) {
-  constexpr std::size_t kPoi = 12;
-  constexpr std::size_t kTraces = 512;
-  constexpr std::size_t kBatch = 64;
-  lu::Rng rng(707);
-  std::vector<lc::Block> cts(kTraces);
-  std::vector<double> rows(kTraces * kPoi);
-  for (auto& ct : cts) ct = random_block(rng);
-  for (auto& s : rows) s = 40.0 + rng.gaussian();
-
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
-  for (std::size_t lo = 0; lo < kTraces; lo += kBatch) {
-    cls.add_traces({cts.data() + lo, kBatch}, {rows.data() + lo * kPoi,
-                                               kBatch * kPoi});
-    gemm.add_traces({cts.data() + lo, kBatch}, {rows.data() + lo * kPoi,
-                                                kBatch * kPoi});
-  }
-  EXPECT_EQ(cls.trace_count(), gemm.trace_count());
-  // The kernels reorder additions, so scores agree to fp-reassociation
-  // accuracy — and the decisions (argmax per byte) agree exactly.
-  const auto a = cls.snapshot();
-  const auto b = gemm.snapshot();
-  for (std::size_t byte = 0; byte < 16; ++byte) {
-    for (std::size_t g = 0; g < 256; ++g) {
-      ASSERT_NEAR(a[byte].score[g], b[byte].score[g], 1e-9);
-    }
-  }
-  EXPECT_EQ(cls.recovered_round_key(), gemm.recovered_round_key());
-  EXPECT_EQ(cls.recovered_master_key(), gemm.recovered_master_key());
-}
-
 TEST(CpaKernels, HypothesisSumsAreExactIntegers) {
-  // The class kernel accumulates hypothesis sums as integers; every
-  // partial sum is therefore exactly representable and equal to the
-  // brute-force integer total.
+  // The kernel accumulates hypothesis sums as integers; every partial sum
+  // is therefore exactly representable and equal to the brute-force
+  // integer total over the per-byte HD rows.
   constexpr std::size_t kPoi = 3;
-  constexpr std::size_t kTraces = 257;  // odd, spans several batches
+  constexpr std::size_t kTraces = 257;  // odd, spans several trace blocks
   lu::Rng rng(808);
   std::vector<lc::Block> cts(kTraces);
   std::vector<double> rows(kTraces * kPoi, 1.0);
   for (auto& ct : cts) ct = random_block(rng);
 
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  cls.add_traces(cts, rows);
+  la::CpaAttack cpa(kPoi);
+  cpa.add_traces(cts, rows);
 
-  // Recover sum_h via the serialized state-free route: correlate against
-  // constant traces => use snapshot internals indirectly. Simpler: check
-  // through a fresh GEMM accumulator fed integer-exact values.
-  la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
-  gemm.add_traces(cts, rows);
-  lu::ByteWriter wc, wg;
-  cls.serialize(wc);
-  gemm.serialize(wg);
-  // Layout: u64 poi, u64 traces, sum_t[poi], sum_t2[poi], sum_h[16][256]...
-  lu::ByteReader rc(wc.span()), rg(wg.span());
-  (void)rc.u64(); (void)rc.u64();
-  (void)rg.u64(); (void)rg.u64();
-  for (std::size_t k = 0; k < 2 * kPoi; ++k) {
-    (void)rc.f64();
-    (void)rg.f64();
+  std::array<std::array<std::uint64_t, 256>, 16> hs{};
+  std::array<std::array<std::uint64_t, 256>, 16> h2s{};
+  for (const auto& ct : cts) {
+    for (int b = 0; b < 16; ++b) {
+      const auto row = la::last_round_hd_row(ct, b);
+      for (std::size_t g = 0; g < 256; ++g) {
+        hs[static_cast<std::size_t>(b)][g] += row[g];
+        h2s[static_cast<std::size_t>(b)][g] += row[g] * row[g];
+      }
+    }
   }
-  for (std::size_t i = 0; i < 2 * 16 * 256; ++i) {
-    const double h_cls = rc.f64();
-    const double h_gemm = rg.f64();
-    ASSERT_EQ(h_cls, h_gemm);                      // integers agree exactly
-    ASSERT_EQ(h_cls, std::floor(h_cls));           // and are whole numbers
+
+  lu::ByteWriter w;
+  cpa.serialize(w);
+  // Layout: u64 poi, u64 traces, sum_t[poi], sum_t2[poi], sum_h[16][256],
+  // sum_h2[16][256], ...
+  lu::ByteReader r(w.span());
+  (void)r.u64();
+  (void)r.u64();
+  for (std::size_t k = 0; k < 2 * kPoi; ++k) (void)r.f64();
+  for (const auto* sums : {&hs, &h2s}) {
+    for (const auto& per_byte : *sums) {
+      for (const std::uint64_t expected : per_byte) {
+        ASSERT_EQ(r.f64(), static_cast<double>(expected));
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // thread count (DESIGN.md, "Threading model & determinism").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -23,7 +24,9 @@
 #include "sim/trace_store.h"
 #include "util/contracts.h"
 #include "util/rng.h"
+#include "util/byte_io.h"
 #include "util/thread_pool.h"
+#include "verify/cpa_reference.h"
 #include "victim/aes_core.h"
 
 namespace la = leakydsp::attack;
@@ -32,6 +35,7 @@ namespace lcore = leakydsp::core;
 namespace lsim = leakydsp::sim;
 namespace lv = leakydsp::victim;
 namespace lu = leakydsp::util;
+namespace lverify = leakydsp::verify;
 
 namespace {
 
@@ -127,25 +131,22 @@ TEST(CpaShards, AddTracesMatchesPerTraceAccumulation) {
   for (auto& ct : cts) ct = random_block(rng);
   for (auto& s : rows) s = rng.gaussian();
 
-  la::CpaAttack one_by_one(kPoi, la::CpaKernel::kGemm);
+  la::CpaAttack one_by_one(kPoi);
   for (std::size_t t = 0; t < kTraces; ++t) {
     one_by_one.add_trace(cts[t], {rows.data() + t * kPoi, kPoi});
   }
-  la::CpaAttack batched(kPoi, la::CpaKernel::kGemm);
+  la::CpaAttack batched(kPoi);
   batched.add_traces(cts, rows);
 
-  EXPECT_EQ(batched.trace_count(), one_by_one.trace_count());
-  const auto a = one_by_one.snapshot();
-  const auto b = batched.snapshot();
-  for (int byte = 0; byte < 16; ++byte) {
-    for (int g = 0; g < 256; ++g) {
-      // Bit-identical, not approximately equal: the GEMM kernel performs
-      // the same additions in the same order regardless of batch split.
-      // (The class kernel reorders additions by Hamming class; its
-      // agreement is covered in test_hotpath.cpp.)
-      ASSERT_EQ(a[static_cast<std::size_t>(byte)].score[static_cast<std::size_t>(g)],
-                b[static_cast<std::size_t>(byte)].score[static_cast<std::size_t>(g)]);
-    }
+  // Bit-identical, not approximately equal: every (guess, POI) chain sees
+  // the traces in the same order regardless of batch split, exactly as the
+  // plain per-trace reference accumulates them.
+  const auto reference = lverify::reference_cpa_state(cts, rows, kPoi);
+  for (const la::CpaAttack* cpa : {&one_by_one, &batched}) {
+    lu::ByteWriter state;
+    cpa->serialize(state);
+    EXPECT_TRUE(std::equal(state.span().begin(), state.span().end(),
+                           reference.begin(), reference.end()));
   }
 }
 
@@ -259,45 +260,12 @@ TEST_F(ParallelCampaignTest, ResultIndependentOfThreadCount) {
 }
 
 TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
-  const auto record_with_threads = [&](std::size_t threads) {
-    lu::Rng rng(219);
-    const lc::Key key = random_block(rng);
-    lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
-    lcore::LeakyDspSensor sensor(
-        scenario_.device(),
-        scenario_
-            .attack_placements()[lsim::Basys3Scenario::kBestPlacementIndex]);
-    lsim::SensorRig rig(scenario_.grid(), sensor);
-    rig.calibrate(rng);
-    la::CampaignConfig config;
-    config.threads = threads;
-    la::TraceCampaign campaign(rig, aes, config);
-    lsim::TraceStore store((aes.cycles_per_encryption() + 2) *
-                           campaign.samples_per_cycle());
-    campaign.record(rng, 150, store);
-    return store;
-  };
-  const auto serial = record_with_threads(1);
-  const auto parallel = record_with_threads(4);
-  ASSERT_EQ(serial.size(), 150u);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t t = 0; t < serial.size(); ++t) {
-    ASSERT_EQ(serial.trace(t).ciphertext, parallel.trace(t).ciphertext);
-    ASSERT_EQ(serial.trace(t).samples, parallel.trace(t).samples);
-  }
-}
-
-TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
-  // record()-into-a-writer must produce the exact file record()-into-a-
-  // store + save() produces, at every thread count: same fork discipline,
-  // same block schedule, chunks drained in block order.
   const auto file_bytes = [](const std::string& path) {
     std::ifstream is(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(is),
                        std::istreambuf_iterator<char>());
   };
-  const auto record_file = [&](std::size_t threads, bool streamed,
-                               const std::string& path) {
+  const auto record_file = [&](std::size_t threads, const std::string& path) {
     lu::Rng rng(219);
     const lc::Key key = random_block(rng);
     lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
@@ -310,23 +278,15 @@ TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
     la::CampaignConfig config;
     config.threads = threads;
     la::TraceCampaign campaign(rig, aes, config);
-    const std::size_t samples =
-        (aes.cycles_per_encryption() + 2) * campaign.samples_per_cycle();
-    if (streamed) {
-      lsim::TraceStoreWriter writer(path, samples);
-      campaign.record(rng, 150, writer);
-      writer.finish();
-    } else {
-      lsim::TraceStore store(samples);
-      campaign.record(rng, 150, store);
-      store.save(path);
-    }
+    lsim::TraceStoreWriter writer(path, campaign.trace_samples());
+    campaign.record(rng, 150, writer);
+    writer.finish();
     return file_bytes(path);
   };
-  const std::string path = "/tmp/leakydsp_test_streamed_record.ldtr";
-  const auto via_store = record_file(1, false, path);
-  EXPECT_EQ(record_file(1, true, path), via_store);
-  EXPECT_EQ(record_file(4, true, path), via_store);
+  const std::string path = "/tmp/leakydsp_test_record_threads.ldtr";
+  const auto serial = record_file(1, path);
+  EXPECT_EQ(lsim::TraceStore::load(path).size(), 150u);
+  EXPECT_EQ(record_file(4, path), serial);
   std::remove(path.c_str());
 }
 

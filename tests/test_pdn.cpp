@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fabric/device.h"
+#include "obs/metrics.h"
 #include "pdn/coupling.h"
 #include "pdn/droop_filter.h"
 #include "pdn/grid.h"
@@ -21,6 +22,7 @@
 namespace lp = leakydsp::pdn;
 namespace lf = leakydsp::fabric;
 namespace lu = leakydsp::util;
+namespace lo = leakydsp::obs;
 
 // ------------------------------------------------------------------ sparse
 
@@ -162,8 +164,8 @@ TEST(PdnSolver, ResolveSelectsKind) {
             SolverKind::kPcgIc0);
   EXPECT_EQ(SolverContext::resolve(SolverKind::kTwoGrid, 40, 2, 0),
             SolverKind::kPcgIc0);
-  EXPECT_EQ(SolverContext::resolve(SolverKind::kPcgSsor, 1, 1, 0),
-            SolverKind::kPcgSsor);
+  EXPECT_EQ(SolverContext::resolve(SolverKind::kPcgIc0, 1, 1, 0),
+            SolverKind::kPcgIc0);
   EXPECT_EQ(SolverContext::resolve(SolverKind::kReferenceCg, 99, 99, 0),
             SolverKind::kReferenceCg);
 }
@@ -181,7 +183,6 @@ TEST(PdnSolver, AutoThresholdSwitchesToTwoGrid) {
 TEST(PdnSolver, VariantsAgreeWithReferenceOnRandomShapes) {
   lu::Rng rng(57);
   const lp::SolverKind kinds[] = {lp::SolverKind::kPcgIc0,
-                                  lp::SolverKind::kPcgSsor,
                                   lp::SolverKind::kTwoGrid};
   for (int trial = 0; trial < 6; ++trial) {
     const int nx = 1 + static_cast<int>(rng() % 24);
@@ -215,8 +216,7 @@ TEST(PdnSolver, DegenerateShapesAndAllPadRowsAgree) {
   const Shape shapes[] = {{1, 1}, {1, 37}, {37, 1}, {2, 2}, {3, 19}};
   for (const auto& s : shapes) {
     for (const lp::SolverKind kind :
-         {lp::SolverKind::kPcgIc0, lp::SolverKind::kPcgSsor,
-          lp::SolverKind::kTwoGrid}) {
+         {lp::SolverKind::kPcgIc0, lp::SolverKind::kTwoGrid}) {
       lp::PdnParams p;
       p.solver = kind;
       p.bottom_pad_stride = 1;
@@ -242,6 +242,40 @@ TEST(PdnSolver, Ic0DoesNotFallBackOnMeshSystems) {
               lp::SolverKind::kPcgIc0)
         << dim;
   }
+}
+
+TEST(PdnSolver, Ic0BreakdownFallsBackToReferenceCg) {
+  // Kershaw's 4x4 matrix is SPD (eigenvalues 3 +- 2*sqrt(2)) but not an
+  // M-matrix: its last IC(0) pivot l33^2 is -5, so setup breaks down and
+  // the context must resolve to the plain Jacobi-CG reference.
+  const double k[4][4] = {
+      {3, -2, 0, 2}, {-2, 3, -2, 0}, {0, -2, 3, -2}, {2, 0, -2, 3}};
+  lp::SparseMatrix a(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      if (k[i][j] != 0.0) a.add(i, j, k[i][j]);
+    }
+  }
+  a.freeze();
+  const auto breakdowns = [] {
+    return lo::Registry::global().counter_value("pdn.solver.ic0.breakdowns");
+  };
+  const std::uint64_t before = breakdowns();
+  const lp::SolverContext ctx(a, 4, 1, lp::SolverKind::kPcgIc0);
+  EXPECT_EQ(ctx.requested_kind(), lp::SolverKind::kPcgIc0);
+  EXPECT_EQ(ctx.resolved_kind(), lp::SolverKind::kReferenceCg);
+#if defined(LEAKYDSP_OBS)
+  EXPECT_EQ(breakdowns(), before + 1);
+#else
+  EXPECT_EQ(breakdowns(), before);
+#endif
+
+  const std::vector<double> b = {1.0, -0.5, 2.0, 0.25};
+  std::vector<double> x(4, 0.0);
+  EXPECT_TRUE(ctx.solve(a, b, x).converged);
+  std::vector<double> ref(4, 0.0);
+  ASSERT_TRUE(lp::conjugate_gradient(a, b, ref, 1e-12).converged);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(x[i], ref[i], 1e-10) << i;
 }
 
 TEST(PdnSolver, PreconditioningReducesIterations) {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -30,6 +33,22 @@ namespace lc = leakydsp::crypto;
 namespace lv = leakydsp::victim;
 namespace la = leakydsp::attack;
 namespace lu = leakydsp::util;
+
+// gtest prints a parameter struct that has no printer as a dump of its
+// bytes, and gtest_discover_tests names the ctest after that dump. Padding
+// bytes hold whatever the last copy left there, often pointer halves that
+// move with ASLR, so the names changed from run to run. Dump a copy whose
+// padding is zeroed: `assign` copies the fields into a zero-filled struct.
+template <typename T, typename Assign>
+void print_bytes_zero_padded(const T& value, Assign assign,
+                             std::ostream* os) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T copy;
+  std::memset(&copy, 0, sizeof copy);
+  assign(copy, value);
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&copy), sizeof copy, os);
+}
 
 // ------------------------------------------------ alpha-power law sweep
 
@@ -63,6 +82,18 @@ struct PdnCase {
   double gp;
   double boost;
 };
+
+void PrintTo(const PdnCase& c, std::ostream* os) {
+  print_bytes_zero_padded(
+      c,
+      [](PdnCase& to, const PdnCase& from) {
+        to.pitch = from.pitch;
+        to.gn = from.gn;
+        to.gp = from.gp;
+        to.boost = from.boost;
+      },
+      os);
+}
 
 class PdnSweep : public ::testing::TestWithParam<PdnCase> {};
 
@@ -113,6 +144,18 @@ struct LeakySweepCase {
   double taper;
   bool ultrascale;
 };
+
+void PrintTo(const LeakySweepCase& c, std::ostream* os) {
+  print_bytes_zero_padded(
+      c,
+      [](LeakySweepCase& to, const LeakySweepCase& from) {
+        to.n_dsp = from.n_dsp;
+        to.spread = from.spread;
+        to.taper = from.taper;
+        to.ultrascale = from.ultrascale;
+      },
+      os);
+}
 
 class LeakySweep : public ::testing::TestWithParam<LeakySweepCase> {};
 

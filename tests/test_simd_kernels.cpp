@@ -1,8 +1,9 @@
 // SIMD kernel layer: dispatch-tier selection (cpuid/env/override), bitwise
 // agreement of every compiled tier on random inputs (element ops, Hermite
 // batch evaluation, CPA panel accumulation), the multi-byte blocked
-// CpaAttack::kSimd entry vs 16x single-byte accumulation, and the
-// batch-split invariance that backs byte-identical checkpoints.
+// CpaAttack::add_traces entry vs 16x single-byte accumulation and vs the
+// plain per-trace reference, and the batch-split invariance that backs
+// byte-identical checkpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,11 +24,13 @@
 #include "util/cpu_features.h"
 #include "util/rng.h"
 #include "util/simd_ops.h"
+#include "verify/cpa_reference.h"
 
 namespace lu = leakydsp::util;
 namespace la = leakydsp::attack;
 namespace lt = leakydsp::timing;
 namespace simd = leakydsp::util::simd;
+namespace lverify = leakydsp::verify;
 
 namespace {
 
@@ -447,14 +450,14 @@ TEST(CpaSimd, BatchSplitInvariantAtEveryBatchSize) {
   const std::size_t poi = 5, n = 97;
   const CpaInputs in = gen_cpa_inputs(n, poi, 0xCAFE);
 
-  la::CpaAttack whole(poi, la::CpaKernel::kSimd);
+  la::CpaAttack whole(poi);
   whole.add_traces(in.cts, in.rows);
   const auto ref = serialized(whole);
 
-  // Includes batch = 1: kSimd's add_trace path must accumulate the same
+  // Includes batch = 1: the add_trace path must accumulate the same
   // fused form (this is what makes checkpoint resume byte-identical).
   for (const std::size_t batch : {1u, 7u, 16u, 64u, 97u}) {
-    la::CpaAttack split(poi, la::CpaKernel::kSimd);
+    la::CpaAttack split(poi);
     for (std::size_t lo = 0; lo < n; lo += batch) {
       const std::size_t hi = std::min(lo + batch, n);
       split.add_traces({in.cts.data() + lo, hi - lo},
@@ -470,13 +473,13 @@ TEST(CpaSimd, EveryTierProducesIdenticalSerializedState) {
   const CpaInputs in = gen_cpa_inputs(n, poi, 0xBEEF);
 
   lu::set_simd_tier_override(lu::SimdTier::kScalar);
-  la::CpaAttack ref_cpa(poi, la::CpaKernel::kSimd);
+  la::CpaAttack ref_cpa(poi);
   ref_cpa.add_traces(in.cts, in.rows);
   const auto ref = serialized(ref_cpa);
 
   for (const lu::SimdTier tier : available_tiers()) {
     lu::set_simd_tier_override(tier);
-    la::CpaAttack cpa(poi, la::CpaKernel::kSimd);
+    la::CpaAttack cpa(poi);
     cpa.add_traces(in.cts, in.rows);
     EXPECT_EQ(serialized(cpa), ref) << lu::to_string(tier);
   }
@@ -484,17 +487,17 @@ TEST(CpaSimd, EveryTierProducesIdenticalSerializedState) {
 
 TEST(CpaSimd, MultiByteBlockedEntryMatchesSixteenSingleByteRuns) {
   TierGuard guard;
-  // n large enough that add_traces_simd runs several internal trace blocks
+  // n large enough that add_traces runs several internal trace blocks
   // (block = clamp(2048/poi, 8, 512); poi=64 -> 32-trace blocks).
   const std::size_t poi = 64, n = 150;
   const CpaInputs in = gen_cpa_inputs(n, poi, 0xF00D);
 
-  la::CpaAttack multi(poi, la::CpaKernel::kSimd);
+  la::CpaAttack multi(poi);
   multi.add_traces(in.cts, in.rows);
 
   // The per-trace entry accumulates each byte independently, one panel per
   // trace — the "16 single-byte passes" ordering of the same fma chains.
-  la::CpaAttack single(poi, la::CpaKernel::kSimd);
+  la::CpaAttack single(poi);
   for (std::size_t t = 0; t < n; ++t) {
     single.add_trace(in.cts[t], {in.rows.data() + t * poi, poi});
   }
@@ -510,23 +513,15 @@ TEST(CpaSimd, MultiByteBlockedEntryMatchesSixteenSingleByteRuns) {
   }
 }
 
-TEST(CpaSimd, AgreesWithGemmToAssociativityTolerance) {
+TEST(CpaSimd, MatchesPlainReferenceBitwise) {
   TierGuard guard;
   const std::size_t poi = 4, n = 80;
   const CpaInputs in = gen_cpa_inputs(n, poi, 0xD00D);
-  la::CpaAttack simd_cpa(poi, la::CpaKernel::kSimd);
-  la::CpaAttack gemm_cpa(poi, la::CpaKernel::kGemm);
-  simd_cpa.add_traces(in.cts, in.rows);
-  gemm_cpa.add_traces(in.cts, in.rows);
-  const auto a = simd_cpa.snapshot();
-  const auto b = gemm_cpa.snapshot();
-  for (int byte = 0; byte < 16; ++byte) {
-    const auto& sa = a[static_cast<std::size_t>(byte)];
-    const auto& sb = b[static_cast<std::size_t>(byte)];
-    EXPECT_EQ(sa.best_guess, sb.best_guess) << "byte " << byte;
-    for (int g = 0; g < 256; ++g) {
-      EXPECT_NEAR(sa.score[g], sb.score[g],
-                  1e-9 * std::max(1.0, std::abs(sb.score[g])));
-    }
+  const auto ref = lverify::reference_cpa_state(in.cts, in.rows, poi);
+  for (const lu::SimdTier tier : available_tiers()) {
+    lu::set_simd_tier_override(tier);
+    la::CpaAttack cpa(poi);
+    cpa.add_traces(in.cts, in.rows);
+    EXPECT_EQ(serialized(cpa), ref) << lu::to_string(tier);
   }
 }
