@@ -80,7 +80,10 @@ scenario::SweepConfig sweep_config(int dim, int rows, int cols, int k,
 
 serve::ServiceConfig service_config(const std::string& checkpoint_dir) {
   serve::ServiceConfig config;
-  config.threads = 0;  // hardware concurrency
+  // One worker: its schedule (evictions, steals, checkpoint writes, PDN
+  // solves) is fully determined, so the gated counters in the committed
+  // record do not depend on the host's core count.
+  config.threads = 1;
   config.max_resident = 8;
   config.quantum_steps = 1;
   config.checkpoint_dir = checkpoint_dir;

@@ -1,5 +1,9 @@
 #include "serve/campaign_service.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -90,9 +94,14 @@ struct CampaignService::Impl {
   };
   std::vector<std::unique_ptr<WorkerDeque>> deques;
 
-  std::mutex mutex;  ///< campaign lifecycle: admission, finish, eviction
+  /// Scheduler bookkeeping only: the queue, the residency set and its
+  /// slot/budget counters, stats, the per-job live view and the outcome
+  /// fields. No call into a job's world, campaign or writer runs under it
+  /// (DESIGN.md, "Campaign service").
+  std::mutex mutex;
   std::vector<std::unique_ptr<Resident>> residents;
   std::deque<std::size_t> pending;  ///< FIFO of job indices awaiting a slot
+  std::size_t hydrating = 0;        ///< slots reserved by in-flight builds
   std::size_t next_deque = 0;       ///< round-robin push cursor
   std::size_t resident_bytes = 0;
 
@@ -200,90 +209,125 @@ struct CampaignService::Impl {
     return false;
   }
 
-  /// Admits queued jobs while slots and budget allow. Caller holds `mutex`.
-  void admit_locked() {
-    while (!pending.empty() && residents.size() < config.max_resident) {
-      const std::size_t job_index = pending.front();
-      QueuedJob& queued = jobs[job_index];
+  /// Takes the queue head off the queue together with a free residency
+  /// slot, if both exist.
+  std::optional<std::size_t> reserve() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (aborted.load(std::memory_order_acquire) || pending.empty() ||
+        residents.size() + hydrating >= config.max_resident) {
+      return std::nullopt;
+    }
+    const std::size_t job_index = pending.front();
+    pending.pop_front();
+    ++hydrating;
+    return job_index;
+  }
 
-      auto resident = std::make_unique<Resident>();
-      resident->job_index = job_index;
-      resident->world = queued.job.make();
+  /// Fills free slots from the queue head, one admission at a time, until
+  /// the slots, the queue or the budget run out. Any worker may admit, so
+  /// builds on different workers overlap.
+  void admit() {
+    while (const std::optional<std::size_t> job_index = reserve()) {
+      if (!hydrate(*job_index)) return;
+    }
+  }
+
+  /// Builds the reserved job's world unlocked, then charges the budget and
+  /// installs it as a resident under `mutex`, then starts (or reloads) its
+  /// task and plans its first step unlocked. Returns false when the budget
+  /// turns the job away: it goes back to the queue head and is retried on
+  /// the next release — a resident exists (the check never rejects into
+  /// an empty service), so that release is bound to come.
+  bool hydrate(std::size_t job_index) {
+    const CampaignJob& job = jobs[job_index].job;
+    auto resident = std::make_unique<Resident>();
+    resident->job_index = job_index;
+    resident->is_record = job.record.has_value();
+    std::size_t traces_total = 0;
+    try {
+      resident->world = job.make();
       LD_REQUIRE(resident->world != nullptr,
-                 "campaign job '" << queued.job.id << "' factory returned null");
-      attack::TraceCampaign& campaign = resident->world->campaign();
-
+                 "campaign job '" << job.id << "' factory returned null");
+      const attack::TraceCampaign& campaign = resident->world->campaign();
       resident->task_bytes = campaign.approx_task_bytes();
+      traces_total = resident->is_record ? job.record->traces
+                                         : campaign.config().max_traces;
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex);
+      --hydrating;  // the slot is free again; the drain is aborting
+      throw;
+    }
+
+    Resident& ref = *resident;
+    bool rehydrating = false;
+    {
+      // Declared after `resident`, so a rejected world is torn down only
+      // once the lock is released.
+      std::lock_guard<std::mutex> lock(mutex);
+      --hydrating;
       // Admission by memory budget — but never starve an empty service:
       // a single oversized campaign degrades to sequential execution.
       if (config.memory_budget_bytes != 0 && !residents.empty() &&
-          resident_bytes + resident->task_bytes > config.memory_budget_bytes) {
-        return;  // world is torn down again; rebuilt on the next attempt
+          resident_bytes + ref.task_bytes > config.memory_budget_bytes) {
+        pending.push_front(job_index);
+        return false;
       }
-      pending.pop_front();
-      resident_bytes += resident->task_bytes;
+      resident_bytes += ref.task_bytes;
       stats.peak_resident_bytes =
           std::max(stats.peak_resident_bytes, resident_bytes);
-
-      if (queued.job.record.has_value()) {
-        const RecordJobSpec& spec = *queued.job.record;
-        LD_REQUIRE(spec.traces >= 1,
-                   "record job '" << queued.job.id << "' needs traces");
-        LD_REQUIRE(!spec.out_path.empty(),
-                   "record job '" << queued.job.id << "' needs an out path");
-        resident->is_record = true;
-        resident->writer = std::make_unique<sim::TraceStoreWriter>(
-            spec.out_path, campaign.trace_samples());
-        resident->cursor = campaign.start_record(resident->world->rng());
-      } else if (queued.has_checkpoint || queued.job.resume) {
-        resident->task.emplace(campaign.load_task());
-        if (queued.has_checkpoint) {
-          ++stats.rehydrations;
-          OBS_COUNT("serve.rehydrations", 1);
-        }
-      } else {
-        resident->task.emplace(campaign.start(resident->world->rng()));
+      rehydrating = jobs[job_index].has_checkpoint;
+      if (rehydrating) {
+        ++stats.rehydrations;
+        OBS_COUNT("serve.rehydrations", 1);
       }
       job_states[job_index] = CampaignState::kResident;
-      if (resident->is_record) {
-        job_traces[job_index] = {resident->record_done,
-                                 queued.job.record->traces};
-      } else {
-        job_traces[job_index] = {resident->task->traces_done(),
-                                 campaign.config().max_traces};
-      }
-      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign admitted",
-              obs::f("campaign", queued.job.id),
-              obs::f("rehydrated", queued.has_checkpoint),
-              obs::f("resident", residents.size() + 1),
-              obs::f("resident_bytes", resident_bytes));
-
-      Resident& ref = *resident;
+      job_traces[job_index].second = traces_total;
       residents.push_back(std::move(resident));
       stats.peak_resident = std::max(stats.peak_resident, residents.size());
-      plan_next_locked(ref);
+      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign admitted",
+              obs::f("campaign", job.id),
+              obs::f("rehydrated", rehydrating),
+              obs::f("resident", residents.size()),
+              obs::f("resident_bytes", resident_bytes));
+      publish_stats_locked();
     }
-    publish_stats_locked();
+
+    attack::TraceCampaign& campaign = ref.world->campaign();
+    if (ref.is_record) {
+      const RecordJobSpec& spec = *job.record;
+      LD_REQUIRE(spec.traces >= 1, "record job '" << job.id << "' needs traces");
+      LD_REQUIRE(!spec.out_path.empty(),
+                 "record job '" << job.id << "' needs an out path");
+      ref.writer = std::make_unique<sim::TraceStoreWriter>(
+          spec.out_path, campaign.trace_samples());
+      ref.cursor = campaign.start_record(ref.world->rng());
+    } else if (rehydrating || job.resume) {
+      ref.task.emplace(campaign.load_task());
+    } else {
+      ref.task.emplace(campaign.start(ref.world->rng()));
+    }
+    plan_next(ref);
+    return true;
   }
 
-  /// Plans the resident's next step (or record wave) and deals its blocks;
-  /// finishes the campaign when no work remains. Caller holds `mutex`.
-  void plan_next_locked(Resident& resident) {
+  /// Traces the resident has done so far (attack task or record stream).
+  static std::size_t traces_done(const Resident& resident) {
+    return resident.is_record ? resident.record_done
+                              : resident.task->traces_done();
+  }
+
+  /// Plans the resident's next step (or record wave) unlocked and deals its
+  /// blocks; finishes the campaign when no work remains.
+  void plan_next(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
     attack::TraceCampaign& campaign = resident.world->campaign();
 
+    std::size_t blocks = 0;
     if (resident.is_record) {
       const RecordJobSpec& spec = *job.record;
       const std::size_t remaining = spec.traces - resident.record_done;
       if (remaining == 0) {
-        resident.writer->finish();
-        outcomes[resident.job_index].traces_recorded = resident.record_done;
-        job_states[resident.job_index] = CampaignState::kFinished;
-        ++stats.campaigns_completed;
-        OBS_LOG(obs::LogLevel::kDebug, "serve", "record job finished",
-                obs::f("campaign", job.id),
-                obs::f("traces", resident.record_done));
-        release_locked(resident);
+        finish_record(resident);
         return;
       }
       const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
@@ -293,47 +337,108 @@ struct CampaignService::Impl {
       resident.wave_first_trace = resident.record_done;
       resident.wave_plaintexts = campaign.next_plaintexts(resident.cursor, count);
       resident.wave_shards.assign((count + block - 1) / block, {});
-      push_blocks_locked(resident, resident.wave_shards.size());
-      return;
+      blocks = resident.wave_shards.size();
+    } else {
+      if (resident.task->completed()) {
+        // A rehydrated checkpoint of an already-finished campaign.
+        finish_campaign(resident);
+        return;
+      }
+      resident.plan.emplace(
+          campaign.plan_step(*resident.task, job.stop_when_broken));
+      if (resident.plan->empty()) {
+        finish_campaign(resident);
+        return;
+      }
+      blocks = resident.plan->block_count();
     }
-
-    if (resident.task->completed()) {
-      // A rehydrated checkpoint of an already-finished campaign.
-      finish_campaign_locked(resident);
-      return;
-    }
-    resident.plan.emplace(
-        campaign.plan_step(*resident.task, job.stop_when_broken));
-    if (resident.plan->empty()) {
-      finish_campaign_locked(resident);
-      return;
-    }
-    push_blocks_locked(resident, resident.plan->block_count());
+    const std::size_t done = traces_done(resident);
+    std::lock_guard<std::mutex> lock(mutex);
+    job_traces[resident.job_index].first = done;
+    push_blocks_locked(resident, blocks);
   }
 
-  /// Takes the final result and retires the resident. Caller holds `mutex`.
-  void finish_campaign_locked(Resident& resident) {
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    CampaignOutcome& outcome = outcomes[resident.job_index];
-    outcome.result = campaign.take_result(std::move(*resident.task));
+  /// Takes the final result unlocked and retires the resident.
+  void finish_campaign(Resident& resident) {
+    attack::CampaignResult result =
+        resident.world->campaign().take_result(std::move(*resident.task));
+    teardown(resident);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      CampaignOutcome& outcome = outcomes[resident.job_index];
+      outcome.result = std::move(result);
+      job_states[resident.job_index] = CampaignState::kFinished;
+      ++stats.campaigns_completed;
+      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign finished",
+              obs::f("campaign", outcome.id),
+              obs::f("traces", outcome.result.traces_run),
+              obs::f("broken", outcome.result.broken),
+              obs::f("evictions", outcome.evictions));
+      release_locked(resident, /*finished_job=*/true);
+    }
+    after_release();
+  }
+
+  /// Commits the record job's file footer unlocked and retires it.
+  void finish_record(Resident& resident) {
+    resident.writer->finish();
+    teardown(resident);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      outcomes[resident.job_index].traces_recorded = resident.record_done;
+      job_states[resident.job_index] = CampaignState::kFinished;
+      ++stats.campaigns_completed;
+      OBS_LOG(obs::LogLevel::kDebug, "serve", "record job finished",
+              obs::f("campaign", jobs[resident.job_index].job.id),
+              obs::f("traces", resident.record_done));
+      release_locked(resident, /*finished_job=*/true);
+    }
+    after_release();
+  }
+
+  /// Suspends the task into its durable checkpoint unlocked, then re-queues
+  /// the job. The order matters: the job becomes admissible only once its
+  /// checkpoint is complete, so a rehydration never reads a half-written
+  /// file.
+  void evict(Resident& resident, std::size_t done) {
+    const CampaignJob& job = jobs[resident.job_index].job;
+    resident.world->campaign().suspend(*resident.task);
+    teardown(resident);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      jobs[resident.job_index].has_checkpoint = true;
+      job_states[resident.job_index] = CampaignState::kEvicted;
+      ++stats.evictions;
+      ++outcomes[resident.job_index].evictions;
+      OBS_COUNT("serve.evictions", 1);
+#if defined(LEAKYDSP_OBS)
+      obs::Registry::global().add(obs::Registry::global().labeled_counter(
+          "serve.campaign.evictions", job.id));
+#endif
+      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign evicted",
+              obs::f("campaign", job.id), obs::f("traces", done),
+              obs::f("steps_this_turn", resident.steps_this_turn));
+      pending.push_back(resident.job_index);
+      release_locked(resident, /*finished_job=*/false);
+    }
+    after_release();
+  }
+
+  /// Destroys the resident's task, writer and world before its slot is
+  /// given back, so residents plus in-flight builds never hold more than
+  /// max_resident worlds. Runs unlocked.
+  static void teardown(Resident& resident) {
     resident.task.reset();
-    job_states[resident.job_index] = CampaignState::kFinished;
-    ++stats.campaigns_completed;
-    OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign finished",
-            obs::f("campaign", outcome.id),
-            obs::f("traces", outcome.result.traces_run),
-            obs::f("broken", outcome.result.broken),
-            obs::f("evictions", outcome.evictions));
-    release_locked(resident);
+    resident.plan.reset();
+    resident.writer.reset();
+    resident.world.reset();
   }
 
-  /// Drops a resident (finished or evicted), frees its budget share, and
-  /// admits successors. Caller holds `mutex`.
-  void release_locked(Resident& resident) {
-    CampaignOutcome& outcome = outcomes[resident.job_index];
-    outcome.worker_mask |=
+  /// Drops a torn-down resident (finished or evicted) from the residency
+  /// set and frees its budget share. Caller holds `mutex`.
+  void release_locked(Resident& resident, bool finished_job) {
+    outcomes[resident.job_index].worker_mask |=
         resident.worker_mask.load(std::memory_order_relaxed);
-    const bool finished_job = !jobs_still_pending(resident.job_index);
     resident_bytes -= resident.task_bytes;
     for (auto it = residents.begin(); it != residents.end(); ++it) {
       if (it->get() == &resident) {
@@ -344,24 +449,21 @@ struct CampaignService::Impl {
     if (finished_job) {
       jobs_done.fetch_add(1, std::memory_order_acq_rel);
     }
-    admit_locked();
-    bump_epoch();  // wake parked workers: new blocks, or termination
+    publish_stats_locked();
   }
 
-  /// True when `job_index` re-entered the pending queue (eviction path).
-  bool jobs_still_pending(std::size_t job_index) const {
-    return std::find(pending.begin(), pending.end(), job_index) !=
-           pending.end();
+  /// After release_locked: wakes parked workers (new blocks, or
+  /// termination) and fills the freed slot. Runs unlocked.
+  void after_release() {
+    bump_epoch();
+    admit();
   }
 
   /// Folds a completed step (last block just ran) back into the task and
   /// decides what happens next: another step, eviction, or completion.
   void complete_step(Resident& resident) {
-    std::lock_guard<std::mutex> lock(mutex);
     const CampaignJob& job = jobs[resident.job_index].job;
-    (void)job;  // only feeds logs/metrics, which may compile away
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    CampaignOutcome& outcome = outcomes[resident.job_index];
+    (void)job;  // only feeds metrics, which may compile away
 
     bool more = true;
     if (resident.is_record) {
@@ -377,60 +479,46 @@ struct CampaignService::Impl {
       resident.wave_shards.clear();
       resident.wave_plaintexts.clear();
     } else {
-      more = campaign.finish_step(*resident.task, std::move(*resident.plan));
+      more = resident.world->campaign().finish_step(*resident.task,
+                                                    std::move(*resident.plan));
       resident.plan.reset();
     }
+    const std::size_t done = traces_done(resident);
 
-    ++stats.steps_completed;
-    ++outcome.steps;
-    ++resident.steps_this_turn;
-    if (resident.last_step_seq != 0) {
-      stats.max_step_gap = std::max(
-          stats.max_step_gap, stats.steps_completed - resident.last_step_seq);
-    }
-    resident.last_step_seq = stats.steps_completed;
-    job_traces[resident.job_index].first = resident.is_record
-                                               ? resident.record_done
-                                               : resident.task->traces_done();
-#if defined(LEAKYDSP_OBS)
-    obs::Registry::global().add(obs::Registry::global().labeled_counter(
-        "serve.campaign.steps", job.id));
-#endif
-    OBS_COUNT("serve.steps", 1);
-    publish_stats_locked();
-
-    if (!resident.is_record && !more) {
-      finish_campaign_locked(resident);
-      return;
-    }
-    // Fair sharing under queue pressure: after quantum_steps boundary
-    // steps, a resident attack campaign yields its slot — its task is
-    // suspended into the durable keyed checkpoint and the job re-enters
-    // the FIFO. Record jobs never evict (their writer only commits at the
-    // footer).
-    if (!resident.is_record && !pending.empty() &&
-        resident.steps_this_turn >= config.quantum_steps) {
-      const std::size_t traces_done = resident.task->traces_done();
-      campaign.suspend(*resident.task);
-      resident.task.reset();
-      jobs[resident.job_index].has_checkpoint = true;
-      job_states[resident.job_index] = CampaignState::kEvicted;
-      ++stats.evictions;
-      ++outcome.evictions;
-      OBS_COUNT("serve.evictions", 1);
+    bool evict_now = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++stats.steps_completed;
+      ++outcomes[resident.job_index].steps;
+      ++resident.steps_this_turn;
+      if (resident.last_step_seq != 0) {
+        stats.max_step_gap = std::max(
+            stats.max_step_gap, stats.steps_completed - resident.last_step_seq);
+      }
+      resident.last_step_seq = stats.steps_completed;
+      job_traces[resident.job_index].first = done;
 #if defined(LEAKYDSP_OBS)
       obs::Registry::global().add(obs::Registry::global().labeled_counter(
-          "serve.campaign.evictions", job.id));
+          "serve.campaign.steps", job.id));
 #endif
-      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign evicted",
-              obs::f("campaign", job.id),
-              obs::f("traces", traces_done),
-              obs::f("steps_this_turn", resident.steps_this_turn));
-      pending.push_back(resident.job_index);
-      release_locked(resident);
-      return;
+      OBS_COUNT("serve.steps", 1);
+      publish_stats_locked();
+      // Fair sharing under queue pressure: after quantum_steps boundary
+      // steps, a resident attack campaign yields its slot — its task is
+      // suspended into the durable keyed checkpoint and the job re-enters
+      // the FIFO. Record jobs never evict (their writer only commits at
+      // the footer).
+      evict_now = more && !resident.is_record && !pending.empty() &&
+                  resident.steps_this_turn >= config.quantum_steps;
     }
-    plan_next_locked(resident);
+
+    if (!more) {
+      finish_campaign(resident);
+    } else if (evict_now) {
+      evict(resident, done);
+    } else {
+      plan_next(resident);
+    }
   }
 
   void execute(const BlockItem& item, std::size_t worker) {
@@ -469,30 +557,32 @@ struct CampaignService::Impl {
   }
 
   void worker_loop(std::size_t worker) {
-    while (!finished()) {
-      BlockItem item;
-      bool have = pop_local(worker, item);
-      if (!have && steal(worker, item)) {
-        have = true;
-        ++stats_blocks_stolen;
-        OBS_COUNT("serve.blocks.stolen", 1);
-      }
-      if (have) {
-        try {
-          execute(item, worker);
-        } catch (...) {
-          fail(std::current_exception());
-          return;
+    try {
+      // The first admissions: every worker fills free slots, so the
+      // initial world builds overlap too.
+      admit();
+      while (!finished()) {
+        BlockItem item;
+        bool have = pop_local(worker, item);
+        if (!have && steal(worker, item)) {
+          have = true;
+          ++stats_blocks_stolen;
+          OBS_COUNT("serve.blocks.stolen", 1);
         }
-        continue;
+        if (have) {
+          execute(item, worker);
+          continue;
+        }
+        // Nothing runnable here: park until a push bumps the epoch (with a
+        // bounded wait as a lost-wakeup backstop).
+        std::unique_lock<std::mutex> lock(cv_mutex);
+        const std::uint64_t seen = epoch;
+        if (finished()) return;
+        cv.wait_for(lock, std::chrono::milliseconds(1),
+                    [&] { return epoch != seen || finished(); });
       }
-      // Nothing runnable here: park until a push bumps the epoch (with a
-      // bounded wait as a lost-wakeup backstop).
-      std::unique_lock<std::mutex> lock(cv_mutex);
-      const std::uint64_t seen = epoch;
-      if (finished()) return;
-      cv.wait_for(lock, std::chrono::milliseconds(1),
-                  [&] { return epoch != seen || finished(); });
+    } catch (...) {
+      fail(std::current_exception());
     }
   }
 
@@ -540,13 +630,18 @@ std::vector<CampaignOutcome> CampaignService::drain() {
              "(eviction suspends through durable checkpoints)");
 
   util::ThreadPool pool(impl.config.threads);
-  impl.pool_size = pool.size();
-  impl.deques.clear();
-  for (std::size_t w = 0; w < impl.pool_size; ++w) {
-    impl.deques.push_back(std::make_unique<Impl::WorkerDeque>());
-  }
-  for (std::size_t j = 0; j < impl.jobs.size(); ++j) {
-    impl.pending.push_back(j);
+  {
+    // A /statusz scrape iterates the deques and the queue under `mutex`,
+    // so they are built under it too.
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.pool_size = pool.size();
+    impl.deques.clear();
+    for (std::size_t w = 0; w < impl.pool_size; ++w) {
+      impl.deques.push_back(std::make_unique<Impl::WorkerDeque>());
+    }
+    for (std::size_t j = 0; j < impl.jobs.size(); ++j) {
+      impl.pending.push_back(j);
+    }
   }
   impl.last_progress_ns.store(now_ns(), std::memory_order_relaxed);
   impl.draining.store(true, std::memory_order_release);
@@ -556,27 +651,32 @@ std::vector<CampaignOutcome> CampaignService::drain() {
           obs::f("budget_bytes", impl.config.memory_budget_bytes));
   {
     OBS_SPAN("serve.drain");
-    {
-      std::lock_guard<std::mutex> lock(impl.mutex);
-      impl.admit_locked();
-    }
     pool.parallel_for(impl.pool_size,
                       [&](std::size_t w) { impl.worker_loop(w); });
   }
-  impl.stats.blocks_stolen =
-      impl.stats_blocks_stolen.load(std::memory_order_relaxed);
-  impl.stats.blocks_run =
-      impl.stats_blocks_run.load(std::memory_order_relaxed);
   std::vector<CampaignOutcome> outcomes;
   {
-    // Move the outcomes out under the lock: introspect() may be reading
+    // Hand the outcomes over under the lock: introspect() may be reading
     // them from a scrape thread right up to (and after) this return.
     std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.stats.blocks_stolen =
+        impl.stats_blocks_stolen.load(std::memory_order_relaxed);
+    impl.stats.blocks_run =
+        impl.stats_blocks_run.load(std::memory_order_relaxed);
     impl.publish_stats_locked();
     if (impl.error) std::rethrow_exception(impl.error);
-    outcomes = std::move(impl.outcomes);
+    // Copied, not moved: the results were allocated on the workers, and a
+    // caller that keeps them would pin the workers' malloc arenas. The
+    // copies land on the calling thread's heap.
+    outcomes = impl.outcomes;
     impl.outcomes.clear();
   }
+#if defined(__GLIBC__)
+  // Every world of the drain is gone, but glibc keeps their freed pages
+  // resident in the workers' arenas. Hand them back, or a process that
+  // drains repeatedly carries each drain's fragmented heap into the next.
+  malloc_trim(0);
+#endif
   OBS_LOG(obs::LogLevel::kInfo, "serve", "drain finished",
           obs::f("campaigns", impl.stats.campaigns_completed),
           obs::f("steps", impl.stats.steps_completed),

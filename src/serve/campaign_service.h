@@ -22,6 +22,11 @@
 // ("campaign-<id>.ckpt" inside checkpoint_dir), its world is destroyed,
 // and it re-enters the FIFO queue to be rehydrated later — possibly on a
 // different worker — via TraceCampaign::load_task().
+//
+// The service's one mutex guards scheduler bookkeeping only. World builds,
+// task starts and reloads, step planning and folding, checkpoint writes,
+// result extraction and record-file writes all run on workers without it,
+// so admissions on different workers overlap.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +47,11 @@ namespace leakydsp::serve {
 /// it. Factories must be deterministic — admission and every rehydration
 /// rebuild the world from scratch, and TraceCampaign::load_task() rejects
 /// a checkpoint whose campaign was configured differently.
+///
+/// Factories run on the service's workers without any service lock, so
+/// several may run at once, one per worker. Any state they share must be
+/// thread-safe: the standard and sweep worlds share only the const
+/// standard scenario and the PDN solver cache, which is mutex-guarded.
 class CampaignWorld {
  public:
   virtual ~CampaignWorld() = default;

@@ -6,12 +6,15 @@
 // "Campaign service").
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -83,6 +86,14 @@ std::vector<char> file_bytes(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+/// Wraps the job's factory so every world build bumps `builds`.
+void count_builds(ls::CampaignJob& job, std::atomic<std::size_t>& builds) {
+  job.make = [make = std::move(job.make), &builds] {
+    builds.fetch_add(1, std::memory_order_relaxed);
+    return make();
+  };
 }
 
 }  // namespace
@@ -164,51 +175,145 @@ TEST(CampaignServiceTest, EvictedCampaignsRehydrateByteIdentical) {
       << "a campaign was starved between its boundary steps";
 }
 
-TEST(CampaignServiceTest, KilledServiceResumesByteIdentical) {
-  const TempDir dir("kill");
-  const auto spec_a = make_spec("job-a", 7001, dir.path());
-  const auto spec_b = make_spec("job-b", 7002, dir.path());
-
-  // First service: job-a gets one quantum, is evicted (the queue is
-  // non-empty), and the next admission — a poisoned factory — kills the
-  // whole drain. job-a's progress survives as its durable checkpoint.
-  {
-    ls::ServiceConfig config;
-    config.threads = 2;
-    config.max_resident = 1;
-    config.quantum_steps = 1;
-    config.checkpoint_dir = dir.path();
-    ls::CampaignService service(config);
-    service.enqueue(ls::make_standard_job(spec_a));
-    ls::CampaignJob poison;
-    poison.id = "poison";
-    poison.make = []() -> std::unique_ptr<ls::CampaignWorld> {
-      throw std::runtime_error("simulated service crash");
-    };
-    service.enqueue(std::move(poison));
-    service.enqueue(ls::make_standard_job(spec_b));
-    EXPECT_THROW((void)service.drain(), std::runtime_error);
+TEST(CampaignServiceTest, OneWorkerContendedDrainKeepsItsSchedule) {
+  // The contended drain above on a single worker, whose schedule is fully
+  // determined: FIFO admission into the free slots, the newest plan's
+  // blocks first, eviction after every step while jobs wait. The pinned
+  // counters are that schedule's fingerprint — moving world builds or
+  // checkpoint writes off the service lock must not change a decision.
+  const TempDir dir("one_worker");
+  ls::ServiceConfig config;
+  config.threads = 1;
+  config.max_resident = 2;
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
+  ls::CampaignService service(config);
+  std::atomic<std::size_t> builds{0};
+  std::vector<ls::StandardCampaignSpec> specs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    specs.push_back(
+        make_spec("c" + std::to_string(seed), seed * 97, dir.path()));
+    ls::CampaignJob job = ls::make_standard_job(specs.back());
+    count_builds(job, builds);
+    service.enqueue(std::move(job));
   }
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), spec_a.id))
-      << "no durable checkpoint survived the killed drain";
+  const auto outcomes = service.drain();
+  const ls::ServiceStats& stats = service.stats();
 
-  // Second service, as a restarted server would run it: the interrupted
-  // job resumes from its checkpoint, the untouched one starts fresh.
+  EXPECT_EQ(stats.evictions, 15u);
+  EXPECT_EQ(stats.rehydrations, 15u);
+  EXPECT_EQ(stats.steps_completed, 24u);
+  EXPECT_EQ(stats.blocks_run, 48u);
+  EXPECT_EQ(stats.max_step_gap, 1u);
+  EXPECT_EQ(stats.peak_resident, 2u);
+  EXPECT_EQ(builds.load(), 21u);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(identical_results(outcomes[i].result,
+                                  ls::run_standard_campaign(specs[i], 1)))
+        << specs[i].id;
+  }
+}
+
+TEST(CampaignServiceTest, WorkersHydrateWorldsConcurrently) {
+  // Every factory call waits (up to 200 ms) for a second one to be in
+  // flight. With admissions built under the service lock the second
+  // never starts, so the observed maximum stays 1; with world builds off
+  // the lock, two workers filling two slots build side by side.
+  const TempDir dir("hydrate");
   ls::ServiceConfig config;
   config.threads = 2;
   config.max_resident = 2;
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
   ls::CampaignService service(config);
-  ls::CampaignJob resume_a = ls::make_standard_job(spec_a);
-  resume_a.resume = true;
-  service.enqueue(std::move(resume_a));
-  service.enqueue(ls::make_standard_job(spec_b));
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::vector<ls::StandardCampaignSpec> specs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    specs.push_back(
+        make_spec("h" + std::to_string(seed), seed * 131, dir.path()));
+    ls::CampaignJob job = ls::make_standard_job(specs.back());
+    job.make = [make = std::move(job.make), &in_flight, &max_in_flight] {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = max_in_flight.load();
+      while (seen < now && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+      while (max_in_flight.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      auto world = make();
+      in_flight.fetch_sub(1);
+      return world;
+    };
+    service.enqueue(std::move(job));
+  }
   const auto outcomes = service.drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(identical_results(outcomes[0].result,
-                                ls::run_standard_campaign(spec_a, 1)))
-      << "kill + service-level resume diverged from standalone";
-  EXPECT_TRUE(identical_results(outcomes[1].result,
-                                ls::run_standard_campaign(spec_b, 1)));
+  EXPECT_GE(max_in_flight.load(), 2)
+      << "world builds were serialized: no two factories ever overlapped";
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(identical_results(outcomes[i].result,
+                                  ls::run_standard_campaign(specs[i], 1)))
+        << specs[i].id;
+  }
+}
+
+TEST(CampaignServiceTest, KilledServiceResumesByteIdentical) {
+  // The poisoned factory runs on a worker without the service lock; at
+  // every pool size it must still free its reserved slot, make drain()
+  // rethrow instead of hanging, and leave job-a's checkpoint behind.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const TempDir dir("kill");
+    const auto spec_a = make_spec("job-a", 7001, dir.path());
+    const auto spec_b = make_spec("job-b", 7002, dir.path());
+
+    // First service: job-a gets one quantum, is evicted (the queue is
+    // non-empty), and the next admission — a poisoned factory — kills the
+    // whole drain. job-a's progress survives as its durable checkpoint.
+    {
+      ls::ServiceConfig config;
+      config.threads = threads;
+      config.max_resident = 1;
+      config.quantum_steps = 1;
+      config.checkpoint_dir = dir.path();
+      ls::CampaignService service(config);
+      service.enqueue(ls::make_standard_job(spec_a));
+      ls::CampaignJob poison;
+      poison.id = "poison";
+      poison.make = []() -> std::unique_ptr<ls::CampaignWorld> {
+        throw std::runtime_error("simulated service crash");
+      };
+      service.enqueue(std::move(poison));
+      service.enqueue(ls::make_standard_job(spec_b));
+      EXPECT_THROW((void)service.drain(), std::runtime_error);
+      EXPECT_EQ(service.introspect().resident, 0u);
+    }
+    ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), spec_a.id))
+        << "no durable checkpoint survived the killed drain";
+
+    // Second service, as a restarted server would run it: the interrupted
+    // job resumes from its checkpoint, the untouched one starts fresh.
+    ls::ServiceConfig config;
+    config.threads = threads;
+    config.max_resident = 2;
+    ls::CampaignService service(config);
+    ls::CampaignJob resume_a = ls::make_standard_job(spec_a);
+    resume_a.resume = true;
+    service.enqueue(std::move(resume_a));
+    service.enqueue(ls::make_standard_job(spec_b));
+    const auto outcomes = service.drain();
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(identical_results(outcomes[0].result,
+                                  ls::run_standard_campaign(spec_a, 1)))
+        << "kill + service-level resume diverged from standalone";
+    EXPECT_TRUE(identical_results(outcomes[1].result,
+                                  ls::run_standard_campaign(spec_b, 1)));
+  }
 }
 
 TEST(CampaignServiceTest, MemoryBudgetBoundsResidencyWithoutChangingResults) {
