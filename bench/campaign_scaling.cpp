@@ -11,6 +11,7 @@
 // Exits non-zero if any parallel run deviates from the serial run.
 #include <chrono>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -140,7 +141,9 @@ int main(int argc, char** argv) {
         .add(speedup, 2)
         .add(same ? "yes" : "NO")
         .add(oversubscribed ? "yes" : "no");
+    // The string field is the row's identity for leakydsp_benchdiff.
     report.row()
+        .set("run", std::to_string(c) + "t")
         .set("threads", static_cast<std::int64_t>(c))
         .set("traces", static_cast<std::int64_t>(timed.result.traces_run))
         .set("wall_seconds", timed.seconds)

@@ -1,15 +1,16 @@
-// Multi-tenant engine demo: an AES server (bottom-left) and a bursty FIR
+// Multi-tenant demo: an AES server (bottom-left) and a bursty FIR
 // accelerator (top-right) share the PDN with an attacker holding *two*
-// LeakyDSP sensors, one next to each victim. Running the engine with the
-// FIR tenant idle and then active shows each sensor responding chiefly to
-// its neighbour — spatial attribution through the shared supply.
+// LeakyDSP sensors, one next to each victim. Both rigs sample the same
+// tenant draws on the shared sensor clock; running with the FIR tenant
+// idle and then active shows each sensor responding chiefly to its
+// neighbour — spatial attribution through the shared supply.
 //
 //   $ ./example_multi_tenant
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "core/leaky_dsp.h"
-#include "sim/engine.h"
+#include "pdn/grid.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
@@ -44,24 +45,36 @@ int main() {
   rig_a.calibrate(rng);
   rig_f.calibrate(rng);
 
+  const std::size_t aes_node = grid.node_of_site(scenario.aes_site());
+  const std::size_t fir_node = grid.node_of_site({52, 50});
+  constexpr std::size_t kSamples = 20000;
+
+  // Both rigs start settled and sample one shared draw schedule: the
+  // tenants draw from rng.fork(0), rig r samples from rng.fork(r + 1), so
+  // each readout stream is independent of how the others are stepped.
   auto run = [&](bool fir_active) {
-    auto aes = std::make_shared<victim::AesStreamWorkload>(key);
-    auto fir = std::make_shared<victim::FirFilterWorkload>();
-    sim::Engine engine(grid);
-    engine.add_source(std::make_unique<sim::NodeSource>(
-        "aes", grid.node_of_site(scenario.aes_site()),
-        [aes](double t, util::Rng& r) { return aes->current_at(t, r); }));
-    if (fir_active) {
-      engine.add_source(std::make_unique<sim::NodeSource>(
-          "fir", grid.node_of_site({52, 50}),
-          [fir](double t, util::Rng& r) { return fir->current_at(t, r); }));
+    victim::AesStreamWorkload aes(key);
+    victim::FirFilterWorkload fir;
+    rig_a.settle();
+    rig_f.settle();
+    util::Rng source_rng = rng.fork(0);
+    util::Rng rng_a = rng.fork(1);
+    util::Rng rng_f = rng.fork(2);
+    std::vector<double> near_aes, near_fir;
+    std::vector<pdn::CurrentInjection> draws;
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      const double t = static_cast<double>(s) * rig_a.params().sample_period_ns;
+      draws.clear();
+      draws.push_back({aes_node, aes.current_at(t, source_rng)});
+      if (fir_active) {
+        draws.push_back({fir_node, fir.current_at(t, source_rng)});
+      }
+      near_aes.push_back(rig_a.sample(draws, rng_a));
+      near_fir.push_back(rig_f.sample(draws, rng_f));
     }
-    engine.add_rig(rig_a);
-    engine.add_rig(rig_f);
-    const auto results = engine.run(20000, rng);
     RunStats stats;
-    stats.near_aes_rms = stats::stddev(results[0].readouts);
-    stats.near_fir_rms = stats::stddev(results[1].readouts);
+    stats.near_aes_rms = stats::stddev(near_aes);
+    stats.near_fir_rms = stats::stddev(near_fir);
     return stats;
   };
 

@@ -35,6 +35,7 @@ TraceCampaign::TraceCampaign(sim::SensorRig& rig, victim::AesCoreModel& aes,
   LD_REQUIRE(config_.max_traces >= 1, "campaign needs traces");
   LD_REQUIRE(config_.break_check_stride >= 1, "bad break stride");
   LD_REQUIRE(config_.rank_stride >= 1, "bad rank stride");
+  LD_REQUIRE(config_.block_traces >= 1, "bad block size");
 
   const double sensor_period = rig.params().sample_period_ns;
   const double victim_period = aes.clock_period_ns();
@@ -71,21 +72,13 @@ double TraceCampaign::interference_droop(
 
 std::vector<double> TraceCampaign::generate_trace(
     const crypto::Block& plaintext, util::Rng& rng) {
-  aes_->start_encryption(plaintext);
-  const double gain = rig_->coupling().gain_at_node(aes_->pdn_node());
-  const double dt = rig_->params().sample_period_ns;
-  std::vector<double> samples;
-  samples.reserve(trace_samples_);
-  std::vector<pdn::CurrentInjection> scratch;
-  for (std::size_t s = 0; s < trace_samples_; ++s) {
-    const std::size_t cycle = s / spc_;
-    const double droop =
-        gain * aes_->current_at_cycle(cycle) +
-        interference_droop(static_cast<double>(s) * dt, rng, scratch);
-    const double v = rig_->supply_for_droop(droop, rng);
-    samples.push_back(rig_->sensor().sample(v, rng));
-  }
-  return samples;
+  sim::SensorRig::Sampler sampler = rig_->make_sampler();
+  TraceScratch scratch;
+  std::vector<double> trace(trace_samples_);
+  sample_trace(sampler, *aes_, plaintext,
+               rig_->coupling().gain_at_node(aes_->pdn_node()), rng, scratch,
+               trace);
+  return trace;
 }
 
 void TraceCampaign::sample_trace(sim::SensorRig::Sampler& sampler,
@@ -237,7 +230,7 @@ void TraceCampaign::record(util::Rng& rng, std::size_t n,
   // into the writer in block order, so the file is byte-identical at every
   // thread count.
   const std::size_t block = config_.block_traces;
-  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4 * block;
+  const std::size_t wave = record_wave_traces(pool.size());
   while (cursor.produced < n) {
     const std::size_t first = cursor.produced;
     const std::vector<crypto::Block> plaintexts =
@@ -581,7 +574,7 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 
 /// One planned boundary step: the materialized plaintext slice plus one
 /// shard slot per trace block. run_block() fills slots independently;
-/// finish_step_impl folds them back in block order.
+/// finish_step folds them back in block order.
 struct TraceCampaign::StepPlan::Impl {
   std::size_t base_t = 0;       ///< state.t when the step was planned
   std::size_t next = 0;         ///< state.t after the step completes
@@ -639,9 +632,10 @@ TraceCampaign::Task TraceCampaign::load_task() const {
   return Task(std::move(state));
 }
 
-TraceCampaign::StepPlan TraceCampaign::make_plan(RunState& state,
+TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
                                                  bool stop_when_broken) const {
-  LD_REQUIRE(config_.block_traces >= 1, "bad block size");
+  LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
+  RunState& state = *task.state_;
   if (state.completed || state.stopped || state.t >= config_.max_traces) {
     return StepPlan();
   }
@@ -669,12 +663,6 @@ TraceCampaign::StepPlan TraceCampaign::make_plan(RunState& state,
   return StepPlan(std::move(impl));
 }
 
-TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
-                                                 bool stop_when_broken) const {
-  LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
-  return make_plan(*task.state_, stop_when_broken);
-}
-
 void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(plan.impl_ != nullptr, "run_block on an empty plan");
   StepPlan::Impl& impl = *plan.impl_;
@@ -690,8 +678,12 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   impl.shards[block] = std::move(shard);
 }
 
-bool TraceCampaign::finish_step_impl(RunState& state,
-                                     StepPlan::Impl& plan) const {
+bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
+  LD_REQUIRE(task.state_ != nullptr, "finish_step on an empty task");
+  LD_REQUIRE(step.impl_ != nullptr, "finish_step on an empty plan");
+  const StepPlan consumed = std::move(step);
+  const StepPlan::Impl& plan = *consumed.impl_;
+  RunState& state = *task.state_;
   LD_REQUIRE(plan.base_t == state.t,
              "finish_step out of order: plan at trace "
                  << plan.base_t << ", task at " << state.t);
@@ -746,34 +738,6 @@ bool TraceCampaign::finish_step_impl(RunState& state,
   return !stop && state.t < config_.max_traces;
 }
 
-bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
-  LD_REQUIRE(task.state_ != nullptr, "finish_step on an empty task");
-  LD_REQUIRE(plan.impl_ != nullptr, "finish_step on an empty plan");
-  StepPlan consumed = std::move(plan);
-  return finish_step_impl(*task.state_, *consumed.impl_);
-}
-
-void TraceCampaign::finalize_state(RunState& state) const {
-  state.result.mean_poi_readout =
-      state.poi_sum / (static_cast<double>(state.result.traces_run) *
-                       static_cast<double>(poi_count_));
-  state.completed = true;
-  attach_final_scores(state);
-}
-
-void TraceCampaign::attach_final_scores(RunState& state) const {
-  if (!config_.keep_final_scores || !state.result.final_scores.empty()) {
-    return;
-  }
-  const auto scores = state.cpa.snapshot();
-  state.result.final_scores.reserve(scores.size() * 256);
-  for (const auto& byte_scores : scores) {
-    state.result.final_scores.insert(state.result.final_scores.end(),
-                                     byte_scores.score.begin(),
-                                     byte_scores.score.end());
-  }
-}
-
 void TraceCampaign::suspend(const Task& task) const {
   LD_REQUIRE(task.state_ != nullptr, "suspend on an empty task");
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
@@ -786,12 +750,22 @@ CampaignResult TraceCampaign::take_result(Task&& task) const {
   Task consumed = std::move(task);
   RunState& state = *consumed.state_;
   if (!state.completed) {
-    finalize_state(state);
+    state.result.mean_poi_readout =
+        state.poi_sum / (static_cast<double>(state.result.traces_run) *
+                         static_cast<double>(poi_count_));
+    state.completed = true;
     if (!config_.checkpoint_dir.empty()) write_checkpoint(state);
   }
-  // A state rehydrated from an already-completed checkpoint skipped
-  // finalize_state, and the serialized result never carries the scores.
-  attach_final_scores(state);
+  // The scores are recomputed from the (bit-identically restored)
+  // accumulator on every path — the serialized result never carries them —
+  // so run, resume and service outcomes agree byte for byte.
+  if (config_.keep_final_scores) {
+    for (const auto& byte_scores : state.cpa.snapshot()) {
+      state.result.final_scores.insert(state.result.final_scores.end(),
+                                       byte_scores.score.begin(),
+                                       byte_scores.score.end());
+    }
+  }
   return std::move(state.result);
 }
 
@@ -816,61 +790,46 @@ std::size_t TraceCampaign::approx_task_bytes() const {
 // --------------------------------------------------------------- running
 
 CampaignResult TraceCampaign::run(util::Rng& rng, bool stop_when_broken) {
-  RunState state(poi_count_);
-  for (auto& b : state.plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  // Every trace t forks its own noise stream from this snapshot, so the
-  // readouts depend only on the seed and t — never on which worker ran it.
-  state.trace_parent = rng;
-  return run_loop(state, stop_when_broken);
+  return drive(start(rng), stop_when_broken);
 }
 
 CampaignResult TraceCampaign::resume(bool stop_when_broken) {
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "resume() requires config.checkpoint_dir");
-  RunState state = load_checkpoint();
-  OBS_LOG(obs::LogLevel::kInfo, "campaign", "resumed from checkpoint",
-          obs::f("dir", config_.checkpoint_dir), obs::f("traces", state.t),
-          obs::f("completed", state.completed));
-  if (state.completed) {
-    attach_final_scores(state);
-    return state.result;
-  }
-  return run_loop(state, stop_when_broken);
+  return drive(load_task(), stop_when_broken);
 }
 
-CampaignResult TraceCampaign::run_loop(RunState& state,
-                                       bool stop_when_broken) {
+CampaignResult TraceCampaign::drive(Task task, bool stop_when_broken) const {
   const bool checkpointing = !config_.checkpoint_dir.empty();
   util::ThreadPool pool(config_.threads);
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop started",
-          obs::f("from_trace", state.t),
+          obs::f("from_trace", task.traces_done()),
           obs::f("max_traces", config_.max_traces),
           obs::f("block_traces", config_.block_traces),
           obs::f("threads", pool.size()),
           obs::f("checkpointing", checkpointing));
 
   for (;;) {
-    StepPlan plan = make_plan(state, stop_when_broken);
+    StepPlan plan = plan_step(task, stop_when_broken);
     if (plan.empty()) break;
     pool.parallel_for(plan.block_count(),
                       [&](std::size_t blk) { run_block(plan, blk); });
-    const bool more = finish_step_impl(state, *plan.impl_);
+    const bool more = finish_step(task, std::move(plan));
     // Durable progress: everything needed to continue from this boundary,
     // replacing the previous checkpoint atomically. A kill at ANY moment
     // loses at most the traces since the last boundary, and the resumed
     // run re-derives them bit-identically from the forked RNG streams.
-    if (checkpointing) write_checkpoint(state);
+    if (checkpointing) suspend(task);
     OBS_PROGRESS_TICK();
     if (!more) break;
   }
 
-  finalize_state(state);
-  if (checkpointing) write_checkpoint(state);
+  CampaignResult result = take_result(std::move(task));
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop finished",
-          obs::f("traces_run", state.result.traces_run),
-          obs::f("broken", state.result.broken),
-          obs::f("traces_to_break", state.result.traces_to_break));
-  return state.result;
+          obs::f("traces_run", result.traces_run),
+          obs::f("broken", result.broken),
+          obs::f("traces_to_break", result.traces_to_break));
+  return result;
 }
 
 }  // namespace leakydsp::attack

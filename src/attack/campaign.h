@@ -4,12 +4,15 @@
 // plaintexts into the victim AES core, per-cycle leakage current through
 // the PDN coupling and droop dynamics, sensor readouts at the 300 MHz
 // sample clock, online CPA over a points-of-interest window, and key-rank
-// checkpoints. This is the specialized fast path of the generic
-// sim::SensorRig loop (same component models, flattened per-trace loop); a
-// consistency test asserts both paths produce statistically identical
-// traces.
+// checkpoints. Its batched pipeline (sample_trace) generates every AES
+// trace in the stack — run(), resume(), record(), the campaign service and
+// generate_trace — and run()/resume() drive the same Task API the service
+// schedules. sim::SensorRig's per-sample API is the scalar reference: a
+// consistency test holds the two paths' mean traces within 4 standard
+// errors of each other.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -177,7 +180,7 @@ class TraceCampaign {
                                 const std::string& campaign_id);
 
   // ---------------------------------------------------------------------
-  // Resumable-task interface. run()/resume() are thin drivers over this:
+  // Resumable-task interface. run()/resume() drive exactly this API:
   // a Task is the mid-campaign state between two checkpoint boundaries, a
   // StepPlan is one boundary-to-boundary step expanded into independently
   // runnable trace blocks. The campaign service schedules thousands of
@@ -199,8 +202,8 @@ class TraceCampaign {
 
     /// Traces accumulated so far (checkpoint-boundary granularity).
     std::size_t traces_done() const;
-    /// True once the run loop reached its natural end (take_result() will
-    /// not plan further work; a loaded completed checkpoint starts true).
+    /// True for a task loaded from a completed checkpoint: plan_step()
+    /// plans nothing more and take_result() returns the stored result.
     bool completed() const;
 
    private:
@@ -278,8 +281,11 @@ class TraceCampaign {
   const CampaignConfig& config() const { return config_; }
 
   /// Generates one trace (all samples of one encryption) without feeding
-  /// the CPA — used by tests and the consistency check. Serial: samples
-  /// through the rig's own state, continuing wherever it left off.
+  /// the CPA — used by TVLA callers, tests and the golden corpus. Runs the
+  /// campaign's own batched path on a fresh clone of the rig's sampling
+  /// front-end and on this campaign's AES core (so aes.ciphertext() reads
+  /// the trace's ciphertext afterwards): generate_trace(p[i],
+  /// trace_parent.fork(i + 1)) equals record_block's trace i bit for bit.
   std::vector<double> generate_trace(const crypto::Block& plaintext,
                                      util::Rng& rng);
 
@@ -291,6 +297,13 @@ class TraceCampaign {
   /// and the file is byte-identical for every thread count.
   void record(util::Rng& rng, std::size_t n,
               sim::TraceStoreWriter& writer) const;
+
+  /// Traces per record wave on a pool of `pool_size` threads: 4 blocks of
+  /// config.block_traces per thread. record() and the campaign service's
+  /// record jobs both size their waves with this.
+  std::size_t record_wave_traces(std::size_t pool_size) const {
+    return std::max<std::size_t>(pool_size, 1) * 4 * config_.block_traces;
+  }
 
   /// Sensor samples per trace — the samples_per_trace a TraceStore or
   /// TraceStoreWriter consuming this campaign's traces must be built with.
@@ -324,7 +337,7 @@ class TraceCampaign {
       std::span<const crypto::Block> plaintexts) const;
 
  private:
-  /// Mid-campaign state: everything the run loop needs to continue from a
+  /// Mid-campaign state: everything the driver needs to continue from a
   /// checkpoint boundary. Serialized verbatim into the checkpoint file.
   struct RunState {
     explicit RunState(std::size_t poi) : cpa(poi) {}
@@ -334,33 +347,20 @@ class TraceCampaign {
     double poi_sum = 0.0;
     std::size_t consecutive_ok = 0;
     std::size_t t = 0;           ///< traces completed
-    bool completed = false;      ///< the loop ran to its natural end
+    bool completed = false;      ///< take_result() finalized the state
     /// Stop-after-stable-break latched at a rank boundary. Transient (not
-    /// serialized): a resume re-derives it at its next rank boundary,
-    /// exactly as the pre-task run loop did.
+    /// serialized): a resume re-derives it at its next rank boundary.
     bool stopped = false;
     CampaignResult result;
   };
 
-  CampaignResult run_loop(RunState& state, bool stop_when_broken);
   void write_checkpoint(const RunState& state) const;
   RunState load_checkpoint() const;
 
-  /// Plans the next boundary step directly on a RunState — the shared
-  /// core of run_loop and plan_step. Empty result = no work left.
-  StepPlan make_plan(RunState& state, bool stop_when_broken) const;
-  /// Folds an executed plan into `state` (shards merge in block order)
-  /// and runs the boundary bookkeeping; returns true while steps remain.
-  bool finish_step_impl(RunState& state, StepPlan::Impl& plan) const;
-  /// Final bookkeeping after the last boundary: mean POI readout,
-  /// completed flag.
-  void finalize_state(RunState& state) const;
-  /// Fills result.final_scores from the CPA accumulator when configured
-  /// (idempotent). Called on every result-producing path — including a
-  /// rehydrated already-completed checkpoint, whose serialized result
-  /// never carries the scores — so run, resume and service outcomes
-  /// agree byte for byte.
-  void attach_final_scores(RunState& state) const;
+  /// The one campaign driver behind run() and resume(): plan_step ->
+  /// run_block over a ThreadPool -> finish_step -> suspend when
+  /// checkpointing, until the task is done; then take_result.
+  CampaignResult drive(Task task, bool stop_when_broken) const;
 
   double interference_droop(double t_ns, util::Rng& rng,
                             std::vector<pdn::CurrentInjection>& scratch) const;

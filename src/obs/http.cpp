@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 
@@ -18,7 +19,11 @@ namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8192;
 constexpr int kAcceptPollMs = 100;  ///< stop() latency bound
-constexpr int kRecvTimeoutSec = 2;
+/// Deadline for reading one whole request. It bounds the request, not each
+/// recv(): a client dripping a byte at a time cannot hold the server's
+/// only thread (and with it /healthz) for longer than this.
+constexpr std::chrono::milliseconds kRequestTimeout{2000};
+constexpr int kSendTimeoutSec = 2;
 
 const char* status_text(int status) {
   switch (status) {
@@ -113,8 +118,7 @@ void HttpServer::serve_loop() {
     if (ready <= 0) continue;  // timeout (re-check stopping_) or EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    timeval tv{kRecvTimeoutSec, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    timeval tv{kSendTimeoutSec, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     handle_connection(fd);
     ::close(fd);
@@ -122,19 +126,26 @@ void HttpServer::serve_loop() {
 }
 
 void HttpServer::handle_connection(int fd) {
-  // Read until the end of the header block (the endpoints take no bodies).
+  // Read until the end of the header block (the endpoints take no bodies),
+  // polling on the time left before every recv().
+  const auto deadline = std::chrono::steady_clock::now() + kRequestTimeout;
   std::string request;
   while (request.size() < kMaxRequestBytes &&
          request.find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;  // deadline passed (or poll failed)
     char buf[1024];
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (request.empty()) return;  // peer closed without a request
-      break;
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // peer closed or read error
     request.append(buf, static_cast<std::size_t>(n));
   }
+  if (request.empty()) return;  // no request before close or deadline
 
   HttpResponse response;
   const std::size_t line_end = request.find("\r\n");

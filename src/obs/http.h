@@ -2,7 +2,7 @@
 // endpoints (obs/export.h). Deliberately tiny: one listener thread accepts
 // connections and handles them one at a time — an exposition endpoint is
 // scraped every few seconds by one collector, not load-balanced — with
-// bounded request size, per-connection receive timeouts, and a graceful
+// bounded request size, a per-request read deadline, and a graceful
 // stop() that unblocks the accept loop and joins the thread. GET only;
 // every response closes the connection.
 //

@@ -330,10 +330,10 @@ struct CampaignService::Impl {
         finish_record(resident);
         return;
       }
-      const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
-      const std::size_t wave_blocks =
-          spec.wave_blocks != 0 ? spec.wave_blocks : 4 * pool_size;
-      const std::size_t count = std::min(remaining, wave_blocks * block);
+      // record()'s wave schedule.
+      const std::size_t block = campaign.config().block_traces;
+      const std::size_t count =
+          std::min(remaining, campaign.record_wave_traces(pool_size));
       resident.wave_first_trace = resident.record_done;
       resident.wave_plaintexts = campaign.next_plaintexts(resident.cursor, count);
       resident.wave_shards.assign((count + block - 1) / block, {});
@@ -528,8 +528,7 @@ struct CampaignService::Impl {
         std::memory_order_relaxed);
     attack::TraceCampaign& campaign = resident.world->campaign();
     if (resident.is_record) {
-      const RecordJobSpec& spec = *jobs[resident.job_index].job.record;
-      const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
+      const std::size_t block = campaign.config().block_traces;
       const std::size_t lo = item.block * block;
       const std::size_t hi =
           std::min(lo + block, resident.wave_plaintexts.size());

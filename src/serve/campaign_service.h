@@ -69,20 +69,16 @@ class CampaignWorld {
 
 /// Streaming trace-recording variant of a job: instead of driving the CPA
 /// loop, the campaign records `traces` chained-plaintext traces into a v2
-/// trace file at `out_path`, wave by wave through the service scheduler
-/// (bounded memory: one wave of block shards at a time, drained into the
-/// writer in trace order). The file is byte-identical to
-/// TraceCampaign::record(writer) for the same world and seed. Record jobs
-/// are not evictable — a v2 file only commits at its footer — so they run
-/// to completion once admitted.
+/// trace file at `out_path`, wave by wave through the service scheduler on
+/// record()'s schedule (blocks of CampaignConfig::block_traces, waves of
+/// TraceCampaign::record_wave_traces; bounded memory: one wave of block
+/// shards at a time, drained into the writer in trace order). The file is
+/// byte-identical to TraceCampaign::record(writer) for the same world and
+/// seed. Record jobs are not evictable — a v2 file only commits at its
+/// footer — so they run to completion once admitted.
 struct RecordJobSpec {
   std::size_t traces = 0;
   std::string out_path;
-  /// Traces per scheduled block (the record fork discipline is per-trace,
-  /// so this only shapes scheduling, never bytes).
-  std::size_t block_traces = 64;
-  /// Blocks per wave; 0 = 4x the pool size.
-  std::size_t wave_blocks = 0;
 };
 
 /// One queued campaign.

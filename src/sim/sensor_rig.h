@@ -1,7 +1,10 @@
 // SensorRig: one deployed sensor wired to the PDN — spatial coupling
 // (transfer gains), temporal droop dynamics, ambient supply noise, and the
 // sensor's own sampling front-end. Every experiment in the paper is "some
-// victim draws current; the rig samples readouts".
+// victim draws current; the rig samples readouts". The rig's per-sample
+// API is the scalar reference and the characterization benches' path;
+// trace campaigns sample through a Sampler clone's batched stages
+// (attack::TraceCampaign).
 #pragma once
 
 #include <functional>
@@ -68,23 +71,13 @@ class SensorRig {
   /// other; the rig itself is left untouched.
   class Sampler {
    public:
-    /// Equivalent of SensorRig::supply_for_droop on this private state.
-    double supply_for_droop(double static_droop_v, util::Rng& rng) {
-      return vnom_ - filter_.step(static_droop_v) - ambient_.step(rng);
-    }
-
-    /// Digitizes a supply voltage through the cloned sensor.
-    double sample_supply(double supply_v, util::Rng& rng) {
-      return sensor_->sample(supply_v, rng);
-    }
-
     /// The cloned sensor (batched paths call its sample_batch directly).
     sensors::VoltageSensor& sensor() { return *sensor_; }
 
-    /// Batched supply_for_droop: turns a whole trace of static droops into
-    /// supply voltages in one pass, drawing ambient innovations with the
-    /// ziggurat sampler. Same filter/noise state evolution as the scalar
-    /// path, different rng consumption.
+    /// Batched SensorRig::supply_for_droop: turns a whole trace of static
+    /// droops into supply voltages in one pass, drawing ambient innovations
+    /// with the ziggurat sampler. Same filter/noise state evolution as the
+    /// rig's scalar reference, different rng consumption.
     void supply_batch(std::span<const double> static_droops_v,
                       std::span<double> out, util::Rng& rng) {
       for (std::size_t i = 0; i < static_droops_v.size(); ++i) {

@@ -44,7 +44,9 @@ GoldenFile sensor_corpus(const sim::Basys3Scenario& scenario) {
   GoldenFile golden;
 
   // One full-pipeline LeakyDSP trace: victim AES encryption -> PDN droop
-  // -> supply -> batched sensor readouts, exactly the campaign hot path.
+  // -> supply -> batched sensor readouts. generate_trace runs the
+  // campaign's own batched path, so this pins the trace every campaign,
+  // record() and the service sample.
   {
     util::Rng rng(kCorpusSeed);
     crypto::Key key;
@@ -216,6 +218,7 @@ GoldenFile generated_die_corpus() {
     for (std::size_t i = 0; i < plaintext.size(); ++i) {
       plaintext[i] = static_cast<std::uint8_t>(i * 29 + 5);
     }
+    // The same batched campaign path on the generated die.
     golden.entries.push_back(exact(
         "generated.trace",
         world->campaign().generate_trace(plaintext, world->rng())));

@@ -3,6 +3,7 @@
 // checkpointing, and the covert channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -344,33 +345,70 @@ TEST_F(CampaignTest, TraceGenerationDeterministicGivenSeed) {
 }
 
 TEST_F(CampaignTest, FastPathMatchesGenericRigPath) {
-  // The campaign's flattened loop and the generic SensorRig::collect path
-  // must produce the identical readout stream from identical seeds — same
-  // component models, different drivers.
   const lc::Key key{};
   lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
-  const auto site = scenario_.attack_placements()[5];
+  lcore::LeakyDspSensor sensor(scenario_.device(),
+                               scenario_.attack_placements()[5]);
+  lsim::SensorRig rig(scenario_.grid(), sensor);
+  lu::Rng cal_rng(217);
+  rig.calibrate(cal_rng);
+  la::TraceCampaign campaign(rig, aes);
 
-  lcore::LeakyDspSensor sensor_fast(scenario_.device(), site);
-  lsim::SensorRig rig_fast(scenario_.grid(), sensor_fast);
-  la::TraceCampaign campaign(rig_fast, aes);
-  lu::Rng rng_fast(217);
-  const auto fast = campaign.generate_trace(lc::Block{}, rng_fast);
+  // (a) generate_trace is the campaign's batched path: under record()'s
+  // fork discipline it reproduces record_block's traces and ciphertexts
+  // bit for bit.
+  lu::Rng rng(218);
+  auto cursor = campaign.start_record(rng);
+  const auto plaintexts = campaign.next_plaintexts(cursor, 70);
+  const auto records = campaign.record_block(cursor.trace_parent, 0,
+                                             plaintexts);
+  ASSERT_EQ(records.size(), plaintexts.size());
+  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
+    lu::Rng fork = cursor.trace_parent.fork(i + 1);
+    EXPECT_EQ(campaign.generate_trace(plaintexts[i], fork), records[i].samples)
+        << "trace " << i;
+    EXPECT_EQ(aes.ciphertext(), records[i].ciphertext) << "trace " << i;
+  }
 
-  lcore::LeakyDspSensor sensor_gen(scenario_.device(), site);
-  lsim::SensorRig rig_gen(scenario_.grid(), sensor_gen);
-  lu::Rng rng_gen(217);
-  lv::AesCoreModel aes_gen(key, scenario_.aes_site(), scenario_.grid());
-  aes_gen.start_encryption(lc::Block{});
-  std::size_t sample_index = 0;
+  // (b) With a calibrated sensor the trace carries signal, and the batched
+  // path's mean trace stays within 4 standard errors of the scalar
+  // SensorRig::collect reference's at every sample — same component
+  // models, different noise samplers.
+  const auto& first = records.front().samples;
+  EXPECT_GT(*std::max_element(first.begin(), first.end()),
+            *std::min_element(first.begin(), first.end()));
+  constexpr std::size_t kTraces = 300;
+  const std::size_t n = campaign.trace_samples();
   const std::size_t spc = campaign.samples_per_cycle();
-  const auto generic = rig_gen.collect(
-      fast.size(), rng_gen, [&](std::vector<leakydsp::pdn::CurrentInjection>& draws) {
-        draws.push_back({aes_gen.pdn_node(),
-                         aes_gen.current_at_cycle(sample_index / spc)});
-        ++sample_index;
-      });
-  EXPECT_EQ(fast, generic);
+  std::vector<double> sum_fast(n), sq_fast(n), sum_ref(n), sq_ref(n);
+  lu::Rng ref_rng(219);
+  for (std::size_t t = 0; t < kTraces; ++t) {
+    lu::Rng fork = cursor.trace_parent.fork(1000 + t);
+    const auto fast = campaign.generate_trace(plaintexts[0], fork);
+    rig.settle();
+    aes.start_encryption(plaintexts[0]);
+    std::size_t s = 0;
+    const auto ref = rig.collect(
+        n, ref_rng, [&](std::vector<leakydsp::pdn::CurrentInjection>& draws) {
+          draws.push_back({aes.pdn_node(), aes.current_at_cycle(s++ / spc)});
+        });
+    for (std::size_t k = 0; k < n; ++k) {
+      sum_fast[k] += fast[k];
+      sq_fast[k] += fast[k] * fast[k];
+      sum_ref[k] += ref[k];
+      sq_ref[k] += ref[k] * ref[k];
+    }
+  }
+  const double count = static_cast<double>(kTraces);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double mean_fast = sum_fast[k] / count;
+    const double mean_ref = sum_ref[k] / count;
+    const double var_fast = sq_fast[k] / count - mean_fast * mean_fast;
+    const double var_ref = sq_ref[k] / count - mean_ref * mean_ref;
+    const double se = std::sqrt(std::max(var_fast + var_ref, 0.0) / count);
+    EXPECT_LE(std::abs(mean_fast - mean_ref), 4.0 * se + 1e-12)
+        << "sample " << k;
+  }
 }
 
 // ---------------------------------------------------------- covert channel

@@ -334,7 +334,7 @@ TEST(ExportServer, StoppingOneServerNeverWaitsOnAnother) {
   lo::HttpServer b("127.0.0.1", 0, ok);
 
   // An idle client that never sends a request: A's only thread accepts it
-  // and sits in recv() until the 2 s receive timeout.
+  // and waits for it until the 2 s request deadline.
   const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(idle, 0);
   sockaddr_in addr{};
@@ -355,6 +355,42 @@ TEST(ExportServer, StoppingOneServerNeverWaitsOnAnother) {
   ::close(idle);  // releases A's recv()
   stop_a.join();
   EXPECT_LT(b_stop, 500ms);
+}
+
+TEST(ExportServer, DripFeedingClientCannotStarveHealthz) {
+  using namespace std::chrono_literals;
+  lo::ExpositionServer server(lo::ExpositionConfig{});
+  const std::uint16_t port = server.port();
+
+  // A client that sends one byte every 250 ms and never finishes its
+  // request. Each byte arrives well inside any per-recv() timeout, so only
+  // a whole-request deadline frees the server's one thread.
+  std::thread dripper([port] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+        0) {
+      const auto start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - start < 6s) {
+        // Fails once the server has hung up on us.
+        if (::send(fd, "a", 1, MSG_NOSIGNAL) != 1) break;
+        std::this_thread::sleep_for(250ms);
+      }
+    }
+    ::close(fd);
+  });
+
+  std::this_thread::sleep_for(1s);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string health = http_get(port, "/healthz");
+  const auto latency = std::chrono::steady_clock::now() - start;
+  dripper.join();
+  EXPECT_EQ(response_status(health), 200);
+  EXPECT_LT(latency, 4s);
 }
 
 // ----------------------------------------------- scrape-while-drain oracle

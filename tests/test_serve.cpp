@@ -355,7 +355,9 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
   const auto spec = make_spec("rec", 4242, "");
   const std::string service_path = dir.path() + "/service.ldt";
   const std::string standalone_path = dir.path() + "/standalone.ldt";
-  constexpr std::size_t kTraces = 100;
+  // record()'s wave schedule at 3 threads: 4 x 3 blocks of 16 traces =
+  // 192-trace waves, so 400 traces take 3 waves and exercise wave chaining.
+  constexpr std::size_t kTraces = 400;
 
   ls::ServiceConfig config;
   config.threads = 3;
@@ -365,8 +367,6 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
   ls::RecordJobSpec record;
   record.traces = kTraces;
   record.out_path = service_path;
-  record.block_traces = 16;
-  record.wave_blocks = 3;  // 7 blocks -> 3 waves: exercises wave chaining
   job.record = record;
   service.enqueue(std::move(job));
   // An attack job rides along so the record waves interleave with CPA
