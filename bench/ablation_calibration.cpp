@@ -5,7 +5,10 @@
 //
 // Expected shape: uncalibrated sensors park their capture edge outside or
 // at the saturated end of the settle window and lose most (often all) of
-// their sensitivity; calibration recovers it at every placement.
+// their sensitivity; calibration recovers it at every placement. The run
+// exits non-zero unless, at every region, calibrated sensitivity is at
+// least kMinCalibrated bits and uncalibrated sensitivity at most
+// kMaxUncalibrated bits.
 #include <iostream>
 #include <vector>
 
@@ -21,6 +24,9 @@
 using namespace leakydsp;
 
 namespace {
+
+constexpr double kMinCalibrated = 15.0;
+constexpr double kMaxUncalibrated = 1.0;
 
 double sensitivity(sim::SensorRig& rig, victim::PowerVirus& virus,
                    std::size_t readouts, util::Rng& rng) {
@@ -57,6 +63,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"region", "sensitivity calibrated",
                      "sensitivity uncalibrated"});
+  bool pass = true;
   for (int r = 1; r <= 6; ++r) {
     core::LeakyDspSensor calibrated(scenario.device(),
                                     scenario.region_dsp_site(r));
@@ -71,10 +78,15 @@ int main(int argc, char** argv) {
     const double without_cal = sensitivity(raw_rig, virus, readouts, rng);
 
     table.row().add(r).add(with_cal, 2).add(without_cal, 2);
+    pass = pass && with_cal >= kMinCalibrated &&
+           without_cal <= kMaxUncalibrated;
   }
   table.print(std::cout);
   std::cout << "\nExpected shape: calibrated sensitivity is large and "
                "placement-dependent; uncalibrated sensors sit outside the "
-               "settle window and sense little or nothing.\n";
-  return 0;
+               "settle window and sense little or nothing.\n"
+            << "Gate (every region: calibrated >= " << kMinCalibrated
+            << " bits, uncalibrated <= " << kMaxUncalibrated
+            << " bits): " << (pass ? "PASS" : "FAIL") << "\n";
+  return pass ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "fabric/netlist_builders.h"
+#include "sensors/calibration.h"
 #include "util/contracts.h"
 #include "util/simd_ops.h"
 
@@ -145,8 +146,9 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
   } else {
     // Bits whose nominal arrival sits more than kJitterCutSigma jitter
     // sigmas before (after) the capture edge always (never) settle; only
-    // the narrow uncertain window needs Gaussian draws. With the default
-    // geometry that is ~2-4 of the 48 bits per sample.
+    // the uncertain window needs Gaussian draws. With the default geometry
+    // and a calibrated capture edge that is about 21 of the 48 bits per
+    // sample (a campaign trace draws ~4,150 times over its 195 readouts).
     const double cut = kJitterCutSigma * sigma;
     bound_scratch_.resize(n);
     bound_hi_scratch_.resize(n);
@@ -193,57 +195,26 @@ util::BitVec LeakyDspSensor::sample_word(double supply_v, util::Rng& rng) {
 
 sensors::CalibrationResult LeakyDspSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
-  LD_REQUIRE(samples_per_setting >= 1, "need at least one sample per tap");
   const int tap_count = fabric::idelay_taps(arch_).tap_count;
-  const int settings = 2 * tap_count - 1;  // clk taps down, then A taps up
+  // The coarse sweep starts from fine phase 0, so a recalibration does not
+  // depend on where the previous calibration parked the fine stage.
+  set_fine_phase(0);
 
   // Setting k sweeps the capture edge monotonically *earlier*: k = 0 is
   // maximum clock-line delay (latest capture, everything settled), k =
-  // settings-1 is maximum signal-line delay (earliest capture).
-  auto apply = [&](int k) {
-    if (k < tap_count) {
-      set_taps(0, tap_count - 1 - k);
-    } else {
-      set_taps(k - tap_count + 1, 0);
-    }
-  };
-
-  std::vector<double> mean(static_cast<std::size_t>(settings), 0.0);
-  for (int k = 0; k < settings; ++k) {
-    apply(k);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    mean[static_cast<std::size_t>(k)] =
-        sum / static_cast<double>(samples_per_setting);
-  }
-
-  // The paper's rule: iteratively increase the delay until the readout
-  // variation between two consecutive adjustments reaches its maximum.
-  // With the tapered settle window the steepest zone sits at the top of
-  // the word, so this parks the capture edge just inside the window —
-  // maximally sensitive, with the full readout range left for
-  // droop-induced (always slower) shifts. Earliest winner on near-ties.
-  double global_max = 0.0;
-  for (int k = 1; k < settings; ++k) {
-    global_max = std::max(global_max,
-                          std::abs(mean[static_cast<std::size_t>(k)] -
-                                   mean[static_cast<std::size_t>(k - 1)]));
-  }
-  sensors::CalibrationResult result;
-  const double threshold = 0.9 * global_max;
-  for (int k = 1; k < settings; ++k) {
-    const double variation = std::abs(mean[static_cast<std::size_t>(k)] -
-                                      mean[static_cast<std::size_t>(k - 1)]);
-    if (variation >= threshold) {
-      result.chosen_setting = k;
-      result.steepness = variation;
-      break;
-    }
-  }
-  result.success = result.steepness > 0.0;
-  apply(result.chosen_setting);
+  // 2*tap_count-2 is maximum signal-line delay (earliest capture). With
+  // the tapered settle window the steepest zone sits at the top of the
+  // word, so the sweep parks the capture edge just inside the window.
+  auto result = sensors::sweep_settings(
+      *this, 2 * tap_count - 1,
+      [&](int k) {
+        if (k < tap_count) {
+          set_taps(0, tap_count - 1 - k);
+        } else {
+          set_taps(k - tap_count + 1, 0);
+        }
+      },
+      idle_v, samples_per_setting, rng);
 
   // Second stage: MMCM fine phase shift (sub-tap resolution). The coarse
   // step leaves the capture edge somewhere inside the steep top zone of
@@ -252,23 +223,18 @@ sensors::CalibrationResult LeakyDspSensor::calibrate(
   const double target = 0.85 * static_cast<double>(kOutputBits);
   int best_phase = 0;
   double best_dist = std::numeric_limits<double>::max();
-  double best_mean = 0.0;
   for (int phase = 0; phase <= 5; ++phase) {
     set_fine_phase(phase);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    const double m = sum / static_cast<double>(samples_per_setting);
+    const double m =
+        sensors::mean_readout(*this, idle_v, samples_per_setting, rng);
     const double dist = std::abs(m - target);
     if (dist < best_dist) {
       best_dist = dist;
       best_phase = phase;
-      best_mean = m;
+      result.idle_readout = m;
     }
   }
   set_fine_phase(best_phase);
-  result.idle_readout = best_mean;
   return result;
 }
 

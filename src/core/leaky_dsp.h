@@ -88,9 +88,10 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   /// scale comes from a precomputed timing::ScaleTable instead of std::pow,
   /// and per-bit jitter is drawn with the ziggurat sampler — only for the
   /// bits whose settle time lies within kJitterCutSigma of the capture
-  /// edge; bits further out are counted deterministically (a per-bit
-  /// truncation that perturbs each flip probability by < 7e-16). Same
-  /// distribution as sample(), different rng consumption.
+  /// edge (about 21 of the 48 on a calibrated campaign trace); bits
+  /// further out are counted deterministically (a per-bit truncation that
+  /// perturbs each flip probability by < 7e-16). Same distribution as
+  /// sample(), different rng consumption.
   void sample_batch(std::span<const double> supply_v, std::span<double> out,
                     util::Rng& rng) override;
 
@@ -102,8 +103,10 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   /// bits still hold the previous (complementary) word.
   util::BitVec sample_word(double supply_v, util::Rng& rng);
 
-  /// The paper's calibration: sweep the signal-line IDELAY, keep the tap
-  /// with maximum readout variation between consecutive taps.
+  /// The paper's calibration: from fine phase 0, sweep the capture edge
+  /// through the clock-line then signal-line IDELAY taps and keep the tap
+  /// with maximum readout variation between consecutive taps; then pick
+  /// the MMCM fine phase whose idle readout is nearest 85% of full scale.
   sensors::CalibrationResult calibrate(
       double idle_v, util::Rng& rng,
       std::size_t samples_per_setting = 64) override;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -57,42 +58,11 @@ double RdsSensor::sample(double supply_v, util::Rng& rng) {
 
 sensors::CalibrationResult RdsSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
-  LD_REQUIRE(samples_per_setting >= 1, "need at least one sample per tap");
   const int tap_count = fabric::idelay_taps(arch_).tap_count;
-  const int settings = 2 * tap_count - 1;
-  auto apply = [&](int k) { set_offset_taps(k - (tap_count - 1)); };
-
-  std::vector<double> mean(static_cast<std::size_t>(settings), 0.0);
-  for (int k = 0; k < settings; ++k) {
-    apply(k);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    mean[static_cast<std::size_t>(k)] =
-        sum / static_cast<double>(samples_per_setting);
-  }
-  double global_max = 0.0;
-  for (int k = 1; k < settings; ++k) {
-    global_max = std::max(global_max,
-                          std::abs(mean[static_cast<std::size_t>(k)] -
-                                   mean[static_cast<std::size_t>(k - 1)]));
-  }
-  sensors::CalibrationResult result;
-  const double threshold = 0.9 * global_max;
-  for (int k = 1; k < settings; ++k) {
-    const double variation = std::abs(mean[static_cast<std::size_t>(k)] -
-                                      mean[static_cast<std::size_t>(k - 1)]);
-    if (variation >= threshold) {
-      result.chosen_setting = k;
-      result.steepness = variation;
-      break;
-    }
-  }
-  result.success = result.steepness > 0.0;
-  apply(result.chosen_setting);
-  result.idle_readout = mean[static_cast<std::size_t>(result.chosen_setting)];
-  return result;
+  return sweep_settings(
+      *this, 2 * tap_count - 1,
+      [&](int k) { set_offset_taps(k - (tap_count - 1)); }, idle_v,
+      samples_per_setting, rng);
 }
 
 fabric::Netlist RdsSensor::netlist() const {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "fabric/netlist_builders.h"
+#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -30,18 +31,11 @@ double RoSensor::sample(double supply_v, util::Rng& rng) {
   return std::max(0.0, std::floor(noisy));
 }
 
-sensors::CalibrationResult RoSensor::calibrate(double idle_v, util::Rng& rng,
-                                               std::size_t samples_per_setting) {
-  LD_REQUIRE(samples_per_setting >= 1, "need at least one sample");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < samples_per_setting; ++i) {
-    sum += sample(idle_v, rng);
-  }
+sensors::CalibrationResult RoSensor::calibrate(
+    double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
   sensors::CalibrationResult result;
   result.success = true;
-  result.chosen_setting = 0;
-  result.steepness = 0.0;
-  result.idle_readout = sum / static_cast<double>(samples_per_setting);
+  result.idle_readout = mean_readout(*this, idle_v, samples_per_setting, rng);
   return result;
 }
 

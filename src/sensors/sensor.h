@@ -47,8 +47,8 @@ class VoltageSensor {
   /// scaling, ziggurat jitter). Batched readouts follow the same
   /// distribution as the scalar path but may consume the rng stream
   /// differently (documented per sensor), so a given experiment must pick
-  /// one path and stay on it — the trace campaign batches, the generic rig
-  /// loop stays scalar.
+  /// one path and stay on it. Trace campaigns and calibration batch;
+  /// sample() and SensorRig's per-sample API stay the scalar reference.
   virtual void sample_batch(std::span<const double> supply_v,
                             std::span<double> out, util::Rng& rng) {
     for (std::size_t i = 0; i < supply_v.size(); ++i) {
@@ -58,7 +58,8 @@ class VoltageSensor {
 
   /// Post-deployment calibration at the given idle supply voltage, following
   /// the paper's procedure: sweep the adjustable delay and keep the setting
-  /// with maximum readout variation between consecutive settings.
+  /// with maximum readout variation between consecutive settings (see
+  /// sensors/calibration.h). Reads through sample_batch.
   virtual CalibrationResult calibrate(double idle_v, util::Rng& rng,
                                       std::size_t samples_per_setting = 64) = 0;
 

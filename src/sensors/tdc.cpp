@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "fabric/netlist_builders.h"
+#include "sensors/calibration.h"
 #include "util/contracts.h"
 #include "util/simd_ops.h"
 
@@ -97,47 +98,13 @@ void TdcSensor::sample_batch(std::span<const double> supply_v,
 
 sensors::CalibrationResult TdcSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
-  LD_REQUIRE(samples_per_setting >= 1, "need at least one sample per tap");
   const int tap_count = fabric::idelay_taps(arch_).tap_count;
   // Sweep from -31 (latest capture) to +31 (earliest), the same monotone
   // earlier-capture direction as LeakyDSP's calibration.
-  const int settings = 2 * tap_count - 1;
-  auto apply = [&](int k) { set_offset_taps(k - (tap_count - 1)); };
-
-  std::vector<double> mean(static_cast<std::size_t>(settings), 0.0);
-  for (int k = 0; k < settings; ++k) {
-    apply(k);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    mean[static_cast<std::size_t>(k)] =
-        sum / static_cast<double>(samples_per_setting);
-  }
-  // Same iterative rule as LeakyDSP: stop at the first substantial
-  // consecutive difference, keeping the idle readout near the top of the
-  // range so droops (which only shorten the traversal) stay on-scale.
-  double global_max = 0.0;
-  for (int k = 1; k < settings; ++k) {
-    global_max = std::max(global_max,
-                          std::abs(mean[static_cast<std::size_t>(k)] -
-                                   mean[static_cast<std::size_t>(k - 1)]));
-  }
-  sensors::CalibrationResult result;
-  const double threshold = 0.9 * global_max;
-  for (int k = 1; k < settings; ++k) {
-    const double variation = std::abs(mean[static_cast<std::size_t>(k)] -
-                                      mean[static_cast<std::size_t>(k - 1)]);
-    if (variation >= threshold) {
-      result.chosen_setting = k;
-      result.steepness = variation;
-      break;
-    }
-  }
-  result.success = result.steepness > 0.0;
-  apply(result.chosen_setting);
-  result.idle_readout = mean[static_cast<std::size_t>(result.chosen_setting)];
-  return result;
+  return sweep_settings(
+      *this, 2 * tap_count - 1,
+      [&](int k) { set_offset_taps(k - (tap_count - 1)); }, idle_v,
+      samples_per_setting, rng);
 }
 
 fabric::Netlist TdcSensor::netlist() const {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -65,21 +66,15 @@ double VitiSensor::sample(double supply_v, util::Rng& rng) {
 
 sensors::CalibrationResult VitiSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
-  LD_REQUIRE(samples_per_setting >= 1, "need samples");
   // Run the self-calibration loop long enough to converge (a few control
   // windows), then report the settled operating point.
-  const std::size_t warmup = params_.control_window * 40;
-  for (std::size_t i = 0; i < warmup; ++i) sample(idle_v, rng);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < samples_per_setting; ++i) {
-    sum += sample(idle_v, rng);
-  }
+  mean_readout(*this, idle_v, params_.control_window * 40, rng);
   sensors::CalibrationResult result;
   result.success = true;
+  result.idle_readout = mean_readout(*this, idle_v, samples_per_setting, rng);
   result.chosen_setting =
       static_cast<int>(std::lround(control_offset_ns_ * 1e3));  // ps
   result.steepness = 1.0;  // one element per element_delay of droop
-  result.idle_readout = sum / static_cast<double>(samples_per_setting);
   return result;
 }
 

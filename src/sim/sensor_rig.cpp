@@ -52,10 +52,14 @@ std::vector<double> SensorRig::collect_constant(
 
 sensors::CalibrationResult SensorRig::calibrate(util::Rng& rng) {
   settle();
-  // 256 samples per setting: enough averaging that the coarse-tap choice is
-  // stable against ambient noise (a mis-parked capture edge costs up to
-  // ~20% sensitivity through the tapered settle spacing).
-  return sensor_->calibrate(params_.vnom, rng, 256);
+  // Calibration reads from a child stream seeded by one draw of `rng`, so
+  // the caller's stream (and every campaign byte after it) does not depend
+  // on how many draws the sweep makes. 256 samples per setting: enough
+  // averaging that the coarse-tap choice is stable from seed to seed (a
+  // mis-parked capture edge costs up to ~20% sensitivity through the
+  // tapered settle spacing).
+  util::Rng calibration_rng(rng());
+  return sensor_->calibrate(params_.vnom, calibration_rng, 256);
 }
 
 void SensorRig::settle() {

@@ -59,6 +59,8 @@ class SensorRig {
       util::Rng& rng);
 
   /// Calibrates the sensor at the idle nominal supply and clears dynamics.
+  /// Advances `rng` by exactly one draw, whatever the sensor: the sweep
+  /// runs on a child stream seeded by that draw.
   sensors::CalibrationResult calibrate(util::Rng& rng);
 
   /// Clears filter and noise state (idle settling between experiments).

@@ -283,26 +283,36 @@ TEST_F(CampaignTest, BoostedLeakageBreaksQuickly) {
 }
 
 TEST_F(CampaignTest, RankDecreasesWithTraces) {
-  lu::Rng rng(213);
-  const lc::Key key = random_block(rng);
-  lv::AesCoreParams aes_params;
-  aes_params.current_per_hd_bit = 0.03;  // 2x default: breaks around ~6k
-  lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid(),
-                       aes_params);
-  lcore::LeakyDspSensor sensor(
-      scenario_.device(),
-      scenario_.attack_placements()[lsim::Basys3Scenario::kBestPlacementIndex]);
-  lsim::SensorRig rig(scenario_.grid(), sensor);
-  rig.calibrate(rng);
-  la::CampaignConfig config;
-  config.max_traces = 5000;
-  config.rank_stride = 1000;
-  la::TraceCampaign campaign(rig, aes, config);
-  const auto result = campaign.run(rng, /*stop_when_broken=*/false);
-  ASSERT_GE(result.checkpoints.size(), 3u);
-  EXPECT_GT(result.checkpoints.front().rank.log2_mid(), 40.0);
-  EXPECT_LT(result.checkpoints.back().rank.log2_mid(),
-            result.checkpoints.front().rank.log2_mid() - 20.0);
+  // The rank at 1,000 traces is a noisy draw: one seed in 5-10 lands below
+  // 40 bits. The medians over five consecutive seeds carry the claim.
+  std::vector<double> front, back;
+  for (std::uint64_t seed = 213; seed < 218; ++seed) {
+    lu::Rng rng(seed);
+    const lc::Key key = random_block(rng);
+    lv::AesCoreParams aes_params;
+    aes_params.current_per_hd_bit = 0.03;  // 2x default: breaks around ~6k
+    lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid(),
+                         aes_params);
+    const auto p6 = scenario_.attack_placements()
+        [lsim::Basys3Scenario::kBestPlacementIndex];
+    lcore::LeakyDspSensor sensor(scenario_.device(), p6);
+    lsim::SensorRig rig(scenario_.grid(), sensor);
+    rig.calibrate(rng);
+    la::CampaignConfig config;
+    config.max_traces = 5000;
+    config.rank_stride = 1000;
+    la::TraceCampaign campaign(rig, aes, config);
+    const auto result = campaign.run(rng, /*stop_when_broken=*/false);
+    ASSERT_GE(result.checkpoints.size(), 3u) << "seed " << seed;
+    front.push_back(result.checkpoints.front().rank.log2_mid());
+    back.push_back(result.checkpoints.back().rank.log2_mid());
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_GT(median(front), 40.0);
+  EXPECT_LT(median(back), median(front) - 20.0);
 }
 
 TEST_F(CampaignTest, FasterVictimClockFewerSamplesPerCycle) {

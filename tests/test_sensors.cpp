@@ -1,15 +1,20 @@
 // Tests for the sensor models: LeakyDSP (core), TDC and RO. Covers
 // functional identity computation, settle-time structure, voltage
-// sensitivity, calibration behaviour, and the relative granularity the
+// sensitivity, calibration behaviour (including the batched calibration
+// against a scalar-sampling reference), and the relative granularity the
 // paper reports (LeakyDSP's regression slope ~3x the TDC's).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/leaky_dsp.h"
 #include "fabric/bitstream_checker.h"
 #include "fabric/device.h"
+#include "fabric/primitives.h"
+#include "sensors/calibration.h"
 #include "sensors/ro_sensor.h"
 #include "sensors/tdc.h"
 #include "util/contracts.h"
@@ -290,4 +295,110 @@ TEST_F(LeakyDspTest, CalibrationUnderLoadStillYieldsSensitivity) {
   const double at_load = mean_readout(sensor_, loaded_v, rng_, 2000);
   const double deeper = mean_readout(sensor_, loaded_v - 5e-3, rng_, 2000);
   EXPECT_LT(deeper, at_load - 3.0);
+}
+
+// ----------------------------------------------------------- calibration
+
+TEST_F(LeakyDspTest, RecalibrationDoesNotDependOnPreviousCalibration) {
+  // The coarse sweep must not run at the fine phase the previous
+  // calibration left behind.
+  lu::Rng first_rng(31);
+  const auto first = sensor_.calibrate(1.0, first_rng, 256);
+  const int a = sensor_.a_taps(), clk = sensor_.clk_taps();
+  const int phase = sensor_.fine_phase();
+  lu::Rng second_rng(31);
+  const auto second = sensor_.calibrate(1.0, second_rng, 256);
+  EXPECT_EQ(second.chosen_setting, first.chosen_setting);
+  EXPECT_EQ(second.steepness, first.steepness);
+  EXPECT_EQ(second.idle_readout, first.idle_readout);
+  EXPECT_EQ(sensor_.a_taps(), a);
+  EXPECT_EQ(sensor_.clk_taps(), clk);
+  EXPECT_EQ(sensor_.fine_phase(), phase);
+}
+
+namespace {
+
+/// Reads a wrapped sensor through its scalar sample(): the base-class
+/// sample_batch loop, so the shared sweep fed with this adapter is the
+/// scalar reference of a sensor's batched calibration.
+class ScalarReader final : public lsens::VoltageSensor {
+ public:
+  explicit ScalarReader(lsens::VoltageSensor& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  lf::SiteCoord site() const override { return inner_.site(); }
+  std::size_t readout_bits() const override { return inner_.readout_bits(); }
+  double sample(double supply_v, lu::Rng& rng) override {
+    return inner_.sample(supply_v, rng);
+  }
+  lsens::CalibrationResult calibrate(double, lu::Rng&,
+                                     std::size_t) override {
+    ADD_FAILURE() << "the reference adapter is never calibrated itself";
+    return {};
+  }
+  std::unique_ptr<lsens::VoltageSensor> clone() const override {
+    ADD_FAILURE() << "the reference adapter is never cloned";
+    return nullptr;
+  }
+
+ private:
+  lsens::VoltageSensor& inner_;
+};
+
+/// LeakyDSP's two calibration stages, reading every sample through the
+/// sensor's scalar sample().
+lsens::CalibrationResult scalar_reference_calibration(
+    lcore::LeakyDspSensor& sensor, int taps, lu::Rng& rng, std::size_t n) {
+  ScalarReader reader(sensor);
+  sensor.set_fine_phase(0);
+  auto result = lsens::sweep_settings(
+      reader, 2 * taps - 1,
+      [&](int k) {
+        if (k < taps) {
+          sensor.set_taps(0, taps - 1 - k);
+        } else {
+          sensor.set_taps(k - taps + 1, 0);
+        }
+      },
+      1.0, n, rng);
+  int best_phase = 0;
+  double best_dist = std::numeric_limits<double>::max();
+  for (int phase = 0; phase <= 5; ++phase) {
+    sensor.set_fine_phase(phase);
+    const double m = lsens::mean_readout(reader, 1.0, n, rng);
+    if (std::abs(m - 0.85 * 48.0) < best_dist) {
+      best_dist = std::abs(m - 0.85 * 48.0);
+      best_phase = phase;
+      result.idle_readout = m;
+    }
+  }
+  sensor.set_fine_phase(best_phase);
+  return result;
+}
+
+}  // namespace
+
+TEST_F(LeakyDspTest, BatchedCalibrationMatchesScalarReference) {
+  // Over 50 seeds the batched calibration picks the same coarse setting
+  // and fine phase as the scalar reference, and its idle readout agrees
+  // within the 256-sample means' noise (per-seed spread ~0.07 bits).
+  const int taps = lf::idelay_taps(dev_.architecture()).tap_count;
+  double batched_sum = 0.0, scalar_sum = 0.0;
+  constexpr int kSeeds = 50;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    lcore::LeakyDspSensor batched(dev_, {16, 10});
+    lcore::LeakyDspSensor scalar(dev_, {16, 10});
+    lu::Rng batched_rng(seed);
+    lu::Rng scalar_rng(seed);
+    const auto b = batched.calibrate(1.0, batched_rng, 256);
+    const auto s = scalar_reference_calibration(scalar, taps, scalar_rng, 256);
+    ASSERT_TRUE(b.success) << "seed " << seed;
+    EXPECT_EQ(b.chosen_setting, s.chosen_setting) << "seed " << seed;
+    EXPECT_EQ(batched.a_taps(), scalar.a_taps()) << "seed " << seed;
+    EXPECT_EQ(batched.clk_taps(), scalar.clk_taps()) << "seed " << seed;
+    EXPECT_EQ(batched.fine_phase(), scalar.fine_phase()) << "seed " << seed;
+    EXPECT_NEAR(b.idle_readout, s.idle_readout, 0.4) << "seed " << seed;
+    batched_sum += b.idle_readout;
+    scalar_sum += s.idle_readout;
+  }
+  EXPECT_NEAR(batched_sum / kSeeds, scalar_sum / kSeeds, 0.06);
 }

@@ -4,8 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "core/leaky_dsp.h"
+#include "sensors/ppwm.h"
+#include "sensors/rds.h"
+#include "sensors/ro_sensor.h"
+#include "sensors/tdc.h"
+#include "sensors/viti.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
@@ -14,6 +21,7 @@
 
 namespace lsim = leakydsp::sim;
 namespace lcore = leakydsp::core;
+namespace lsens = leakydsp::sensors;
 namespace lf = leakydsp::fabric;
 namespace lp = leakydsp::pdn;
 namespace lv = leakydsp::victim;
@@ -75,6 +83,44 @@ TEST(SensorRig, SettleClearsDynamics) {
   lcore::LeakyDspSensor sensor2(scenario.device(), {36, 30});
   EXPECT_NEAR(ls::mean(idle), ls::mean(rig.collect_constant(300, {}, rng)),
               1.0);
+}
+
+TEST(SensorRig, CalibrationAdvancesCallerRngByOneDraw) {
+  // The sweep runs on a child stream seeded by one draw, so the caller's
+  // stream does not depend on which sensor calibrated or how.
+  const lsim::Basys3Scenario scenario;
+  const auto& dev = scenario.device();
+  const auto clb = scenario.fig3_clb_site();
+  std::vector<std::unique_ptr<lsens::VoltageSensor>> sensors;
+  sensors.push_back(
+      std::make_unique<lcore::LeakyDspSensor>(dev, scenario.fig3_dsp_site()));
+  sensors.push_back(std::make_unique<lsens::TdcSensor>(dev, clb));
+  sensors.push_back(std::make_unique<lsens::RdsSensor>(dev, clb));
+  sensors.push_back(std::make_unique<lsens::VitiSensor>(dev, clb));
+  sensors.push_back(std::make_unique<lsens::PpwmSensor>(dev, clb));
+  sensors.push_back(std::make_unique<lsens::RoSensor>(dev, clb));
+  for (auto& sensor : sensors) {
+    lsim::SensorRig rig(scenario.grid(), *sensor);
+    lu::Rng rng(8);
+    rng.gaussian();  // leave a cached Box–Muller variate in the state
+    lu::Rng expected = rng;
+    expected();
+    ASSERT_TRUE(rig.calibrate(rng).success) << sensor->name();
+    EXPECT_EQ(rng.serialize(), expected.serialize()) << sensor->name();
+  }
+}
+
+TEST(SensorRig, LeakyDspAndTdcRigsLeaveEqualRngStates) {
+  const lsim::Basys3Scenario scenario;
+  lcore::LeakyDspSensor leaky(scenario.device(), scenario.fig3_dsp_site());
+  lsens::TdcSensor tdc(scenario.device(), scenario.fig3_clb_site());
+  lsim::SensorRig leaky_rig(scenario.grid(), leaky);
+  lsim::SensorRig tdc_rig(scenario.grid(), tdc);
+  lu::Rng leaky_rng(9);
+  lu::Rng tdc_rng(9);
+  leaky_rig.calibrate(leaky_rng);
+  tdc_rig.calibrate(tdc_rng);
+  EXPECT_EQ(leaky_rng.serialize(), tdc_rng.serialize());
 }
 
 // ------------------------------------------------------------- scenarios
