@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
     }
     const auto start = std::chrono::steady_clock::now();
     attack::CampaignResult result;
-    if (resume &&
-        attack::TraceCampaign::checkpoint_exists(checkpoint_dir + "/" + label)) {
+    if (resume && attack::TraceCampaign::checkpoint_exists(
+                      checkpoint_dir + "/" + label, "")) {
       std::cout << "[" << label << "] resuming from checkpoint\n";
       result = campaign.resume();
     } else {

@@ -216,39 +216,6 @@ std::vector<sim::StoredTrace> TraceCampaign::record_block(
   return out;
 }
 
-void TraceCampaign::record(util::Rng& rng, std::size_t n,
-                           sim::TraceStoreWriter& writer) const {
-  LD_REQUIRE(n >= 1, "need at least one trace");
-  LD_REQUIRE(writer.samples_per_trace() == trace_samples_,
-             "writer expects " << writer.samples_per_trace()
-                               << " samples per trace, campaign produces "
-                               << trace_samples_);
-  util::ThreadPool pool(config_.threads);
-  RecordCursor cursor = start_record(rng);
-  // The service's record stream, driven in bounded waves of blocks: only
-  // one wave of plaintexts and shards is ever resident, and each drains
-  // into the writer in block order, so the file is byte-identical at every
-  // thread count.
-  const std::size_t block = config_.block_traces;
-  const std::size_t wave = record_wave_traces(pool.size());
-  while (cursor.produced < n) {
-    const std::size_t first = cursor.produced;
-    const std::vector<crypto::Block> plaintexts =
-        next_plaintexts(cursor, std::min(wave, n - first));
-    std::vector<std::vector<sim::StoredTrace>> shards(
-        (plaintexts.size() + block - 1) / block);
-    pool.parallel_for(shards.size(), [&](std::size_t w) {
-      const std::size_t lo = w * block;
-      const std::size_t hi = std::min(lo + block, plaintexts.size());
-      shards[w] = record_block(cursor.trace_parent, first + lo,
-                               {plaintexts.data() + lo, hi - lo});
-    });
-    for (const auto& shard : shards) {
-      for (const auto& rec : shard) writer.add(rec.ciphertext, rec.samples);
-    }
-  }
-}
-
 // ----------------------------------------------------------- checkpoints
 
 namespace {
@@ -313,10 +280,6 @@ std::size_t next_multiple(std::size_t t, std::size_t stride) {
 }
 
 }  // namespace
-
-bool TraceCampaign::checkpoint_exists(const std::string& dir) {
-  return checkpoint_exists(dir, "");
-}
 
 bool TraceCampaign::checkpoint_exists(const std::string& dir,
                                       const std::string& campaign_id) {
@@ -572,18 +535,21 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 
 // ---------------------------------------------------- resumable-task core
 
-/// One planned boundary step: the materialized plaintext slice plus one
-/// shard slot per trace block. run_block() fills slots independently;
+/// One planned boundary step (or record wave): the materialized plaintext
+/// slice plus one slot per trace block — a CPA shard for an attack, the
+/// block's traces for a recording. run_block() fills slots independently;
 /// finish_step folds them back in block order.
 struct TraceCampaign::StepPlan::Impl {
-  std::size_t base_t = 0;       ///< state.t when the step was planned
-  std::size_t next = 0;         ///< state.t after the step completes
+  std::size_t base_t = 0;       ///< traces done when the step was planned
+  std::size_t next = 0;         ///< traces done after the step completes
   std::size_t count = 0;        ///< traces in this step (next - base_t)
   std::size_t block = 0;        ///< config.block_traces at planning time
   bool stop_when_broken = true;
+  bool recording = false;       ///< slots are `records`, not `shards`
   util::Rng trace_parent;       ///< per-trace fork parent (snapshot)
   std::vector<crypto::Block> plaintexts;
   std::vector<std::unique_ptr<BlockShard>> shards;
+  std::vector<std::vector<sim::StoredTrace>> records;
 };
 
 TraceCampaign::StepPlan::StepPlan() = default;
@@ -595,21 +561,20 @@ TraceCampaign::StepPlan& TraceCampaign::StepPlan::operator=(
 TraceCampaign::StepPlan::~StepPlan() = default;
 
 std::size_t TraceCampaign::StepPlan::block_count() const {
-  return impl_ ? impl_->shards.size() : 0;
+  return impl_ ? (impl_->count + impl_->block - 1) / impl_->block : 0;
 }
 
 TraceCampaign::Task::Task(std::unique_ptr<RunState> state)
     : state_(std::move(state)) {}
+TraceCampaign::Task::Task(std::unique_ptr<Recording> recording)
+    : recording_(std::move(recording)) {}
 TraceCampaign::Task::Task(Task&&) noexcept = default;
 TraceCampaign::Task& TraceCampaign::Task::operator=(Task&&) noexcept = default;
 TraceCampaign::Task::~Task() = default;
 
 std::size_t TraceCampaign::Task::traces_done() const {
+  if (recording_) return recording_->written;
   return state_ ? state_->t : 0;
-}
-
-bool TraceCampaign::Task::completed() const {
-  return state_ != nullptr && state_->completed;
 }
 
 TraceCampaign::Task TraceCampaign::start(util::Rng& rng) const {
@@ -619,6 +584,22 @@ TraceCampaign::Task TraceCampaign::start(util::Rng& rng) const {
   // readouts depend only on the seed and t — never on which worker ran it.
   state->trace_parent = rng;
   return Task(std::move(state));
+}
+
+TraceCampaign::Task TraceCampaign::start_recording(
+    util::Rng& rng, std::size_t n, sim::TraceStoreWriter& writer,
+    std::size_t pool_size) const {
+  LD_REQUIRE(n >= 1, "need at least one trace");
+  LD_REQUIRE(writer.samples_per_trace() == trace_samples_,
+             "writer expects " << writer.samples_per_trace()
+                               << " samples per trace, campaign produces "
+                               << trace_samples_);
+  auto recording = std::make_unique<Recording>();
+  recording->cursor = start_record(rng);
+  recording->writer = &writer;
+  recording->total = n;
+  recording->wave = record_wave_traces(pool_size);
+  return Task(std::move(recording));
 }
 
 TraceCampaign::Task TraceCampaign::load_task() const {
@@ -634,59 +615,94 @@ TraceCampaign::Task TraceCampaign::load_task() const {
 
 TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
                                                  bool stop_when_broken) const {
-  LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
-  RunState& state = *task.state_;
-  if (state.completed || state.stopped || state.t >= config_.max_traces) {
-    return StepPlan();
-  }
-  // Advance to the next checkpoint boundary: break checks while the key
-  // is still unbroken, rank checkpoints always.
-  std::size_t next = config_.max_traces;
-  if (!state.result.broken) {
-    next = std::min(next, next_multiple(state.t, config_.break_check_stride));
-  }
-  next = std::min(next, next_multiple(state.t, config_.rank_stride));
-
   auto impl = std::make_unique<StepPlan::Impl>();
-  impl->base_t = state.t;
-  impl->next = next;
-  impl->count = next - state.t;
   impl->block = config_.block_traces;
   impl->stop_when_broken = stop_when_broken;
-  impl->trace_parent = state.trace_parent;
-  // The paper chains plaintexts (p[t+1] = ciphertext of trace t); the
-  // chain is pure AES, so materialize it before any PDN work and hand
-  // each worker block its slice. This advances the state's cursor — the
-  // step is committed to run once planned.
-  impl->plaintexts = plaintext_chain(state.plaintext, impl->count);
-  impl->shards.resize((impl->count + impl->block - 1) / impl->block);
+  if (task.recording_) {
+    // One wave of the record stream: only one wave of plaintexts and
+    // traces is ever resident, whatever the recording's length.
+    Recording& rec = *task.recording_;
+    if (rec.cursor.produced >= rec.total) return StepPlan();
+    impl->recording = true;
+    impl->base_t = rec.cursor.produced;
+    impl->count = std::min(rec.wave, rec.total - impl->base_t);
+    impl->trace_parent = rec.cursor.trace_parent;
+    impl->plaintexts = next_plaintexts(rec.cursor, impl->count);
+  } else {
+    LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
+    RunState& state = *task.state_;
+    if (state.completed || state.stopped || state.t >= config_.max_traces) {
+      return StepPlan();
+    }
+    // Advance to the next checkpoint boundary: break checks while the key
+    // is still unbroken, rank checkpoints always.
+    std::size_t next = config_.max_traces;
+    if (!state.result.broken) {
+      next = std::min(next, next_multiple(state.t, config_.break_check_stride));
+    }
+    next = std::min(next, next_multiple(state.t, config_.rank_stride));
+    impl->base_t = state.t;
+    impl->count = next - state.t;
+    impl->trace_parent = state.trace_parent;
+    // The paper chains plaintexts (p[t+1] = ciphertext of trace t); the
+    // chain is pure AES, so materialize it before any PDN work and hand
+    // each worker block its slice. This advances the state's cursor — the
+    // step is committed to run once planned.
+    impl->plaintexts = plaintext_chain(state.plaintext, impl->count);
+  }
+  impl->next = impl->base_t + impl->count;
+  const std::size_t blocks = (impl->count + impl->block - 1) / impl->block;
+  if (impl->recording) {
+    impl->records.resize(blocks);
+  } else {
+    impl->shards.resize(blocks);
+  }
   return StepPlan(std::move(impl));
 }
 
 void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(plan.impl_ != nullptr, "run_block on an empty plan");
   StepPlan::Impl& impl = *plan.impl_;
-  LD_REQUIRE(block < impl.shards.size(),
-             "block " << block << " out of range (" << impl.shards.size()
+  LD_REQUIRE(block < plan.block_count(),
+             "block " << block << " out of range (" << plan.block_count()
                       << " blocks)");
   const std::size_t lo = block * impl.block;
   const std::size_t hi = std::min(lo + impl.block, impl.count);
+  const std::span<const crypto::Block> plaintexts{impl.plaintexts.data() + lo,
+                                                  hi - lo};
+  if (impl.recording) {
+    impl.records[block] =
+        record_block(impl.trace_parent, impl.base_t + lo, plaintexts);
+    return;
+  }
   auto shard = std::make_unique<BlockShard>(poi_count_);
-  process_block(impl.base_t + lo + 1,
-                {impl.plaintexts.data() + lo, hi - lo}, impl.trace_parent,
+  process_block(impl.base_t + lo + 1, plaintexts, impl.trace_parent,
                 shard->cpa, shard->poi_sum);
   impl.shards[block] = std::move(shard);
 }
 
 bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
-  LD_REQUIRE(task.state_ != nullptr, "finish_step on an empty task");
+  LD_REQUIRE(task.state_ != nullptr || task.recording_ != nullptr,
+             "finish_step on an empty task");
   LD_REQUIRE(step.impl_ != nullptr, "finish_step on an empty plan");
   const StepPlan consumed = std::move(step);
   const StepPlan::Impl& plan = *consumed.impl_;
+  LD_REQUIRE(plan.base_t == task.traces_done() &&
+                 plan.recording == (task.recording_ != nullptr),
+             "finish_step on a plan of another step: plan at trace "
+                 << plan.base_t << ", task at " << task.traces_done());
+  if (task.recording_) {
+    // Append the wave in trace order: the file depends only on the seed,
+    // never on the wave size or on which threads filled the blocks.
+    Recording& rec = *task.recording_;
+    for (const auto& traces : plan.records) {
+      LD_REQUIRE(!traces.empty(), "finish_step before every block ran");
+      for (const auto& t : traces) rec.writer->add(t.ciphertext, t.samples);
+    }
+    rec.written = plan.next;
+    return rec.written < rec.total;
+  }
   RunState& state = *task.state_;
-  LD_REQUIRE(plan.base_t == state.t,
-             "finish_step out of order: plan at trace "
-                 << plan.base_t << ", task at " << state.t);
   // Merge in block order: the reduction tree is fixed by the block size,
   // not by the schedule, so any thread count gives identical sums.
   for (const auto& shard : plan.shards) {
@@ -739,6 +755,9 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
 }
 
 void TraceCampaign::suspend(const Task& task) const {
+  LD_REQUIRE(task.recording_ == nullptr,
+             "a recording task cannot be suspended (its trace file only "
+             "commits at the footer)");
   LD_REQUIRE(task.state_ != nullptr, "suspend on an empty task");
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "suspend() requires config.checkpoint_dir");
@@ -746,8 +765,9 @@ void TraceCampaign::suspend(const Task& task) const {
 }
 
 CampaignResult TraceCampaign::take_result(Task&& task) const {
-  LD_REQUIRE(task.state_ != nullptr, "take_result on an empty task");
   Task consumed = std::move(task);
+  if (consumed.recording_) return {};  // the traces went to the writer
+  LD_REQUIRE(consumed.state_ != nullptr, "take_result on an empty task");
   RunState& state = *consumed.state_;
   if (!state.completed) {
     state.result.mean_poi_readout =
@@ -790,18 +810,29 @@ std::size_t TraceCampaign::approx_task_bytes() const {
 // --------------------------------------------------------------- running
 
 CampaignResult TraceCampaign::run(util::Rng& rng, bool stop_when_broken) {
-  return drive(start(rng), stop_when_broken);
+  util::ThreadPool pool(config_.threads);
+  return drive(pool, start(rng), stop_when_broken);
 }
 
 CampaignResult TraceCampaign::resume(bool stop_when_broken) {
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "resume() requires config.checkpoint_dir");
-  return drive(load_task(), stop_when_broken);
+  util::ThreadPool pool(config_.threads);
+  return drive(pool, load_task(), stop_when_broken);
 }
 
-CampaignResult TraceCampaign::drive(Task task, bool stop_when_broken) const {
-  const bool checkpointing = !config_.checkpoint_dir.empty();
+void TraceCampaign::record(util::Rng& rng, std::size_t n,
+                           sim::TraceStoreWriter& writer) const {
   util::ThreadPool pool(config_.threads);
+  drive(pool, start_recording(rng, n, writer, pool.size()),
+        /*stop_when_broken=*/false);
+}
+
+CampaignResult TraceCampaign::drive(util::ThreadPool& pool, Task task,
+                                    bool stop_when_broken) const {
+  // A recording is never suspended: its file only commits at the footer.
+  const bool checkpointing =
+      !config_.checkpoint_dir.empty() && task.recording_ == nullptr;
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop started",
           obs::f("from_trace", task.traces_done()),
           obs::f("max_traces", config_.max_traces),

@@ -6,10 +6,10 @@
 // sample clock, online CPA over a points-of-interest window, and key-rank
 // checkpoints. Its batched pipeline (sample_trace) generates every AES
 // trace in the stack — run(), resume(), record(), the campaign service and
-// generate_trace — and run()/resume() drive the same Task API the service
-// schedules. sim::SensorRig's per-sample API is the scalar reference: a
-// consistency test holds the two paths' mean traces within 4 standard
-// errors of each other.
+// generate_trace — and run(), resume() and record() drive the same Task API
+// the service schedules. sim::SensorRig's per-sample API is the scalar
+// reference: a consistency test holds the two paths' mean traces within 4
+// standard errors of each other.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "util/aligned.h"
 #include "util/contracts.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 #include "attack/key_rank.h"
 #include "crypto/aes128.h"
@@ -117,7 +118,8 @@ struct CampaignResult {
 /// spanning the victim cycle in which round 10 registers, plus one victim
 /// cycle of droop-filter ringing after it.
 class TraceCampaign {
-  struct RunState;  // mid-campaign state; defined in the private section
+  struct RunState;   // mid-campaign state; defined in the private section
+  struct Recording;  // recording-task state; likewise
 
  public:
   /// Extra tenants drawing current during the campaign (active fences,
@@ -164,58 +166,54 @@ class TraceCampaign {
   /// a missing, corrupt, or incompatible checkpoint.
   CampaignResult resume(bool stop_when_broken = true);
 
-  /// True when `dir` holds a campaign checkpoint file written by run()
-  /// under the legacy (id-less) name. Throws CheckpointError when the
-  /// filesystem cannot answer (EACCES, ELOOP, I/O error, ...) — "no
-  /// checkpoint yet" and "cannot tell" are different answers, and
-  /// conflating them silently restarts campaigns from scratch. A stray
-  /// uncommitted "<name>.tmp" next to a missing checkpoint is removed (it
-  /// is crash garbage by definition: a committed checkpoint is always the
-  /// renamed file).
-  static bool checkpoint_exists(const std::string& dir);
-
-  /// As above for the checkpoint keyed on `campaign_id` (see
-  /// CampaignConfig::campaign_id; "" checks the legacy name).
+  /// True when `dir` holds the campaign checkpoint file written by run()
+  /// for `campaign_id` (see CampaignConfig::campaign_id; "" checks the
+  /// legacy id-less name). Throws CheckpointError when the filesystem
+  /// cannot answer (EACCES, ELOOP, I/O error, ...) — "no checkpoint yet"
+  /// and "cannot tell" are different answers, and conflating them silently
+  /// restarts campaigns from trace 0. A stray uncommitted "<name>.tmp" next
+  /// to a missing checkpoint is removed (it is crash garbage by definition:
+  /// a committed checkpoint is always the renamed file).
   static bool checkpoint_exists(const std::string& dir,
                                 const std::string& campaign_id);
 
   // ---------------------------------------------------------------------
-  // Resumable-task interface. run()/resume() drive exactly this API:
-  // a Task is the mid-campaign state between two checkpoint boundaries, a
-  // StepPlan is one boundary-to-boundary step expanded into independently
+  // Resumable-task interface. run(), resume() and record() drive exactly
+  // this API: a Task is the state between two checkpoint boundaries (or
+  // two record waves), a StepPlan is one step expanded into independently
   // runnable trace blocks. The campaign service schedules thousands of
   // Tasks over one shared thread pool at block granularity; because every
-  // block draws from per-trace RNG forks and finish_step merges shards in
-  // block order, the final CampaignResult is byte-identical to run()'s no
-  // matter which threads ran which blocks, how steps interleaved with
-  // other campaigns, or how often the task was suspended and rehydrated.
+  // block draws from per-trace RNG forks and finish_step folds blocks in
+  // block order, the final CampaignResult (or trace file) is byte-identical
+  // to the standalone call's no matter which threads ran which blocks, how
+  // steps interleaved, or how often the task was suspended and rehydrated.
   // ---------------------------------------------------------------------
 
-  /// Opaque mid-campaign state (move-only). Produced by start() or
-  /// load_task(), advanced by plan_step/run_block/finish_step, persisted
-  /// by suspend(), consumed by take_result().
+  /// Opaque mid-campaign state (move-only). Produced by start(),
+  /// start_recording() or load_task(), advanced by plan_step/run_block/
+  /// finish_step, persisted by suspend(), consumed by take_result().
   class Task {
    public:
     Task(Task&&) noexcept;
     Task& operator=(Task&&) noexcept;
     ~Task();
 
-    /// Traces accumulated so far (checkpoint-boundary granularity).
+    /// Traces accumulated (or recorded) so far, at step granularity.
     std::size_t traces_done() const;
-    /// True for a task loaded from a completed checkpoint: plan_step()
-    /// plans nothing more and take_result() returns the stored result.
-    bool completed() const;
 
    private:
     friend class TraceCampaign;
     explicit Task(std::unique_ptr<RunState> state);
-    std::unique_ptr<RunState> state_;
+    explicit Task(std::unique_ptr<Recording> recording);
+    std::unique_ptr<RunState> state_;       ///< attack tasks
+    std::unique_ptr<Recording> recording_;  ///< recording tasks
   };
 
-  /// One planned checkpoint-boundary step: the materialized plaintext
-  /// slice plus one CPA shard per trace block. Blocks are independent —
-  /// any thread may execute any subset concurrently via run_block() —
-  /// and finish_step() folds them back into the Task in block order.
+  /// One planned checkpoint-boundary step (or record wave): the
+  /// materialized plaintext slice plus one CPA shard (or trace batch) per
+  /// trace block. Blocks are independent — any thread may execute any
+  /// subset concurrently via run_block() — and finish_step() folds them
+  /// back into the Task in block order.
   class StepPlan {
    public:
     StepPlan(StepPlan&&) noexcept;
@@ -239,16 +237,27 @@ class TraceCampaign {
   /// initial plaintext and snapshots `rng` as the per-trace fork parent.
   Task start(util::Rng& rng) const;
 
+  /// A recording task: `n` chained-plaintext traces of the start_record(rng)
+  /// stream, one wave of record_wave_traces(pool_size) per step (blocks
+  /// via record_block), appended to `writer` in trace order by finish_step.
+  /// `writer` must outlive the task; its footer stays with the caller. It
+  /// cannot be suspended, and take_result returns an empty CampaignResult
+  /// without writing a checkpoint.
+  Task start_recording(util::Rng& rng, std::size_t n,
+                       sim::TraceStoreWriter& writer,
+                       std::size_t pool_size) const;
+
   /// Rehydrates a Task from the durable checkpoint in
   /// config.checkpoint_dir (keyed on config.campaign_id). The campaign
   /// must be rebuilt exactly as for the original run — same contract as
   /// resume(). Throws CheckpointError on a missing, corrupt, or
-  /// incompatible checkpoint.
+  /// incompatible checkpoint. A task loaded from a completed checkpoint
+  /// plans no step, and take_result() returns the stored result.
   Task load_task() const;
 
-  /// Plans the next boundary step. Empty when the task is done. Mutates
-  /// the task's plaintext cursor, so call it from one thread at a time
-  /// per task (block execution itself is free to fan out).
+  /// Plans the next boundary step (a recording's next wave). Empty when
+  /// the task is done. Mutates the task's plaintext cursor, so call it from
+  /// one thread at a time per task (block execution is free to fan out).
   StepPlan plan_step(Task& task, bool stop_when_broken = true) const;
 
   /// Runs one block of a planned step into its private shard. Thread-safe
@@ -262,7 +271,8 @@ class TraceCampaign {
 
   /// Durably persists the task as this campaign's checkpoint — the
   /// suspension record the service's eviction path writes before dropping
-  /// a resident campaign. Requires config.checkpoint_dir.
+  /// a resident campaign. Requires config.checkpoint_dir; throws
+  /// util::PreconditionError for a recording task.
   void suspend(const Task& task) const;
 
   /// Finalizes the task into its CampaignResult (and, when checkpointing
@@ -290,17 +300,16 @@ class TraceCampaign {
                                      util::Rng& rng);
 
   /// Records `n` full chained-plaintext traces straight into a v2 writer
-  /// (trace order), under the same per-trace fork discipline and block
-  /// schedule as run(). Drives the start_record / next_plaintexts /
-  /// record_block stream below in bounded waves of blocks, parallel over
-  /// config.threads, so memory stays O(threads x block) instead of O(n)
-  /// and the file is byte-identical for every thread count.
+  /// (trace order): start_recording() run by run()'s own step loop over
+  /// config.threads. Memory stays O(threads x block) instead of O(n), the
+  /// file is byte-identical for every thread count, and no checkpoint is
+  /// written even when config.checkpoint_dir is set.
   void record(util::Rng& rng, std::size_t n,
               sim::TraceStoreWriter& writer) const;
 
   /// Traces per record wave on a pool of `pool_size` threads: 4 blocks of
-  /// config.block_traces per thread. record() and the campaign service's
-  /// record jobs both size their waves with this.
+  /// config.block_traces per thread. start_recording() sizes its steps
+  /// with this, so record() and the service's record jobs share it.
   std::size_t record_wave_traces(std::size_t pool_size) const {
     return std::max<std::size_t>(pool_size, 1) * 4 * config_.block_traces;
   }
@@ -309,9 +318,9 @@ class TraceCampaign {
   /// TraceStoreWriter consuming this campaign's traces must be built with.
   std::size_t trace_samples() const { return trace_samples_; }
 
-  /// Cursor of a resumable record() stream: the per-trace fork parent and
-  /// the chained-plaintext position. The campaign service advances one of
-  /// these wave by wave to stream v2 trace output with bounded memory.
+  /// Cursor of a record stream: the per-trace fork parent and the
+  /// chained-plaintext position. A recording task advances one of these
+  /// wave by wave to stream v2 trace output with bounded memory.
   struct RecordCursor {
     util::Rng trace_parent;
     crypto::Block plaintext{};
@@ -319,9 +328,10 @@ class TraceCampaign {
   };
 
   /// Starts a record stream: seeds the plaintext chain from `rng` and
-  /// snapshots it as the fork parent. record() drives this same stream, so
-  /// any caller of next_plaintexts()/record_block() that writes traces in
-  /// order yields files byte-identical to record() for the same rng state.
+  /// snapshots it as the fork parent. A recording task runs this same
+  /// stream, so any caller of next_plaintexts()/record_block() that writes
+  /// traces in order yields files byte-identical to record() for the same
+  /// rng state.
   RecordCursor start_record(util::Rng& rng) const;
 
   /// Materializes the next `n` chained plaintexts of the stream.
@@ -331,7 +341,7 @@ class TraceCampaign {
   /// Generates the traces of `plaintexts` (global trace indices
   /// [first_trace, first_trace + size), 0-based) under record()'s fork
   /// discipline: trace i draws from trace_parent.fork(i + 1). Thread-safe
-  /// across blocks — this is the unit the service schedules.
+  /// across blocks — a recording task's run_block is this call.
   std::vector<sim::StoredTrace> record_block(
       const util::Rng& trace_parent, std::size_t first_trace,
       std::span<const crypto::Block> plaintexts) const;
@@ -354,13 +364,23 @@ class TraceCampaign {
     CampaignResult result;
   };
 
+  /// A recording task's state: the record stream and its sink.
+  struct Recording {
+    RecordCursor cursor;
+    sim::TraceStoreWriter* writer = nullptr;
+    std::size_t total = 0;    ///< traces to record
+    std::size_t wave = 0;     ///< traces per step
+    std::size_t written = 0;  ///< traces appended to the writer
+  };
+
   void write_checkpoint(const RunState& state) const;
   RunState load_checkpoint() const;
 
-  /// The one campaign driver behind run() and resume(): plan_step ->
-  /// run_block over a ThreadPool -> finish_step -> suspend when
-  /// checkpointing, until the task is done; then take_result.
-  CampaignResult drive(Task task, bool stop_when_broken) const;
+  /// The one campaign loop behind run(), resume() and record():
+  /// plan_step -> run_block over `pool` -> finish_step -> suspend when
+  /// checkpointing an attack, until the task is done; then take_result.
+  CampaignResult drive(util::ThreadPool& pool, Task task,
+                       bool stop_when_broken) const;
 
   double interference_droop(double t_ns, util::Rng& rng,
                             std::vector<pdn::CurrentInjection>& scratch) const;

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <filesystem>
 #include <mutex>
 #include <sstream>
 
@@ -35,7 +36,7 @@ std::uint64_t now_ns() {
 /// One schedulable unit: a block index of some resident campaign's current
 /// plan (attack step or record wave). The pointer stays valid until the
 /// plan's last block completes — residents are only released from
-/// complete-step/complete-wave, which runs after the final block.
+/// complete_step, which runs after the final block.
 struct Resident;
 struct BlockItem {
   Resident* resident = nullptr;
@@ -46,6 +47,7 @@ struct BlockItem {
 struct Resident {
   std::size_t job_index = 0;
   std::unique_ptr<CampaignWorld> world;
+  std::unique_ptr<sim::TraceStoreWriter> writer;  ///< record jobs' sink
   std::optional<attack::TraceCampaign::Task> task;
   std::optional<attack::TraceCampaign::StepPlan> plan;
   std::atomic<std::size_t> blocks_left{0};
@@ -54,15 +56,6 @@ struct Resident {
   std::size_t last_step_seq = 0;  ///< global step seq of this campaign's
                                   ///< previous completion (0 = none yet)
   std::size_t task_bytes = 0;     ///< admission charge against the budget
-
-  // Record-job state (is_record only).
-  bool is_record = false;
-  std::unique_ptr<sim::TraceStoreWriter> writer;
-  attack::TraceCampaign::RecordCursor cursor;
-  std::vector<crypto::Block> wave_plaintexts;
-  std::vector<std::vector<sim::StoredTrace>> wave_shards;
-  std::size_t wave_first_trace = 0;
-  std::size_t record_done = 0;
 };
 
 /// A job's queue entry: the spec plus whether a durable checkpoint already
@@ -174,8 +167,8 @@ struct CampaignService::Impl {
 #endif
   }
 
-  /// Deals the blocks of `resident`'s current plan (or wave) across the
-  /// worker deques round-robin. Caller holds `mutex`.
+  /// Deals the blocks of `resident`'s current plan across the worker
+  /// deques round-robin. Caller holds `mutex`.
   void push_blocks_locked(Resident& resident, std::size_t count) {
     resident.blocks_left.store(count, std::memory_order_release);
     for (std::size_t b = 0; b < count; ++b) {
@@ -242,7 +235,6 @@ struct CampaignService::Impl {
     const CampaignJob& job = jobs[job_index].job;
     auto resident = std::make_unique<Resident>();
     resident->job_index = job_index;
-    resident->is_record = job.record.has_value();
     std::size_t traces_total = 0;
     try {
       resident->world = job.make();
@@ -250,8 +242,8 @@ struct CampaignService::Impl {
                  "campaign job '" << job.id << "' factory returned null");
       const attack::TraceCampaign& campaign = resident->world->campaign();
       resident->task_bytes = campaign.approx_task_bytes();
-      traces_total = resident->is_record ? job.record->traces
-                                         : campaign.config().max_traces;
+      traces_total =
+          job.record ? job.record->traces : campaign.config().max_traces;
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex);
       --hydrating;  // the slot is free again; the drain is aborting
@@ -293,14 +285,11 @@ struct CampaignService::Impl {
     }
 
     attack::TraceCampaign& campaign = ref.world->campaign();
-    if (ref.is_record) {
-      const RecordJobSpec& spec = *job.record;
-      LD_REQUIRE(spec.traces >= 1, "record job '" << job.id << "' needs traces");
-      LD_REQUIRE(!spec.out_path.empty(),
-                 "record job '" << job.id << "' needs an out path");
+    if (job.record) {
       ref.writer = std::make_unique<sim::TraceStoreWriter>(
-          spec.out_path, campaign.trace_samples());
-      ref.cursor = campaign.start_record(ref.world->rng());
+          job.record->out_path, campaign.trace_samples());
+      ref.task.emplace(campaign.start_recording(
+          ref.world->rng(), job.record->traces, *ref.writer, pool_size));
     } else if (rehydrating || job.resume) {
       ref.task.emplace(campaign.load_task());
     } else {
@@ -310,87 +299,43 @@ struct CampaignService::Impl {
     return true;
   }
 
-  /// Traces the resident has done so far (attack task or record stream).
-  static std::size_t traces_done(const Resident& resident) {
-    return resident.is_record ? resident.record_done
-                              : resident.task->traces_done();
-  }
-
-  /// Plans the resident's next step (or record wave) unlocked and deals its
-  /// blocks; finishes the campaign when no work remains.
+  /// Plans the resident's next step unlocked and deals its blocks;
+  /// finishes the campaign when no work remains.
   void plan_next(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
-    attack::TraceCampaign& campaign = resident.world->campaign();
-
-    std::size_t blocks = 0;
-    if (resident.is_record) {
-      const RecordJobSpec& spec = *job.record;
-      const std::size_t remaining = spec.traces - resident.record_done;
-      if (remaining == 0) {
-        finish_record(resident);
-        return;
-      }
-      // record()'s wave schedule.
-      const std::size_t block = campaign.config().block_traces;
-      const std::size_t count =
-          std::min(remaining, campaign.record_wave_traces(pool_size));
-      resident.wave_first_trace = resident.record_done;
-      resident.wave_plaintexts = campaign.next_plaintexts(resident.cursor, count);
-      resident.wave_shards.assign((count + block - 1) / block, {});
-      blocks = resident.wave_shards.size();
-    } else {
-      if (resident.task->completed()) {
-        // A rehydrated checkpoint of an already-finished campaign.
-        finish_campaign(resident);
-        return;
-      }
-      resident.plan.emplace(
-          campaign.plan_step(*resident.task, job.stop_when_broken));
-      if (resident.plan->empty()) {
-        finish_campaign(resident);
-        return;
-      }
-      blocks = resident.plan->block_count();
+    resident.plan.emplace(resident.world->campaign().plan_step(
+        *resident.task, job.stop_when_broken));
+    // Empty once the task is done — or when it was rehydrated from the
+    // checkpoint of an already-finished campaign.
+    if (resident.plan->empty()) {
+      finish_campaign(resident);
+      return;
     }
-    const std::size_t done = traces_done(resident);
+    const std::size_t done = resident.task->traces_done();
     std::lock_guard<std::mutex> lock(mutex);
     job_traces[resident.job_index].first = done;
-    push_blocks_locked(resident, blocks);
+    push_blocks_locked(resident, resident.plan->block_count());
   }
 
-  /// Takes the final result unlocked and retires the resident.
+  /// Takes the final result (and commits a record job's file footer)
+  /// unlocked and retires the resident.
   void finish_campaign(Resident& resident) {
+    const std::size_t done = resident.task->traces_done();
     attack::CampaignResult result =
         resident.world->campaign().take_result(std::move(*resident.task));
+    if (resident.writer) resident.writer->finish();
     teardown(resident);
     {
       std::lock_guard<std::mutex> lock(mutex);
       CampaignOutcome& outcome = outcomes[resident.job_index];
       outcome.result = std::move(result);
+      if (jobs[resident.job_index].job.record) outcome.traces_recorded = done;
       job_states[resident.job_index] = CampaignState::kFinished;
       ++stats.campaigns_completed;
       OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign finished",
-              obs::f("campaign", outcome.id),
-              obs::f("traces", outcome.result.traces_run),
+              obs::f("campaign", outcome.id), obs::f("traces", done),
               obs::f("broken", outcome.result.broken),
               obs::f("evictions", outcome.evictions));
-      release_locked(resident, /*finished_job=*/true);
-    }
-    after_release();
-  }
-
-  /// Commits the record job's file footer unlocked and retires it.
-  void finish_record(Resident& resident) {
-    resident.writer->finish();
-    teardown(resident);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      outcomes[resident.job_index].traces_recorded = resident.record_done;
-      job_states[resident.job_index] = CampaignState::kFinished;
-      ++stats.campaigns_completed;
-      OBS_LOG(obs::LogLevel::kDebug, "serve", "record job finished",
-              obs::f("campaign", jobs[resident.job_index].job.id),
-              obs::f("traces", resident.record_done));
       release_locked(resident, /*finished_job=*/true);
     }
     after_release();
@@ -463,27 +408,10 @@ struct CampaignService::Impl {
   /// decides what happens next: another step, eviction, or completion.
   void complete_step(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
-    (void)job;  // only feeds metrics, which may compile away
-
-    bool more = true;
-    if (resident.is_record) {
-      // Drain the wave into the writer in trace order — the file is byte-
-      // identical to record(writer) because the fork discipline is
-      // per-trace and the drain order is the trace order.
-      for (auto& shard : resident.wave_shards) {
-        for (auto& rec : shard) {
-          resident.writer->add(rec.ciphertext, rec.samples);
-        }
-        resident.record_done += shard.size();
-      }
-      resident.wave_shards.clear();
-      resident.wave_plaintexts.clear();
-    } else {
-      more = resident.world->campaign().finish_step(*resident.task,
-                                                    std::move(*resident.plan));
-      resident.plan.reset();
-    }
-    const std::size_t done = traces_done(resident);
+    const bool more = resident.world->campaign().finish_step(
+        *resident.task, std::move(*resident.plan));
+    resident.plan.reset();
+    const std::size_t done = resident.task->traces_done();
 
     bool evict_now = false;
     {
@@ -508,7 +436,7 @@ struct CampaignService::Impl {
       // suspended into the durable keyed checkpoint and the job re-enters
       // the FIFO. Record jobs never evict (their writer only commits at
       // the footer).
-      evict_now = more && !resident.is_record && !pending.empty() &&
+      evict_now = more && !job.record && !pending.empty() &&
                   resident.steps_this_turn >= config.quantum_steps;
     }
 
@@ -526,18 +454,7 @@ struct CampaignService::Impl {
     resident.worker_mask.fetch_or(
         std::uint64_t{1} << std::min<std::size_t>(worker, 63),
         std::memory_order_relaxed);
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    if (resident.is_record) {
-      const std::size_t block = campaign.config().block_traces;
-      const std::size_t lo = item.block * block;
-      const std::size_t hi =
-          std::min(lo + block, resident.wave_plaintexts.size());
-      resident.wave_shards[item.block] = campaign.record_block(
-          resident.cursor.trace_parent, resident.wave_first_trace + lo,
-          {resident.wave_plaintexts.data() + lo, hi - lo});
-    } else {
-      campaign.run_block(*resident.plan, item.block);
-    }
+    resident.world->campaign().run_block(*resident.plan, item.block);
     OBS_COUNT("serve.blocks", 1);
     stats_blocks_run.fetch_add(1, std::memory_order_relaxed);
     last_progress_ns.store(now_ns(), std::memory_order_relaxed);
@@ -602,9 +519,24 @@ void CampaignService::enqueue(CampaignJob job) {
   LD_REQUIRE(!impl_->drained, "service already drained");
   LD_REQUIRE(!job.id.empty(), "campaign job needs an id");
   LD_REQUIRE(job.make != nullptr, "campaign job needs a factory");
+  if (job.record) {
+    LD_REQUIRE(job.record->traces >= 1,
+               "record job '" << job.id << "' needs traces");
+    LD_REQUIRE(!job.record->out_path.empty(),
+               "record job '" << job.id << "' needs an out path");
+  }
   for (const QueuedJob& queued : impl_->jobs) {
     LD_REQUIRE(queued.job.id != job.id,
                "duplicate campaign job id '" << job.id << "'");
+    // Two writers truncating one file would each report a full recording.
+    LD_REQUIRE(!job.record || !queued.job.record ||
+                   std::filesystem::path(queued.job.record->out_path)
+                           .lexically_normal() !=
+                       std::filesystem::path(job.record->out_path)
+                           .lexically_normal(),
+               "record job '" << job.id << "' writes '"
+                              << job.record->out_path << "', as job '"
+                              << queued.job.id << "' does");
   }
   CampaignOutcome outcome;
   outcome.id = job.id;

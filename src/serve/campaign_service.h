@@ -69,13 +69,15 @@ class CampaignWorld {
 
 /// Streaming trace-recording variant of a job: instead of driving the CPA
 /// loop, the campaign records `traces` chained-plaintext traces into a v2
-/// trace file at `out_path`, wave by wave through the service scheduler on
-/// record()'s schedule (blocks of CampaignConfig::block_traces, waves of
-/// TraceCampaign::record_wave_traces; bounded memory: one wave of block
-/// shards at a time, drained into the writer in trace order). The file is
-/// byte-identical to TraceCampaign::record(writer) for the same world and
-/// seed. Record jobs are not evictable — a v2 file only commits at its
-/// footer — so they run to completion once admitted.
+/// trace file at `out_path`. The job's Task comes from
+/// TraceCampaign::start_recording and runs the same plan_step / run_block
+/// / finish_step path as an attack, one wave of blocks per step (bounded
+/// memory: one wave at a time, appended to the writer in trace order).
+/// The file is byte-identical to TraceCampaign::record(writer) for the
+/// same world and seed. Record jobs are not evictable — a v2 file only
+/// commits at its footer — so they run to completion once admitted.
+/// enqueue() rejects `traces == 0`, an empty `out_path`, and an
+/// `out_path` another queued record job already writes.
 struct RecordJobSpec {
   std::size_t traces = 0;
   std::string out_path;

@@ -318,7 +318,7 @@ Property<CampaignCase> campaign_resume_property() {
     } catch (const KillSignal&) {
       killed = true;
     }
-    if (killed && !attack::TraceCampaign::checkpoint_exists(dir.path())) {
+    if (killed && !attack::TraceCampaign::checkpoint_exists(dir.path(), "")) {
       // Killed before the first checkpoint boundary: nothing durable yet,
       // resume() must raise the typed error.
       try {

@@ -140,7 +140,7 @@ TEST_F(CheckpointResumeTest, KilledCampaignResumesByteIdentical) {
     const TempDir dir("kill" + std::to_string(i));
     EXPECT_THROW(execute(kill_threads[i], dir.path(), fuses[i], false),
                  KillSignal);
-    ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()))
+    ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""))
         << "no checkpoint survived kill " << i;
     const auto resumed =
         execute(resume_threads[i], dir.path(), kNeverKill, true);
@@ -154,7 +154,7 @@ TEST_F(CheckpointResumeTest, KilledCampaignResumesByteIdentical) {
 TEST_F(CheckpointResumeTest, ResumeOfCompletedCampaignReturnsStoredResult) {
   const TempDir dir("completed");
   const auto first = execute(1, dir.path(), kNeverKill, false);
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   // The final checkpoint is marked completed: resume() must return the
   // stored result directly instead of re-running anything — a fuse of 0
   // would kill any attempt to generate traces.
@@ -220,7 +220,7 @@ TEST(CheckpointKeying, CampaignsKeyedOnIdShareOneDirectoryWithoutClobbering) {
   EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), "alpha"));
   EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), "beta"));
   // No legacy single-file checkpoint was touched.
-  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
 
   // Each id resumes its OWN completed state, byte-identical — beta's run
   // did not clobber alpha's checkpoint.
@@ -235,7 +235,7 @@ TEST(CheckpointKeying, KeyedCampaignStillLoadsLegacyCheckpoint) {
   const TempDir dir("legacy");
   auto legacy = keyed_spec("", 303, dir.path());  // id-less: legacy name
   const auto ran = run_keyed(legacy);
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
 
   auto migrated = legacy;
   migrated.id = "migrated";
@@ -278,7 +278,7 @@ TEST(CheckpointErrors, UnstatableCheckpointPathThrowsTypedError) {
   // cannot say whether a checkpoint exists.
   std::filesystem::create_symlink("campaign.ckpt",
                                   dir.path() + "/campaign.ckpt");
-  EXPECT_THROW((void)la::TraceCampaign::checkpoint_exists(dir.path()),
+  EXPECT_THROW((void)la::TraceCampaign::checkpoint_exists(dir.path(), ""),
                la::CheckpointError);
   std::filesystem::create_symlink("campaign-loop.ckpt",
                                   dir.path() + "/campaign-loop.ckpt");

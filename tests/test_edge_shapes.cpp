@@ -229,7 +229,7 @@ TEST(CampaignEdges, NonBlockMultipleTraceCountCheckpointsAndResumes) {
   const TempDir dir("ragged");
   const auto checkpointed = harness.execute(130, 2, dir.path(), false);
   EXPECT_TRUE(identical_results(straight, checkpointed));
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   const auto resumed = harness.execute(130, 1, dir.path(), true);
   EXPECT_TRUE(identical_results(straight, resumed));
 }
@@ -237,7 +237,7 @@ TEST(CampaignEdges, NonBlockMultipleTraceCountCheckpointsAndResumes) {
 TEST(CampaignEdges, ResumeWithoutCheckpointThrowsTypedError) {
   EdgeCampaign harness;
   const TempDir dir("no_ckpt");
-  ASSERT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   EXPECT_THROW(harness.execute(50, 1, dir.path(), true),
                la::CheckpointError);
   // The directory not existing at all is the same typed error, not an

@@ -319,7 +319,7 @@ TEST(FaultInjectionCheckpoint, CorruptCheckpointsRejectedTyped) {
   const TempDir dir("ckpt");
   CampaignHarness harness(dir.path());
   (void)harness.campaign->run(harness.rng);
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   const std::string path = dir.path() + "/campaign.ckpt";
   const auto base = ltest::read_file(path);
   ASSERT_GE(base.size(), 20u);
@@ -399,7 +399,7 @@ TEST(FaultInjectionCheckpoint, TornRenameRecovery) {
   // (a) Crash after the previous boundary committed: the half-written tmp
   // must never shadow the committed checkpoint.
   ltest::write_file(tmp, ltest::truncate_to(base, base.size() / 2));
-  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   EXPECT_EQ(harness.campaign->resume().traces_run, 250u);
 
   // (b) Crash before the first boundary ever committed: only the torn tmp
@@ -408,7 +408,7 @@ TEST(FaultInjectionCheckpoint, TornRenameRecovery) {
   // cannot be confused with the torn leftovers.
   std::filesystem::remove(path);
   ASSERT_TRUE(std::filesystem::exists(tmp));
-  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   EXPECT_FALSE(std::filesystem::exists(tmp))
       << "stray uncommitted tmp survived checkpoint_exists";
   EXPECT_THROW(harness.campaign->resume(), la::CheckpointError);
@@ -416,7 +416,7 @@ TEST(FaultInjectionCheckpoint, TornRenameRecovery) {
   // Recovery: the next run recreates a committed checkpoint cleanly.
   CampaignHarness fresh(dir.path());
   const auto rerun = fresh.campaign->run(fresh.rng);
-  EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   EXPECT_EQ(fresh.campaign->resume().traces_run, rerun.traces_run);
 }
 
@@ -425,7 +425,7 @@ TEST(FaultInjectionCheckpoint, MismatchedConfigAndMissingFilesRejected) {
   {
     CampaignHarness harness(dir.path());
     // resume() before any checkpoint exists.
-    EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path()));
+    EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
     EXPECT_THROW(harness.campaign->resume(), la::CheckpointError);
     (void)harness.campaign->run(harness.rng);
   }

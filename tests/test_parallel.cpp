@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <numeric>
@@ -287,4 +289,86 @@ TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
   EXPECT_EQ(lsim::TraceStore::load(path).size(), 150u);
   EXPECT_EQ(record_file(4, path), serial);
   std::remove(path.c_str());
+}
+
+TEST_F(ParallelCampaignTest, RecordOnCheckpointingCampaignWritesNoCheckpoint) {
+  // record() runs run()'s step loop, which suspends an attack task at every
+  // boundary when checkpointing — but never a recording: the trace bytes
+  // match an unconfigured campaign's and no checkpoint is written or
+  // touched, at any thread count.
+  const std::string base = "/tmp/leakydsp_test_record_checkpointing";
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto record_file =
+      [&](std::size_t threads, const std::string& checkpoint_dir,
+          const std::function<void(la::TraceCampaign&)>& before) {
+        lu::Rng rng(219);
+        const lc::Key key = random_block(rng);
+        lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
+        lcore::LeakyDspSensor sensor(
+            scenario_.device(),
+            scenario_.attack_placements()
+                [lsim::Basys3Scenario::kBestPlacementIndex]);
+        lsim::SensorRig rig(scenario_.grid(), sensor);
+        rig.calibrate(rng);
+        la::CampaignConfig config;
+        config.threads = threads;
+        config.max_traces = 256;
+        config.checkpoint_dir = checkpoint_dir;
+        config.campaign_id = checkpoint_dir.empty() ? "" : "rec";
+        la::TraceCampaign campaign(rig, aes, config);
+        before(campaign);
+        const std::string path = base + "/traces.ldtr";
+        lsim::TraceStoreWriter writer(path, campaign.trace_samples());
+        campaign.record(rng, 150, writer);
+        writer.finish();
+        return file_bytes(path);
+      };
+  const auto nothing = [](la::TraceCampaign&) {};
+  const std::string plain = record_file(1, "", nothing);
+  ASSERT_FALSE(plain.empty());
+
+  const std::string fresh = base + "/fresh";
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(record_file(threads, fresh, nothing), plain)
+        << "threads=" << threads;
+    EXPECT_FALSE(std::filesystem::exists(fresh))
+        << "record() wrote into the checkpoint directory";
+  }
+
+  // An existing checkpoint under the same id keeps its bytes.
+  const std::string kept = base + "/kept";
+  const std::string checkpoint = kept + "/campaign-rec.ckpt";
+  std::string checkpoint_bytes;
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(record_file(threads, kept,
+                          [&](la::TraceCampaign& campaign) {
+                            if (!checkpoint_bytes.empty()) return;
+                            lu::Rng attack_rng(5);
+                            (void)campaign.run(attack_rng);
+                            checkpoint_bytes = file_bytes(checkpoint);
+                          }),
+              plain)
+        << "threads=" << threads;
+    ASSERT_FALSE(checkpoint_bytes.empty());
+    EXPECT_EQ(file_bytes(checkpoint), checkpoint_bytes)
+        << "record() overwrote the campaign's checkpoint";
+  }
+
+  // Suspending a recording task is refused outright.
+  record_file(1, kept, [&](la::TraceCampaign& campaign) {
+    lu::Rng rng(6);
+    lsim::TraceStoreWriter writer(base + "/suspended.ldtr",
+                                  campaign.trace_samples());
+    la::TraceCampaign::Task task =
+        campaign.start_recording(rng, 10, writer, 1);
+    EXPECT_THROW(campaign.suspend(task), lu::PreconditionError);
+  });
+  EXPECT_EQ(file_bytes(checkpoint), checkpoint_bytes);
+  std::filesystem::remove_all(base);
 }

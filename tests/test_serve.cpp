@@ -393,6 +393,100 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
       << "scheduled record stream is not byte-identical to record()";
 }
 
+TEST(CampaignServiceTest, RecordJobNeverEvictsUnderPressure) {
+  // Two slots, a one-step quantum and four jobs: the attack jobs are
+  // evicted and rehydrated around the record job, which holds its slot
+  // until its last wave (its file only commits at the footer).
+  const TempDir dir("record_evict");
+  constexpr std::size_t kTraces = 400;  // 128-trace waves at 2 threads
+  ls::ServiceConfig config;
+  config.threads = 2;
+  config.max_resident = 2;
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
+  ls::CampaignService service(config);
+  const std::vector<ls::StandardCampaignSpec> attacks = {
+      make_spec("a1", 53, dir.path()), make_spec("a2", 106, dir.path()),
+      make_spec("a3", 159, dir.path())};
+  const auto rec = make_spec("rec", 4242, dir.path());
+  const std::string service_path = dir.path() + "/service.ldt";
+  service.enqueue(ls::make_standard_job(attacks[0]));
+  ls::CampaignJob job = ls::make_standard_job(rec);
+  job.record = ls::RecordJobSpec{kTraces, service_path};
+  service.enqueue(std::move(job));
+  service.enqueue(ls::make_standard_job(attacks[1]));
+  service.enqueue(ls::make_standard_job(attacks[2]));
+  const auto outcomes = service.drain();
+
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_GT(service.stats().evictions, 0u);
+  EXPECT_EQ(outcomes[1].evictions, 0u) << "the record job was evicted";
+  EXPECT_EQ(outcomes[1].traces_recorded, kTraces);
+  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), rec.id));
+  for (const std::size_t i : {0u, 2u, 3u}) {
+    const auto& spec = attacks[i == 0 ? 0 : i - 1];
+    EXPECT_TRUE(identical_results(outcomes[i].result,
+                                  ls::run_standard_campaign(spec, 1)))
+        << spec.id;
+  }
+  const ls::ServiceIntrospection view = service.introspect();
+  ASSERT_EQ(view.campaigns.size(), 4u);
+  const ls::CampaignStatus& status = view.campaigns[1];
+  EXPECT_EQ(status.state, ls::CampaignState::kFinished);
+  EXPECT_TRUE(status.is_record);
+  EXPECT_EQ(status.traces_done, kTraces);
+  EXPECT_EQ(status.traces_total, kTraces);
+
+  const std::string standalone_path = dir.path() + "/standalone.ldt";
+  {
+    auto world = ls::make_standard_world(rec);
+    lsim::TraceStoreWriter writer(standalone_path,
+                                  world->campaign().trace_samples());
+    world->campaign().record(world->rng(), kTraces, writer);
+    writer.finish();
+  }
+  const auto service_bytes = file_bytes(service_path);
+  ASSERT_FALSE(service_bytes.empty());
+  EXPECT_EQ(service_bytes, file_bytes(standalone_path))
+      << "record job under eviction pressure diverged from record()";
+}
+
+TEST(CampaignServiceTest, RejectsBadRecordJobsAtEnqueue) {
+  // A bad record spec is refused before the drain starts, so it can
+  // neither abort the other jobs nor clobber another job's file.
+  const TempDir dir("bad_record");
+  const auto record_job = [](const std::string& id, std::size_t traces,
+                             const std::string& path) {
+    ls::CampaignJob job = ls::make_standard_job(make_spec(id, 77, ""));
+    job.record = ls::RecordJobSpec{traces, path};
+    return job;
+  };
+  ls::ServiceConfig config;
+  config.threads = 2;
+  ls::CampaignService service(config);
+  const std::string path = dir.path() + "/ok.ldt";
+  service.enqueue(record_job("ok", 40, path));
+  EXPECT_THROW(service.enqueue(record_job("zero", 0, dir.path() + "/z.ldt")),
+               lu::PreconditionError);
+  EXPECT_THROW(service.enqueue(record_job("nopath", 40, "")),
+               lu::PreconditionError);
+  EXPECT_THROW(service.enqueue(record_job("clash", 40, path)),
+               lu::PreconditionError);
+  EXPECT_THROW(
+      service.enqueue(record_job("clash2", 40, dir.path() + "/./ok.ldt")),
+      lu::PreconditionError);
+  const auto sibling = make_spec("sibling", 515, "");
+  service.enqueue(ls::make_standard_job(sibling));
+  EXPECT_EQ(service.queued(), 2u);
+
+  const auto outcomes = service.drain();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].traces_recorded, 40u);
+  EXPECT_EQ(lsim::TraceStore::load(path).size(), 40u);
+  EXPECT_TRUE(identical_results(outcomes[1].result,
+                                ls::run_standard_campaign(sibling, 1)));
+}
+
 TEST(CampaignServiceTest, RejectsDuplicateIdsAndDoubleDrain) {
   ls::ServiceConfig config;
   config.threads = 1;
