@@ -8,11 +8,12 @@
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
 //
 //   $ ./hotpath_micro [--quick]
+//   $ LEAKYDSP_SIMD=scalar ./hotpath_micro --quick   # cap the SIMD tier
 //
 // Prints a table and writes BENCH_hotpath.json (with host metadata) into
-// the working directory — the perf-regression record for this machine.
-// --quick cuts the iteration counts ~10x for use as a smoke test
-// (`cmake --build build --target bench_smoke`).
+// the working directory. --quick cuts the iteration counts ~10x; CI runs it
+// as a smoke test. Running it under each LEAKYDSP_SIMD tier compares the
+// dispatch tiers' kernels (the cpa_add_traces row times add_traces).
 #include <chrono>
 #include <cstdint>
 #include <iostream>

@@ -1,0 +1,32 @@
+# Every bench, example and tool binary keeps the util::Cli contract:
+# `--help` prints the valid options to stdout and exits 0, and an unknown
+# option prints the error and the valid options to stderr and exits 2.
+#   cmake "-DBINARIES=<bin>|<bin>|..." -P cli_contract.cmake
+string(REPLACE "|" ";" binaries "${BINARIES}")
+list(LENGTH binaries count)
+if(count EQUAL 0)
+  message(FATAL_ERROR "no binaries to check")
+endif()
+
+set(failures "")
+foreach(bin IN LISTS binaries)
+  get_filename_component(name "${bin}" NAME)
+  execute_process(COMMAND "${bin}" --help
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code TIMEOUT 60)
+  if(NOT code STREQUAL "0" OR NOT out MATCHES "valid options:")
+    list(APPEND failures "${name} --help: exit ${code}\n${out}${err}")
+  endif()
+  execute_process(COMMAND "${bin}" --no-such-option
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code TIMEOUT 60)
+  if(NOT code STREQUAL "2" OR
+     NOT err MATCHES "unknown option --no-such-option" OR
+     NOT err MATCHES "valid options:")
+    list(APPEND failures "${name} --no-such-option: exit ${code}\n${err}")
+  endif()
+endforeach()
+
+if(failures)
+  list(JOIN failures "\n" report)
+  message(FATAL_ERROR "CLI contract broken:\n${report}")
+endif()
+message(STATUS "${count} binaries keep the CLI contract")

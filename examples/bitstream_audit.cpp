@@ -9,6 +9,7 @@
 #include "fabric/bitstream.h"
 #include "fabric/bitstream_checker.h"
 #include "fabric/netlist_builders.h"
+#include "util/cli.h"
 #include "util/table.h"
 
 using namespace leakydsp;
@@ -27,7 +28,8 @@ void audit(const std::string& name, const fabric::Netlist& design,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::Cli cli(argc, argv, {});  // takes no options; answers --help
   const auto leaky =
       fabric::build_leakydsp_netlist(fabric::Architecture::kSeries7, 3);
   const auto tdc = fabric::build_tdc_netlist(32, /*column=*/5, /*row=*/0);

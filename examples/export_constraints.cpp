@@ -8,10 +8,12 @@
 
 #include "fabric/xdc_export.h"
 #include "sim/scenarios.h"
+#include "util/cli.h"
 
 using namespace leakydsp;
 
-int main() {
+int main(int argc, char** argv) {
+  const util::Cli cli(argc, argv, {});  // takes no options; answers --help
   const sim::Basys3Scenario scenario;
   const auto best =
       scenario

@@ -14,6 +14,7 @@
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "victim/workloads.h"
@@ -29,7 +30,8 @@ struct RunStats {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const util::Cli cli(argc, argv, {});  // takes no options; answers --help
   util::Rng rng(21);
   const sim::Basys3Scenario scenario;
   const auto& device = scenario.device();

@@ -12,12 +12,14 @@
 #include "pdn/grid.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "victim/power_virus.h"
 
 using namespace leakydsp;
 
-int main() {
+int main(int argc, char** argv) {
+  const util::Cli cli(argc, argv, {});  // takes no options; answers --help
   util::Rng rng(/*seed=*/2026);
 
   // 1. A device floorplan and its power delivery network.

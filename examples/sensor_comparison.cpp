@@ -14,12 +14,14 @@
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
 
 using namespace leakydsp;
 
-int main() {
+int main(int argc, char** argv) {
+  const util::Cli cli(argc, argv, {});  // takes no options; answers --help
   util::Rng rng(12);
   const sim::Basys3Scenario scenario;
   const auto& device = scenario.device();

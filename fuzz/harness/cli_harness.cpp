@@ -28,9 +28,10 @@ int fuzz_cli(const std::uint8_t* data, std::size_t size) {
   for (const auto& a : args) argv.push_back(a.c_str());
 
   try {
-    const util::Cli cli(static_cast<int>(argv.size()), argv.data(),
-                        {"seed", "iterations", "traces", "threads", "out",
-                         "verbose!", "quiet!"});
+    const util::Cli cli = util::Cli::throwing(
+        static_cast<int>(argv.size()), argv.data(),
+        {"seed", "iterations", "traces", "threads", "out", "verbose!",
+         "quiet!"});
     // Exercise every typed getter: numeric parsing is part of the
     // untrusted surface (throws on malformed numbers).
     (void)cli.get_string("out", "default");

@@ -101,8 +101,8 @@ class PdnGrid {
 
   /// dc_droop into caller-owned storage. With `warm_start` true, `droop`'s
   /// incoming contents seed the iteration — repeated solves against slowly
-  /// varying draw maps (transient settling, campaign sweeps) converge in a
-  /// fraction of the cold iteration count. Returns the solve diagnostics.
+  /// varying draw maps converge in a fraction of the cold iteration count.
+  /// Returns the solve diagnostics.
   CgResult dc_droop_into(std::span<const CurrentInjection> draws,
                          std::span<double> droop,
                          bool warm_start = false) const;

@@ -1,11 +1,11 @@
 // Preconditioned solver infrastructure for the PDN conductance system.
 //
 // Every scenario re-solves the same frozen G with a fresh right-hand side
-// (DC droop maps, per-sensor transfer gains, transient settling), so the
-// expensive part — preconditioner setup — is hoisted into a SolverContext
-// that is built once per grid topology and shared through a process-wide
-// cache keyed on that topology. The solve itself is preconditioned
-// conjugate gradient with two preconditioners:
+// (DC droop maps, per-sensor transfer gains), so the expensive part —
+// preconditioner setup — is hoisted into a SolverContext that is built once
+// per grid topology and shared through a process-wide cache keyed on that
+// topology. The solve itself is preconditioned conjugate gradient with two
+// preconditioners:
 //
 //   IC(0)    — incomplete Cholesky with zero fill-in; exists without
 //              breakdown for the diagonally dominant mesh Laplacian and is

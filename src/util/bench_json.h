@@ -1,8 +1,7 @@
-// Machine-readable bench reports. Every bench driver that is not built on
-// google-benchmark emits a flat BENCH_<name>.json next to its console
-// table, so sweep scripts can diff wall times and speedups across runs
-// without scraping stdout. The format is one object per measured
-// configuration, all values scalar:
+// Machine-readable bench reports. Bench drivers whose numbers are compared
+// across runs emit a flat BENCH_<name>.json next to their console table, so
+// sweep scripts can diff wall times and speedups without scraping stdout.
+// The format is one object per measured configuration, all values scalar:
 //
 //   {"bench": "campaign_scaling", "host": {...}, "results": [...]}
 //

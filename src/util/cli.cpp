@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <set>
 
 #include "util/contracts.h"
@@ -8,7 +10,12 @@
 namespace leakydsp::util {
 
 Cli::Cli(int argc, const char* const* argv,
-         const std::vector<std::string>& spec) {
+         const std::vector<std::string>& spec)
+    : Cli(argc, argv, spec, /*exit_on_error=*/true) {}
+
+Cli::Cli(int argc, const char* const* argv,
+         const std::vector<std::string>& spec, bool exit_on_error)
+    : spec_(spec), exit_on_error_(exit_on_error) {
   LD_REQUIRE(argc >= 1, "argc must be >= 1");
   program_ = argv[0];
 
@@ -25,8 +32,13 @@ Cli::Cli(int argc, const char* const* argv,
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    LD_REQUIRE(arg.rfind("--", 0) == 0,
-               "unexpected positional argument '" << arg << "'");
+    if (exit_on_error_ && arg == "--help") {
+      std::cout << usage();
+      std::exit(0);
+    }
+    if (arg.rfind("--", 0) != 0) {
+      fail("unexpected positional argument '" + arg + "'");
+    }
     std::string name = arg.substr(2);
     std::string inline_value;
     bool has_inline = false;
@@ -37,26 +49,42 @@ Cli::Cli(int argc, const char* const* argv,
     }
     // Repeating an option is always a mistake (a sweep script overriding
     // itself); last-wins would hide it, so reject it outright.
-    LD_REQUIRE(!values_.contains(name) && !flags_.contains(name),
-               "duplicate option --" << name);
+    if (values_.contains(name) || flags_.contains(name)) {
+      fail("duplicate option --" + name);
+    }
     if (flag_opts.contains(name)) {
-      LD_REQUIRE(!has_inline, "flag --" << name << " takes no value");
+      if (has_inline) fail("flag --" + name + " takes no value");
       flags_[name] = true;
     } else if (value_opts.contains(name)) {
       if (has_inline) {
         values_[name] = inline_value;
       } else {
-        LD_REQUIRE(i + 1 < argc, "option --" << name << " needs a value");
+        if (i + 1 >= argc) fail("option --" + name + " needs a value");
         values_[name] = argv[++i];
       }
     } else {
-      std::string known;
-      for (const auto& o : value_opts) known += " --" + o;
-      for (const auto& o : flag_opts) known += " --" + o + "(flag)";
-      LD_REQUIRE(false, "unknown option --" << name << "; valid options:"
-                                            << known);
+      fail("unknown option --" + name);
     }
   }
+}
+
+std::string Cli::usage() const {
+  std::string out = "usage: " + program_ + " [options]\nvalid options:\n";
+  for (const auto& s : spec_) {
+    if (s.back() == '!') {
+      out += "  --" + s.substr(0, s.size() - 1) + "\n";
+    } else {
+      out += "  --" + s + " <value>\n";
+    }
+  }
+  if (exit_on_error_) out += "  --help\n";
+  return out;
+}
+
+void Cli::fail(const std::string& message) const {
+  if (!exit_on_error_) throw PreconditionError(message + "\n" + usage());
+  std::cerr << program_ << ": " << message << "\n" << usage();
+  std::exit(2);
 }
 
 namespace {
@@ -73,7 +101,12 @@ std::vector<std::string> concat_specs(const std::vector<std::string>& spec,
 Cli::Cli(int argc, const char* const* argv,
          const std::vector<std::string>& spec,
          const std::vector<std::string>& extra)
-    : Cli(argc, argv, concat_specs(spec, extra)) {}
+    : Cli(argc, argv, concat_specs(spec, extra), /*exit_on_error=*/true) {}
+
+Cli Cli::throwing(int argc, const char* const* argv,
+                  const std::vector<std::string>& spec) {
+  return Cli(argc, argv, spec, /*exit_on_error=*/false);
+}
 
 bool Cli::has(const std::string& name) const {
   return values_.contains(name) || flags_.contains(name);
@@ -98,10 +131,8 @@ std::int64_t Cli::get_int(const std::string& name,
   try {
     return std::stoll(*v);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects an integer, got '"
-                                  << *v << "'");
+    fail("option --" + name + " expects an integer, got '" + *v + "'");
   }
-  return fallback;  // unreachable
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
@@ -110,10 +141,8 @@ double Cli::get_double(const std::string& name, double fallback) const {
   try {
     return std::stod(*v);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects a number, got '" << *v
-                                  << "'");
+    fail("option --" + name + " expects a number, got '" + *v + "'");
   }
-  return fallback;  // unreachable
 }
 
 std::uint64_t Cli::get_seed(const std::string& name,
@@ -123,16 +152,16 @@ std::uint64_t Cli::get_seed(const std::string& name,
   try {
     return std::stoull(*v, nullptr, 0);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects a seed, got '" << *v
-                                  << "'");
+    fail("option --" + name + " expects a seed, got '" + *v + "'");
   }
-  return fallback;  // unreachable
 }
 
 std::size_t Cli::get_threads(const std::string& name) const {
   const auto n = get_int(
       name, static_cast<std::int64_t>(ThreadPool::hardware_threads()));
-  LD_REQUIRE(n >= 1, "option --" << name << " must be >= 1, got " << n);
+  if (n < 1) {
+    fail("option --" + name + " must be >= 1, got " + std::to_string(n));
+  }
   return static_cast<std::size_t>(n);
 }
 

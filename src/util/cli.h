@@ -1,6 +1,7 @@
-// Minimal command-line parsing for benches and examples: `--key value`
-// options, `--flag` booleans, with typed getters and defaults. Unknown
-// options throw, so typos in an experiment sweep fail loudly.
+// Minimal command-line parsing for benches, examples and tools: `--key
+// value` options, `--flag` booleans, with typed getters and defaults.
+// Unknown options and malformed values are hard errors, so typos in an
+// experiment sweep fail loudly.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,11 @@ class Cli {
  public:
   /// `spec` lists accepted option names (without the leading "--"); a name
   /// ending in '!' marks a boolean flag that takes no value.
+  ///
+  /// This is a program's own command line: `--help` prints the valid
+  /// options to stdout and exits 0, and an unknown option or a malformed
+  /// value (here or in a typed getter) prints the error and the valid
+  /// options to stderr and exits 2.
   Cli(int argc, const char* const* argv, const std::vector<std::string>& spec);
 
   /// As above, accepting `spec` plus an `extra` spec list — the way
@@ -24,6 +30,12 @@ class Cli {
   /// their own options without concatenating by hand.
   Cli(int argc, const char* const* argv, const std::vector<std::string>& spec,
       const std::vector<std::string>& extra);
+
+  /// The same rules for callers that must survive bad input: every error
+  /// throws PreconditionError (its message lists the valid options), and
+  /// `--help` is an unknown option like any other.
+  static Cli throwing(int argc, const char* const* argv,
+                      const std::vector<std::string>& spec);
 
   bool has(const std::string& name) const;
 
@@ -42,9 +54,18 @@ class Cli {
   const std::string& program() const { return program_; }
 
  private:
+  Cli(int argc, const char* const* argv, const std::vector<std::string>& spec,
+      bool exit_on_error);
+
   std::optional<std::string> raw(const std::string& name) const;
+  /// "usage: <program> [options]" plus one line per option in spec order.
+  std::string usage() const;
+  /// Reports a command-line error: throws, or prints and exits 2.
+  [[noreturn]] void fail(const std::string& message) const;
 
   std::string program_;
+  std::vector<std::string> spec_;
+  bool exit_on_error_;
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> flags_;
 };

@@ -51,11 +51,6 @@ void xpby_scalar(const double* x, double b, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] + b * y[i];
 }
 
-void add_scaled_diff_scalar(double s, const double* a, const double* b,
-                            double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + s * (a[i] - b[i]);
-}
-
 double dot_scalar(const double* x, const double* y, std::size_t n) {
   double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < n; ++i) acc[i & 7] = acc[i & 7] + x[i] * y[i];
@@ -204,22 +199,6 @@ void xpby(const double* x, double b, double* y, std::size_t n) {
 #endif
     default:
       return detail::xpby_scalar(x, b, y, n);
-  }
-}
-
-void add_scaled_diff(double s, const double* a, const double* b, double* y,
-                     std::size_t n) {
-  switch (current_simd_tier()) {
-#ifdef LEAKYDSP_SIMD_AVX512
-    case SimdTier::kAvx512:
-      return detail::add_scaled_diff_avx512(s, a, b, y, n);
-#endif
-#ifdef LEAKYDSP_SIMD_AVX2
-    case SimdTier::kAvx2:
-      return detail::add_scaled_diff_avx2(s, a, b, y, n);
-#endif
-    default:
-      return detail::add_scaled_diff_scalar(s, a, b, y, n);
   }
 }
 

@@ -61,11 +61,6 @@ void axpy(double a, const double* x, double* y, std::size_t n);
 /// y[i] = x[i] + b * y[i] — the PCG direction recombination p = z + beta p.
 void xpby(const double* x, double b, double* y, std::size_t n);
 
-/// y[i] += s * (a[i] - b[i]) — the explicit-Euler transient PDN update
-/// v += (dt/C) (I - G v).
-void add_scaled_diff(double s, const double* a, const double* b, double* y,
-                     std::size_t n);
-
 /// Dot product with a FIXED reduction order shared by every tier: element i
 /// accumulates into partial sum i mod 8, and the eight partials combine as
 /// ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)). The scalar tier implements the
@@ -105,8 +100,6 @@ void div_div_scalar(const double* num, const double* den, double d2,
                     double* out_norm, double* out_q, std::size_t n);
 void axpy_scalar(double a, const double* x, double* y, std::size_t n);
 void xpby_scalar(const double* x, double b, double* y, std::size_t n);
-void add_scaled_diff_scalar(double s, const double* a, const double* b,
-                            double* y, std::size_t n);
 double dot_scalar(const double* x, const double* y, std::size_t n);
 void spmv_scalar(const std::size_t* row_start, const std::size_t* cols,
                  const double* values, const double* x, double* y,
@@ -133,8 +126,6 @@ void div_div_avx2(const double* num, const double* den, double d2,
                   double* out_norm, double* out_q, std::size_t n);
 void axpy_avx2(double a, const double* x, double* y, std::size_t n);
 void xpby_avx2(const double* x, double b, double* y, std::size_t n);
-void add_scaled_diff_avx2(double s, const double* a, const double* b,
-                          double* y, std::size_t n);
 double dot_avx2(const double* x, const double* y, std::size_t n);
 void spmv_avx2(const std::size_t* row_start, const std::size_t* cols,
                const double* values, const double* x, double* y,
@@ -154,8 +145,6 @@ void div_div_avx512(const double* num, const double* den, double d2,
                     double* out_norm, double* out_q, std::size_t n);
 void axpy_avx512(double a, const double* x, double* y, std::size_t n);
 void xpby_avx512(const double* x, double b, double* y, std::size_t n);
-void add_scaled_diff_avx512(double s, const double* a, const double* b,
-                            double* y, std::size_t n);
 double dot_avx512(const double* x, const double* y, std::size_t n);
 void spmv_avx512(const std::size_t* row_start, const std::size_t* cols,
                  const double* values, const double* x, double* y,

@@ -93,19 +93,6 @@ void xpby_avx2(const double* x, double b, double* y, std::size_t n) {
   xpby_scalar(x + i, b, y + i, n - i);
 }
 
-void add_scaled_diff_avx2(double s, const double* a, const double* b,
-                          double* y, std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d diff =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d prod = _mm256_mul_pd(vs, diff);
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  add_scaled_diff_scalar(s, a + i, b + i, y + i, n - i);
-}
-
 double dot_avx2(const double* x, const double* y, std::size_t n) {
   // Lane j of acc_lo is partial sum j, lane j of acc_hi is partial sum
   // 4 + j: element i lands in partial i mod 8, exactly the scalar tier's

@@ -86,19 +86,6 @@ void xpby_avx512(const double* x, double b, double* y, std::size_t n) {
   xpby_scalar(x + i, b, y + i, n - i);
 }
 
-void add_scaled_diff_avx512(double s, const double* a, const double* b,
-                            double* y, std::size_t n) {
-  const __m512d vs = _mm512_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d diff =
-        _mm512_sub_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-    const __m512d prod = _mm512_mul_pd(vs, diff);
-    _mm512_storeu_pd(y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), prod));
-  }
-  add_scaled_diff_scalar(s, a + i, b + i, y + i, n - i);
-}
-
 double dot_avx512(const double* x, const double* y, std::size_t n) {
   // Lane j is partial sum j (element i lands in partial i mod 8), the same
   // assignment as the scalar and AVX2 tiers; fixed combine tree at the end.

@@ -219,13 +219,11 @@ Property<SimdOpsConfig> simd_ops_property() {
     util::simd::div_div(x.data(), y.data(), 0.041, rn.data(), rq.data(), n);
     table.eval_batch(volts.data(), rh.data(), n);
     const std::size_t rc = util::simd::count_le(sorted.data(), n, bound);
-    util::aligned_vector<double> r_axpy(n), r_xpby(n), r_asd(n), r_spmv(n);
+    util::aligned_vector<double> r_axpy(n), r_xpby(n), r_spmv(n);
     std::copy(y.begin(), y.end(), r_axpy.begin());
     util::simd::axpy(1.75, x.data(), r_axpy.data(), n);
     std::copy(y.begin(), y.end(), r_xpby.begin());
     util::simd::xpby(x.data(), -0.375, r_xpby.data(), n);
-    std::copy(y.begin(), y.end(), r_asd.begin());
-    util::simd::add_scaled_diff(2.5, x.data(), volts.data(), r_asd.data(), n);
     const double r_dot = util::simd::dot(x.data(), y.data(), n);
     util::simd::spmv(row_start.data(), cols.data(), vals.data(), x.data(),
                      r_spmv.data(), n);
@@ -266,11 +264,6 @@ Property<SimdOpsConfig> simd_ops_property() {
       util::simd::xpby(x.data(), -0.375, a.data(), n);
       if (!same_bits(r_xpby.data(), a.data(), n))
         return fail(std::string("xpby diverges under ") +
-                    util::to_string(tier));
-      std::copy(y.begin(), y.end(), a.begin());
-      util::simd::add_scaled_diff(2.5, x.data(), volts.data(), a.data(), n);
-      if (!same_bits(r_asd.data(), a.data(), n))
-        return fail(std::string("add_scaled_diff diverges under ") +
                     util::to_string(tier));
       const double d = util::simd::dot(x.data(), y.data(), n);
       if (std::bit_cast<std::uint64_t>(d) !=

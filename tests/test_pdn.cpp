@@ -1,7 +1,6 @@
 // Tests for the PDN substrate: sparse algebra, CG convergence, the
 // preconditioned solver variants and their setup cache, mesh physics
-// (superposition, reciprocity, distance decay), droop dynamics and
-// transient-vs-static consistency.
+// (superposition, reciprocity, distance decay) and droop dynamics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "pdn/grid.h"
 #include "pdn/solver.h"
 #include "pdn/sparse.h"
-#include "pdn/transient.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -471,72 +469,6 @@ TEST_F(PdnGridTest, NearbyCouplingStrongerThanFar) {
   const lp::SensorCoupling near_coupling(grid_, {20, 10});
   const lp::SensorCoupling far_coupling(grid_, {52, 50});
   EXPECT_GT(near_coupling.gain_at(victim), far_coupling.gain_at(victim));
-}
-
-// -------------------------------------------------------------- transient
-
-TEST_F(PdnGridTest, TransientSettlesToDcSolution) {
-  lp::TransientSolver solver(grid_, 3.2e-5, /*step_ns=*/10.0);
-  const std::size_t src = grid_.node_index(7, 7);
-  const std::vector<lp::CurrentInjection> draws = {{src, 1.0}};
-  // Global equilibration across the mesh is diffusive and much slower than
-  // the local droop time constant; run well past it.
-  solver.run(draws, 5000);  // 50 us
-  const auto dc = grid_.dc_droop(draws);
-  for (const std::size_t probe :
-       {src, grid_.node_index(3, 3), grid_.node_index(12, 12)}) {
-    EXPECT_NEAR(solver.droop(probe), dc[probe], 0.02 * dc[src] + 1e-9)
-        << "node " << probe;
-  }
-}
-
-TEST_F(PdnGridTest, TransientStartsAtZeroAndRises) {
-  lp::TransientSolver solver(grid_);
-  const std::size_t src = grid_.node_index(7, 7);
-  EXPECT_DOUBLE_EQ(solver.droop(src), 0.0);
-  const std::vector<lp::CurrentInjection> draws = {{src, 1.0}};
-  solver.step(draws);
-  const double after_one = solver.droop(src);
-  EXPECT_GT(after_one, 0.0);
-  solver.run(draws, 20);
-  EXPECT_GT(solver.droop(src), after_one);
-}
-
-TEST_F(PdnGridTest, TransientUnstableStepRejected) {
-  EXPECT_THROW(lp::TransientSolver(grid_, 3.2e-5, /*step_ns=*/100.0),
-               lu::PreconditionError);
-}
-
-TEST_F(PdnGridTest, TransientStabilityBoundTracksDiagonal) {
-  // The ctor enforces dt_s < C / max_diag with max_diag from the cached
-  // diagonal; pin the boundary from both sides.
-  double max_diag = 0.0;
-  for (const double d : grid_.conductance().diagonal()) {
-    max_diag = std::max(max_diag, d);
-  }
-  const double cap = 3.2e-5;
-  const double limit_ns = cap / max_diag * 1e9;
-  EXPECT_NO_THROW(lp::TransientSolver(grid_, cap, limit_ns * 0.999));
-  EXPECT_THROW(lp::TransientSolver(grid_, cap, limit_ns * 1.001),
-               lu::PreconditionError);
-}
-
-TEST_F(PdnGridTest, SettleJumpsToDcSolution) {
-  lp::TransientSolver solver(grid_);
-  const std::vector<lp::CurrentInjection> draws = {
-      {grid_.node_index(7, 7), 1.0}, {grid_.node_index(2, 11), 0.4}};
-  // Partially relax first so settle() starts from a nontrivial state.
-  solver.run(draws, 50);
-  const auto cold = solver.settle(draws);
-  EXPECT_TRUE(cold.converged);
-  const auto dc = grid_.dc_droop(draws);
-  for (std::size_t i = 0; i < dc.size(); ++i) {
-    EXPECT_NEAR(solver.droop(i), dc[i], 1e-9) << "node " << i;
-  }
-  // Settling again from the settled state is (near) free.
-  const auto again = solver.settle(draws);
-  EXPECT_TRUE(again.converged);
-  EXPECT_LE(again.iterations, 1u);
 }
 
 // ------------------------------------------------------------ droop filter

@@ -293,7 +293,7 @@ TEST(Cli, ThreadsDefaultsToHardwareAndRejectsZero) {
   const char* four[] = {"prog", "--threads", "4"};
   EXPECT_EQ(lu::Cli(3, four, {"threads"}).get_threads(), 4u);
   const char* zero[] = {"prog", "--threads", "0"};
-  EXPECT_THROW(lu::Cli(3, zero, {"threads"}).get_threads(),
+  EXPECT_THROW(lu::Cli::throwing(3, zero, {"threads"}).get_threads(),
                lu::PreconditionError);
 }
 
@@ -365,13 +365,13 @@ TEST(Cli, DefaultsWhenAbsent) {
 
 TEST(Cli, UnknownOptionThrows) {
   const char* argv[] = {"prog", "--bogus", "1"};
-  EXPECT_THROW(lu::Cli(3, argv, {"traces"}), lu::PreconditionError);
+  EXPECT_THROW(lu::Cli::throwing(3, argv, {"traces"}), lu::PreconditionError);
 }
 
 TEST(Cli, UnknownOptionMessageListsValidOptions) {
   const char* argv[] = {"prog", "--bogus", "1"};
   try {
-    lu::Cli cli(3, argv, {"traces", "seed", "quick!"});
+    lu::Cli::throwing(3, argv, {"traces", "seed", "quick!"});
     FAIL() << "unknown option accepted";
   } catch (const lu::PreconditionError& e) {
     const std::string what = e.what();
@@ -385,17 +385,35 @@ TEST(Cli, UnknownOptionMessageListsValidOptions) {
 TEST(Cli, DuplicateOptionIsAHardError) {
   // Last-wins would silently drop half of a sweep command line.
   const char* twice[] = {"prog", "--traces", "10", "--traces", "20"};
-  EXPECT_THROW(lu::Cli(5, twice, {"traces"}), lu::PreconditionError);
+  EXPECT_THROW(lu::Cli::throwing(5, twice, {"traces"}), lu::PreconditionError);
   const char* flag_twice[] = {"prog", "--quick", "--quick"};
-  EXPECT_THROW(lu::Cli(3, flag_twice, {"quick!"}), lu::PreconditionError);
+  EXPECT_THROW(lu::Cli::throwing(3, flag_twice, {"quick!"}),
+               lu::PreconditionError);
   const char* mixed[] = {"prog", "--traces=10", "--traces", "20"};
-  EXPECT_THROW(lu::Cli(4, mixed, {"traces"}), lu::PreconditionError);
+  EXPECT_THROW(lu::Cli::throwing(4, mixed, {"traces"}), lu::PreconditionError);
 }
 
 TEST(Cli, BadIntegerThrows) {
   const char* argv[] = {"prog", "--traces", "abc"};
-  lu::Cli cli(3, argv, {"traces"});
+  const lu::Cli cli = lu::Cli::throwing(3, argv, {"traces"});
   EXPECT_THROW(cli.get_int("traces", 0), lu::PreconditionError);
+}
+
+TEST(Cli, ProgramFormExitsOnBadCommandLine) {
+  // A program's own Cli never lets a usage error escape as an exception:
+  // a malformed value (seen lazily, in a getter) exits 2 with the option
+  // list on stderr, and --help exits 0.
+  const char* bad_int[] = {"prog", "--traces", "abc"};
+  EXPECT_EXIT(lu::Cli(3, bad_int, {"traces"}).get_int("traces", 0),
+              ::testing::ExitedWithCode(2), "expects an integer.*--traces");
+  const char* zero[] = {"prog", "--threads", "0"};
+  EXPECT_EXIT(lu::Cli(3, zero, {"threads"}).get_threads(),
+              ::testing::ExitedWithCode(2), "must be >= 1");
+  const char* unknown[] = {"prog", "--bogus"};
+  EXPECT_EXIT(lu::Cli(2, unknown, {"quick!"}), ::testing::ExitedWithCode(2),
+              "unknown option --bogus.*--quick");
+  const char* help[] = {"prog", "--help", "--bogus"};
+  EXPECT_EXIT(lu::Cli(3, help, {"quick!"}), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Units, Conversions) {

@@ -3,11 +3,10 @@
 // the row's string-valued fields) under configurable relative thresholds,
 // and prints a machine-readable verdict.
 //
-//   leakydsp_benchdiff --baseline BENCH_pdn_scaling.json \
-//                      --candidate /tmp/BENCH_pdn_scaling.json
-//   leakydsp_benchdiff --baseline a.json --candidate b.json \
-//                      --rel-tol 0.25 --ignore _ms,peak_rss,speedup \
-//                      --out verdict.json
+//   leakydsp_benchdiff --baseline old.json --candidate new.json
+//   leakydsp_benchdiff --baseline old.json --candidate new.json
+//                      --rel-tol 0.25 --ignore _ms,peak_rss,speedup
+//                      --out verdict.json       # (one command line)
 //   leakydsp_benchdiff --check-prom scrape.txt
 //       # validate a Prometheus text-format scrape instead of diffing
 //
