@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -24,6 +25,17 @@
 #include "victim/aes_core.h"
 
 using namespace leakydsp;
+
+namespace {
+
+/// "P<i+1>": the paper's 1-based placement label.
+std::string placement_label(std::size_t i) {
+  std::string label = "P";
+  label += std::to_string(i + 1);
+  return label;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
@@ -87,7 +99,7 @@ int main(int argc, char** argv) {
     }
     heat_table.row()
         .add(order + 1)
-        .add("P" + std::to_string(i + 1))
+        .add(placement_label(i))
         .add(heat[order].first, 1)
         .add(correct);
   }
@@ -111,7 +123,7 @@ int main(int argc, char** argv) {
   std::cout << "\n--- Fig. 5(b): log2 key-rank bounds [lower, upper] vs "
                "traces ---\n";
   std::vector<std::string> headers{"traces"};
-  for (const auto i : selected) headers.push_back("P" + std::to_string(i + 1));
+  for (const auto i : selected) headers.push_back(placement_label(i));
   util::Table curves(headers);
   const std::size_t checkpoints = results[selected[0]].checkpoints.size();
   for (std::size_t c = 0; c < checkpoints; ++c) {
@@ -119,8 +131,12 @@ int main(int argc, char** argv) {
     row.add(util::format_count(results[selected[0]].checkpoints[c].traces));
     for (const auto i : selected) {
       const auto& cp = results[i].checkpoints[c];
-      row.add("[" + util::format_double(cp.rank.log2_lower, 1) + ", " +
-              util::format_double(cp.rank.log2_upper, 1) + "]");
+      std::string bounds = "[";
+      bounds += util::format_double(cp.rank.log2_lower, 1);
+      bounds += ", ";
+      bounds += util::format_double(cp.rank.log2_upper, 1);
+      bounds += ']';
+      row.add(bounds);
     }
   }
   curves.print(std::cout);

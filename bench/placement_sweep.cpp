@@ -175,10 +175,13 @@ int main(int argc, char** argv) {
       fused_bytes_total +=
           static_cast<std::uint64_t>(result.fused_correct_bytes);
 
+      std::string cell_name = "r";
+      cell_name += std::to_string(cell.row);
+      cell_name += 'c';
+      cell_name += std::to_string(cell.col);
       table.row()
           .add(die_name)
-          .add("r" + std::to_string(cell.row) + "c" +
-               std::to_string(cell.col))
+          .add(cell_name)
           .add(cell.distances[0], 1)
           .add(cell.coupling_gains[0], 6)
           .add(campaign.broken ? 1 : 0)
@@ -189,8 +192,7 @@ int main(int argc, char** argv) {
       report.row()
           .set("section", "sweep")
           .set("die", die_name)
-          .set("cell", "r" + std::to_string(cell.row) + "c" +
-                           std::to_string(cell.col))
+          .set("cell", cell_name)
           .set("row", static_cast<std::uint64_t>(cell.row))
           .set("col", static_cast<std::uint64_t>(cell.col))
           .set("target_distance", cell.target_distance)

@@ -129,14 +129,20 @@ int main(int argc, char** argv) {
     core::LeakyDspSensor sensor(scenario.device(), site);
     sim::SensorRig rig(scenario.grid(), sensor);
     rig.calibrate(run_rng);
-    const std::string label = "P" + std::to_string(i + 1);
+    std::string label = "P";
+    label += std::to_string(i + 1);
     attack::TraceCampaign campaign(rig, aes, placement_config(label));
     const auto result = timed_run(campaign, run_rng, label);
 
     const pdn::SensorCoupling coupling(scenario.grid(), site);
+    std::string where = "(";
+    where += std::to_string(site.x);
+    where += ',';
+    where += std::to_string(site.y);
+    where += ')';
     table.row()
-        .add("P" + std::to_string(i + 1) + " " + paper_notes[i])
-        .add("(" + std::to_string(site.x) + "," + std::to_string(site.y) + ")")
+        .add(label + " " + paper_notes[i])
+        .add(where)
         .add(coupling.gain_at_node(aes_node) * 1e6, 0)
         .add(result.broken ? util::format_count(result.traces_to_break)
                            : ("not broken in " +

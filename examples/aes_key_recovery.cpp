@@ -72,10 +72,14 @@ int main(int argc, char** argv) {
 
   util::Table table({"traces", "log2 key rank [lo, up]", "key bytes correct"});
   for (const auto& cp : result.checkpoints) {
+    std::string bounds = "[";
+    bounds += util::format_double(cp.rank.log2_lower, 1);
+    bounds += ", ";
+    bounds += util::format_double(cp.rank.log2_upper, 1);
+    bounds += ']';
     table.row()
         .add(util::format_count(cp.traces))
-        .add("[" + util::format_double(cp.rank.log2_lower, 1) + ", " +
-             util::format_double(cp.rank.log2_upper, 1) + "]")
+        .add(bounds)
         .add(cp.correct_bytes);
   }
   table.print(std::cout);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
   std::cout << "loaded " << reader.trace_count() << " traces x "
             << reader.samples_per_trace() << " samples from " << in
-            << " (format v" << reader.version() << "); CPA on samples ["
+            << " (format v2); CPA on samples ["
             << poi_begin << ", " << poi_begin + poi_count << ")\n\n";
 
   // Accumulate in 64-trace batches: add_traces amortizes the kernel setup

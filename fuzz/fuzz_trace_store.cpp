@@ -1,4 +1,5 @@
-// libFuzzer target for the trace-store parser (v1 + v2 byte surfaces).
+// libFuzzer target for the trace-store parser (the v2 byte surface; other
+// versions must be rejected).
 #include <cstddef>
 #include <cstdint>
 

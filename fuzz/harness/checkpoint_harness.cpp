@@ -5,22 +5,14 @@
 #include <memory>
 #include <string>
 
-#include "attack/campaign.h"
-#include "core/leaky_dsp.h"
+#include "harness/checkpoint_world.h"
 #include "harness/harness.h"
 #include "sim/scenarios.h"
-#include "sim/sensor_rig.h"
-#include "util/rng.h"
-#include "victim/aes_core.h"
 
 namespace leakydsp::fuzz {
 
 namespace {
 
-// The fixed campaign the fuzzer resumes into. The committed seed corpus
-// holds checkpoints written by THIS configuration, so coverage reaches
-// past the config-compatibility checks into the accumulator/RNG decoding;
-// mutated inputs then exercise every rejection path.
 constexpr std::uint64_t kHarnessSeed = 212;
 constexpr std::size_t kMaxTraces = 96;
 constexpr std::size_t kBreakStride = 48;
@@ -36,43 +28,35 @@ attack::CampaignConfig harness_config(const std::string& dir) {
   return config;
 }
 
-/// One campaign world, rebuilt per input exactly as a resuming process
-/// would (fresh key, victim, sensor, calibration from kHarnessSeed).
-struct World {
-  explicit World(const std::string& dir)
-      : rng(kHarnessSeed),
-        aes(make_key(rng), scenario().aes_site(), scenario().grid(),
-            aes_params()),
-        sensor(scenario().device(),
-               scenario().attack_placements()
-                   [sim::Basys3Scenario::kBestPlacementIndex]),
-        rig(scenario().grid(), sensor),
-        campaign((rig.calibrate(rng), rig), aes, harness_config(dir)) {}
+const sim::Basys3Scenario& scenario() {
+  static const sim::Basys3Scenario s;
+  return s;
+}
 
-  static const sim::Basys3Scenario& scenario() {
-    static const sim::Basys3Scenario s;
-    return s;
-  }
-  static crypto::Key make_key(util::Rng& rng) {
-    crypto::Key key;
-    for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-    return key;
-  }
-  static victim::AesCoreParams aes_params() {
-    victim::AesCoreParams p;
-    p.clock_mhz = 100.0;              // short traces keep the harness fast
-    p.current_per_hd_bit = 0.15;
-    return p;
-  }
+crypto::Key make_key(util::Rng& rng) {
+  crypto::Key key;
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+  return key;
+}
 
-  util::Rng rng;
-  victim::AesCoreModel aes;
-  core::LeakyDspSensor sensor;
-  sim::SensorRig rig;
-  attack::TraceCampaign campaign;
-};
+victim::AesCoreParams aes_params() {
+  victim::AesCoreParams p;
+  p.clock_mhz = 100.0;  // short traces keep the harness fast
+  p.current_per_hd_bit = 0.15;
+  return p;
+}
 
 }  // namespace
+
+CheckpointWorld::CheckpointWorld(const std::string& dir)
+    : rng(kHarnessSeed),
+      aes(make_key(rng), scenario().aes_site(), scenario().grid(),
+          aes_params()),
+      sensor(scenario().device(),
+             scenario()
+                 .attack_placements()[sim::Basys3Scenario::kBestPlacementIndex]),
+      rig(scenario().grid(), sensor),
+      campaign((rig.calibrate(rng), rig), aes, harness_config(dir)) {}
 
 int fuzz_checkpoint(const std::uint8_t* data, std::size_t size) {
   static std::atomic<std::uint64_t> counter{0};
@@ -89,7 +73,7 @@ int fuzz_checkpoint(const std::uint8_t* data, std::size_t size) {
              static_cast<std::streamsize>(size));
   }
   try {
-    World world(dir);
+    CheckpointWorld world(dir);
     (void)world.campaign.resume();
   } catch (const attack::CheckpointError&) {
     // Corrupt, truncated, or config-incompatible checkpoints end here.

@@ -15,7 +15,7 @@
 
 namespace leakydsp::fuzz {
 
-/// Parses `data` as a trace-store file (v1 or v2) and drains every trace.
+/// Parses `data` as a v2 trace-store file and drains every trace.
 /// Malformed input must raise sim::TraceFormatError; anything else (crash,
 /// OOM, uncaught exception) is a finding. Returns 0 always.
 int fuzz_trace_store(const std::uint8_t* data, std::size_t size);

@@ -1,15 +1,8 @@
 #include "attack/campaign.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <system_error>
 #include <utility>
@@ -20,7 +13,7 @@
 #include "obs/span.h"
 #include "util/byte_io.h"
 #include "util/contracts.h"
-#include "util/crc32.h"
+#include "util/sealed_file.h"
 #include "util/simd_ops.h"
 #include "util/thread_pool.h"
 
@@ -220,10 +213,7 @@ std::vector<sim::StoredTrace> TraceCampaign::record_block(
 
 namespace {
 
-constexpr char kCheckpointMagic[4] = {'L', 'D', 'C', 'K'};
-constexpr std::uint32_t kCheckpointVersion = 1;
-constexpr std::uint64_t kCheckpointOverhead = 20;  // magic+version+size+crc
-constexpr char kLegacyCheckpointFile[] = "campaign.ckpt";
+constexpr util::SealedFormat kCheckpointFormat{{'L', 'D', 'C', 'K'}, 1};
 
 /// File-name-safe form of a campaign id: [A-Za-z0-9._-] passes through,
 /// everything else (separators included — ids must never name directories)
@@ -238,12 +228,11 @@ std::string sanitize_id(const std::string& id) {
   return out;
 }
 
-/// Checkpoint file for `id` inside `dir`. An empty id keeps the historical
-/// single-file name so pre-id checkpoints (and every existing test corpus)
-/// stay valid; non-empty ids get their own keyed file, which is what lets
-/// many campaigns share one checkpoint directory.
+/// Checkpoint file for `id` inside `dir`: "campaign-<id>.ckpt", which is
+/// what lets many campaigns share one checkpoint directory, or
+/// "campaign.ckpt" for a campaign without an id.
 std::string checkpoint_path(const std::string& dir, const std::string& id) {
-  if (id.empty()) return dir + "/" + kLegacyCheckpointFile;
+  if (id.empty()) return dir + "/campaign.ckpt";
   return dir + "/campaign-" + sanitize_id(id) + ".ckpt";
 }
 
@@ -257,14 +246,11 @@ std::string checkpoint_path(const std::string& dir, const std::string& id) {
 /// Failure of a checkpoint filesystem operation: logs the errno alongside
 /// the path and throws the typed error with the decoded message, so EACCES
 /// can never masquerade as "no checkpoint yet".
-[[noreturn]] void checkpoint_io_fail(const std::string& path,
-                                     const std::string& what, int err) {
+[[noreturn]] void checkpoint_io_fail(const util::SealedFileError& e) {
   OBS_LOG(obs::LogLevel::kError, "campaign", "checkpoint io failed",
-          obs::f("path", path), obs::f("reason", what), obs::f("errno", err));
-  throw CheckpointError(
-      "campaign checkpoint '" + path + "': " + what + " (errno " +
-      std::to_string(err) + ": " +
-      std::error_code(err, std::generic_category()).message() + ")");
+          obs::f("path", e.path()), obs::f("reason", e.reason()),
+          obs::f("errno", e.error_number()));
+  throw CheckpointError(std::string("campaign checkpoint ") + e.what());
 }
 
 /// Per-block accumulator a worker fills before the ordered merge.
@@ -291,7 +277,7 @@ bool TraceCampaign::checkpoint_exists(const std::string& dir,
   // set — EACCES, ELOOP, EIO, ...) is a failure to answer and must
   // surface, because callers branch to restart-from-scratch on `false`.
   if (st.type() == std::filesystem::file_type::none && ec) {
-    checkpoint_io_fail(path, "cannot stat", ec.value());
+    checkpoint_io_fail(util::SealedFileError(path, "cannot stat", ec.value()));
   }
   if (st.type() == std::filesystem::file_type::not_found) {
     // No committed checkpoint. A stray sibling .tmp is crash garbage (the
@@ -342,133 +328,33 @@ void TraceCampaign::write_checkpoint(const RunState& state) const {
   // CPA accumulators.
   state.cpa.serialize(payload);
 
-  util::ByteWriter file;
-  file.bytes({reinterpret_cast<const std::uint8_t*>(kCheckpointMagic), 4});
-  file.u32(kCheckpointVersion);
-  file.u64(payload.size());
-  file.bytes(payload.span());
-  file.u32(util::crc32(payload.span()));
-
-  // Durable atomic replace. ofstream::flush only hands bytes to the OS, so
-  // flush-then-rename survives a crash of this process but not of the
-  // machine: after power loss the rename can be on disk while the data is
-  // not, surfacing a zero-length or stale checkpoint file. The crash-safe
-  // sequence is write(fd) -> fsync(fd) -> rename -> fsync(parent dir): the
-  // data blocks are durable before the name flips, and the directory entry
-  // is durable before we report progress.
-  std::error_code ec;
-  std::filesystem::create_directories(config_.checkpoint_dir, ec);
-  if (ec) {
-    checkpoint_io_fail(config_.checkpoint_dir,
-                       "cannot create checkpoint directory", ec.value());
-  }
   const std::string path =
       checkpoint_path(config_.checkpoint_dir, config_.campaign_id);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) checkpoint_io_fail(tmp, "cannot open for writing", errno);
-  std::span<const std::uint8_t> rest = file.span();
-  while (!rest.empty()) {
-    const ssize_t n = ::write(fd, rest.data(), rest.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      checkpoint_io_fail(tmp, "write failure", err);
-    }
-    rest = rest.subspan(static_cast<std::size_t>(n));
+  try {
+    util::write_sealed(path, kCheckpointFormat, payload.span());
+  } catch (const util::SealedFileError& e) {
+    checkpoint_io_fail(e);
   }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    checkpoint_io_fail(tmp, "fsync failure", err);
-  }
-  if (::close(fd) != 0) checkpoint_io_fail(tmp, "close failure", errno);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    checkpoint_io_fail(path, "cannot rename '" + tmp + "' into place", errno);
-  }
-  const int dir_fd =
-      ::open(config_.checkpoint_dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd < 0) {
-    checkpoint_io_fail(config_.checkpoint_dir,
-                       "cannot open directory for fsync", errno);
-  }
-  if (::fsync(dir_fd) != 0) {
-    const int err = errno;
-    ::close(dir_fd);
-    checkpoint_io_fail(config_.checkpoint_dir, "directory fsync failure", err);
-  }
-  ::close(dir_fd);
+  [[maybe_unused]] const std::size_t file_bytes =
+      payload.size() + util::kSealedFrameBytes;
   OBS_COUNT("campaign.checkpoint.writes", 1);
-  OBS_COUNT("campaign.checkpoint.bytes", file.size());
+  OBS_COUNT("campaign.checkpoint.bytes", file_bytes);
   OBS_GAUGE_SET("campaign.checkpoint.traces", state.t);
   OBS_LOG(obs::LogLevel::kDebug, "campaign", "checkpoint written",
           obs::f("path", path), obs::f("traces", state.t),
-          obs::f("bytes", file.size()),
+          obs::f("bytes", file_bytes),
           obs::f("completed", state.completed));
 }
 
 TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
-  std::string path =
+  const std::string path =
       checkpoint_path(config_.checkpoint_dir, config_.campaign_id);
-  if (!config_.campaign_id.empty()) {
-    // Compat shim: when this campaign's keyed checkpoint is absent, fall
-    // back to the legacy single-file name so checkpoints written before
-    // ids existed stay resumable under an id-carrying config.
-    std::error_code ec;
-    if (std::filesystem::status(path, ec).type() ==
-        std::filesystem::file_type::not_found) {
-      const std::string legacy = checkpoint_path(config_.checkpoint_dir, "");
-      std::error_code legacy_ec;
-      if (std::filesystem::is_regular_file(legacy, legacy_ec)) {
-        OBS_LOG(obs::LogLevel::kInfo, "campaign",
-                "loading legacy checkpoint name", obs::f("path", legacy),
-                obs::f("campaign", config_.campaign_id));
-        path = legacy;
-      }
-    }
-  }
-  errno = 0;
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) {
-    checkpoint_fail(path, "cannot open (errno " + std::to_string(errno) +
-                              ": " +
-                              std::error_code(errno, std::generic_category())
-                                  .message() +
-                              ")");
-  }
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-  is.seekg(0);
-  if (file_size < kCheckpointOverhead) {
-    checkpoint_fail(path, "too small to hold a checkpoint");
-  }
-  std::vector<std::uint8_t> bytes(file_size);
-  is.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (static_cast<std::uint64_t>(is.gcount()) != file_size || !is) {
-    checkpoint_fail(path, "truncated while reading");
-  }
-  if (std::memcmp(bytes.data(), kCheckpointMagic, 4) != 0) {
-    checkpoint_fail(path, "bad magic");
-  }
-  util::ByteReader head({bytes.data() + 4, 12});
-  const std::uint32_t version = head.u32();
-  if (version != kCheckpointVersion) {
-    checkpoint_fail(path,
-                    "unsupported version " + std::to_string(version));
-  }
-  const std::uint64_t payload_size = head.u64();
-  if (payload_size != file_size - kCheckpointOverhead) {
-    checkpoint_fail(path, "payload size field inconsistent with file size");
-  }
-  const std::span<const std::uint8_t> payload{bytes.data() + 16,
-                                              payload_size};
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + 16 + payload_size, 4);
-  if (util::crc32(payload) != stored_crc) {
-    checkpoint_fail(path, "payload CRC mismatch");
+  std::vector<std::uint8_t> payload;
+  try {
+    payload = util::read_sealed(path, kCheckpointFormat);
+  } catch (const util::SealedFileError& e) {
+    if (e.error_number() != 0) checkpoint_io_fail(e);
+    checkpoint_fail(path, e.reason());
   }
 
   try {

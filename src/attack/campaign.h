@@ -75,11 +75,10 @@ struct CampaignConfig {
   /// Stable identity of this campaign inside checkpoint_dir: the durable
   /// snapshot is named "campaign-<id>.ckpt", so independent campaigns can
   /// share one directory without clobbering each other (the campaign
-  /// service keys this on its job id). "" keeps the historical single-file
-  /// name "campaign.ckpt". A non-empty id still loads a legacy
-  /// "campaign.ckpt" when its own keyed file is absent, so pre-id
-  /// checkpoints stay resumable. Not serialized: identity is the file
-  /// name, never part of the result-shaping configuration.
+  /// service keys this on its job id). "" names the file "campaign.ckpt".
+  /// A campaign reads and writes only its own file: a keyed campaign never
+  /// loads "campaign.ckpt". Not serialized: identity is the file name,
+  /// never part of the result-shaping configuration.
   std::string campaign_id;
   /// Keep the final per-guess CPA score vectors in
   /// CampaignResult::final_scores. Off by default (32 KiB per result);
@@ -167,8 +166,8 @@ class TraceCampaign {
   CampaignResult resume(bool stop_when_broken = true);
 
   /// True when `dir` holds the campaign checkpoint file written by run()
-  /// for `campaign_id` (see CampaignConfig::campaign_id; "" checks the
-  /// legacy id-less name). Throws CheckpointError when the filesystem
+  /// for `campaign_id` (see CampaignConfig::campaign_id; "" checks
+  /// "campaign.ckpt"). Throws CheckpointError when the filesystem
   /// cannot answer (EACCES, ELOOP, I/O error, ...) — "no checkpoint yet"
   /// and "cannot tell" are different answers, and conflating them silently
   /// restarts campaigns from trace 0. A stray uncommitted "<name>.tmp" next
@@ -314,8 +313,8 @@ class TraceCampaign {
     return std::max<std::size_t>(pool_size, 1) * 4 * config_.block_traces;
   }
 
-  /// Sensor samples per trace — the samples_per_trace a TraceStore or
-  /// TraceStoreWriter consuming this campaign's traces must be built with.
+  /// Sensor samples per trace — the samples_per_trace a TraceStoreWriter
+  /// consuming this campaign's traces must be built with.
   std::size_t trace_samples() const { return trace_samples_; }
 
   /// Cursor of a record stream: the per-trace fork parent and the

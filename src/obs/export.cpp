@@ -85,7 +85,7 @@ std::string sanitize_metric_name(std::string_view name) {
     if (i == 0 && c >= '0' && c <= '9') out.push_back('_');
     out.push_back(valid_name_char(c, out.empty()) ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   out.append(suffix);
   return out;
 }

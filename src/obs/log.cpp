@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/contracts.h"
+#include "util/json.h"
 
 namespace leakydsp::obs {
 
@@ -27,28 +28,6 @@ std::string timestamp_utc() {
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(millis));
   return buf;
-}
-
-std::string json_escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char esc[8];
-          std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-          out += esc;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -123,12 +102,12 @@ void Logger::log(LogLevel level, const char* component,
   if (json_) {
     os << "{\"ts\":\"" << timestamp_utc() << "\",\"level\":\""
        << log_level_name(level) << "\",\"component\":\""
-       << json_escaped(component) << "\",\"msg\":\"" << json_escaped(message)
+       << util::json_escape(component) << "\",\"msg\":\"" << util::json_escape(message)
        << '"';
     for (const Field& field : fields) {
-      os << ",\"" << json_escaped(field.key) << "\":";
+      os << ",\"" << util::json_escape(field.key) << "\":";
       if (field.quoted) {
-        os << '"' << json_escaped(field.value) << '"';
+        os << '"' << util::json_escape(field.value) << '"';
       } else {
         os << field.value;
       }

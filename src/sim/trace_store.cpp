@@ -27,10 +27,8 @@ namespace {
 constexpr char kMagic[4] = {'L', 'D', 'T', 'R'};
 constexpr char kChunkMagic[4] = {'C', 'H', 'N', 'K'};
 constexpr char kFooterMagic[4] = {'L', 'D', 'E', 'N'};
-constexpr std::uint32_t kVersion1 = 1;
-constexpr std::uint32_t kVersion2 = 2;
-constexpr std::uint64_t kFileHeaderBytes = 16;   // v2: magic+version+spt+crc
-constexpr std::uint64_t kV1HeaderBytes = 20;     // magic+version+spt+count
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint64_t kFileHeaderBytes = 16;   // magic+version+spt+crc
 constexpr std::uint64_t kChunkHeaderBytes = 16;  // magic+count+crc+crc
 constexpr std::uint64_t kFooterBytes = 16;       // magic+total+crc
 
@@ -70,7 +68,7 @@ TraceStoreWriter::TraceStoreWriter(const std::string& path,
 
   util::ByteWriter header;
   header.bytes({reinterpret_cast<const std::uint8_t*>(kMagic), 4});
-  header.u32(kVersion2);
+  header.u32(kVersion);
   header.u32(static_cast<std::uint32_t>(samples_per_trace_));
   const std::uint32_t crc = util::crc32(header.span());
   header.u32(crc);
@@ -172,50 +170,17 @@ TraceStoreReader::TraceStoreReader(const std::string& path) : path_(path) {
   if (std::memcmp(magic, kMagic, 4) != 0) fail("not a LeakyDSP trace file");
   std::uint32_t version = 0;
   read_exact(&version, 4, "version");
-  version_ = version;
-  if (version_ == kVersion1) {
-    open_v1(file_size_);
-  } else if (version_ == kVersion2) {
-    open_v2(file_size_);
-  } else {
-    LD_TRACE_FAIL("unsupported version " << version_);
-  }
-}
-
-void TraceStoreReader::open_v1(std::uint64_t file_size) {
-  if (file_size < kV1HeaderBytes) fail("v1 header truncated");
-  std::uint32_t spt = 0;
-  std::uint64_t count = 0;
-  read_exact(&spt, 4, "samples_per_trace");
-  read_exact(&count, 8, "trace count");
-  if (spt < 1) fail("corrupt header: zero samples per trace");
-  samples_per_trace_ = spt;
-  record_bytes_ = record_size(samples_per_trace_);
-  // Validate the declared count against the actual file size before any
-  // allocation: a corrupt or adversarial header used to drive a
-  // multi-gigabyte resize and a long partial-read loop.
-  const std::uint64_t payload = file_size - kV1HeaderBytes;
-  if (count > payload / record_bytes_ || count * record_bytes_ != payload) {
-    LD_TRACE_FAIL("header declares " << count << " traces of "
-                                     << record_bytes_ << " bytes but "
-                                     << payload
-                                     << " payload bytes are present");
-  }
-  total_ = count;
-}
-
-void TraceStoreReader::open_v2(std::uint64_t file_size) {
-  if (file_size < kFileHeaderBytes + kFooterBytes) {
-    fail("too small for a v2 header and footer");
+  if (version != kVersion) LD_TRACE_FAIL("unsupported version " << version);
+  if (file_size_ < kFileHeaderBytes + kFooterBytes) {
+    fail("too small for a header and footer");
   }
   std::uint8_t rest[8];  // samples_per_trace + header crc
-  read_exact(rest, 8, "v2 header");
+  read_exact(rest, 8, "header");
   util::ByteReader header({rest, 8});
   const std::uint32_t spt = header.u32();
   const std::uint32_t stored_crc = header.u32();
   util::Crc32 crc;
   crc.update({reinterpret_cast<const std::uint8_t*>(kMagic), 4});
-  const std::uint32_t version = kVersion2;
   crc.update({reinterpret_cast<const std::uint8_t*>(&version), 4});
   crc.update({rest, 4});
   if (crc.value() != stored_crc) fail("header CRC mismatch");
@@ -225,7 +190,7 @@ void TraceStoreReader::open_v2(std::uint64_t file_size) {
 
   // The footer is validated up front so trace_count() is available (and
   // truncation detected) before streaming begins.
-  is_.seekg(static_cast<std::streamoff>(file_size - kFooterBytes));
+  is_.seekg(static_cast<std::streamoff>(file_size_ - kFooterBytes));
   std::uint8_t footer_bytes[kFooterBytes];
   is_.read(reinterpret_cast<char*>(footer_bytes), kFooterBytes);
   if (static_cast<std::size_t>(is_.gcount()) != kFooterBytes || !is_) {
@@ -241,7 +206,7 @@ void TraceStoreReader::open_v2(std::uint64_t file_size) {
     fail("footer CRC mismatch");
   }
   const std::uint64_t payload_budget =
-      file_size - kFileHeaderBytes - kFooterBytes;
+      file_size_ - kFileHeaderBytes - kFooterBytes;
   if (declared > payload_budget / record_bytes_) {
     LD_TRACE_FAIL("footer declares " << declared
                                      << " traces, more than the file can hold");
@@ -292,60 +257,19 @@ void TraceStoreReader::load_chunk() {
 
 bool TraceStoreReader::next(StoredTrace& out) {
   if (read_ == total_) {
-    if (version_ == kVersion2 && offset_ != file_size_ - kFooterBytes) {
+    if (offset_ != file_size_ - kFooterBytes) {
       fail("trailing data between the last chunk and the footer");
     }
     return false;
   }
   out.samples.resize(samples_per_trace_);
-  if (version_ == kVersion1) {
-    read_exact(out.ciphertext.data(), out.ciphertext.size(), "ciphertext");
-    read_exact(out.samples.data(), samples_per_trace_ * sizeof(double),
-               "samples");
-  } else {
-    if (chunk_pos_ == chunk_.size()) load_chunk();
-    std::memcpy(out.ciphertext.data(), chunk_.data() + chunk_pos_, 16);
-    std::memcpy(out.samples.data(), chunk_.data() + chunk_pos_ + 16,
-                samples_per_trace_ * sizeof(double));
-    chunk_pos_ += record_bytes_;
-  }
+  if (chunk_pos_ == chunk_.size()) load_chunk();
+  std::memcpy(out.ciphertext.data(), chunk_.data() + chunk_pos_, 16);
+  std::memcpy(out.samples.data(), chunk_.data() + chunk_pos_ + 16,
+              samples_per_trace_ * sizeof(double));
+  chunk_pos_ += record_bytes_;
   ++read_;
   return true;
-}
-
-// ----------------------------------------------------------------- store
-
-TraceStore::TraceStore(std::size_t samples_per_trace)
-    : samples_per_trace_(samples_per_trace) {
-  LD_REQUIRE(samples_per_trace_ >= 1, "traces need at least one sample");
-}
-
-const StoredTrace& TraceStore::trace(std::size_t i) const {
-  LD_REQUIRE(i < traces_.size(), "trace " << i << " out of range");
-  return traces_[i];
-}
-
-void TraceStore::add(const crypto::Block& ciphertext,
-                     std::vector<double> samples) {
-  LD_REQUIRE(samples.size() == samples_per_trace_,
-             "expected " << samples_per_trace_ << " samples, got "
-                         << samples.size());
-  traces_.push_back(StoredTrace{ciphertext, std::move(samples)});
-}
-
-void TraceStore::save(const std::string& path) const {
-  TraceStoreWriter writer(path, samples_per_trace_);
-  for (const auto& t : traces_) writer.add(t.ciphertext, t.samples);
-  writer.finish();
-}
-
-TraceStore TraceStore::load(const std::string& path) {
-  TraceStoreReader reader(path);
-  TraceStore store(reader.samples_per_trace());
-  store.traces_.reserve(reader.trace_count());
-  StoredTrace t;
-  while (reader.next(t)) store.traces_.push_back(std::move(t));
-  return store;
 }
 
 }  // namespace leakydsp::sim

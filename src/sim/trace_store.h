@@ -3,7 +3,7 @@
 // the equivalent split in the simulation: a campaign writes (ciphertext,
 // samples) records to disk, and an offline CPA pass replays them.
 //
-// On-disk format v2 (little-endian, the default since checkpoint/resume):
+// On-disk format v2 (little-endian):
 //
 //   file header   "LDTR" | u32 version=2 | u32 samples_per_trace
 //                 | u32 crc32(preceding 12 bytes)
@@ -17,12 +17,9 @@
 // truncations are rejected with TraceFormatError instead of being decoded
 // into garbage traces; a crash mid-write leaves a file without a footer,
 // which readers likewise reject as truncated. Chunking bounds reader and
-// writer memory to one chunk regardless of campaign size.
-//
-// Format v1 ("LDTR" | u32 version=1 | u32 samples_per_trace
-// | u64 trace_count | raw records) still loads through a compat path that
-// validates the header against the actual file size; v1 has no payload
-// checksums — that gap is why v2 exists.
+// writer memory to one chunk regardless of campaign size. v2 is the only
+// format: the reader rejects any other version, the unchecksummed v1
+// included.
 #pragma once
 
 #include <cstdint>
@@ -91,19 +88,17 @@ class TraceStoreWriter {
   bool finished_ = false;
 };
 
-/// Streaming reader for v1 and v2 files: validates the header (and, for
-/// v2, the footer and every chunk CRC) before handing out traces, holding
-/// at most one chunk in memory. All corruption surfaces as
-/// TraceFormatError from the constructor or next() — never a crash, hang
-/// or oversized allocation driven by an adversarial header.
+/// Streaming v2 reader: validates the header and footer before handing
+/// out traces and every chunk's CRCs as it streams, holding at most one
+/// chunk in memory. All corruption surfaces as TraceFormatError from the
+/// constructor or next() — never a crash, hang or oversized allocation
+/// driven by an adversarial header.
 class TraceStoreReader {
  public:
   explicit TraceStoreReader(const std::string& path);
 
-  std::uint32_t version() const { return version_; }
   std::size_t samples_per_trace() const { return samples_per_trace_; }
-  /// Total traces in the file (v2: from the CRC-checked footer; v1: from
-  /// the header, cross-checked against the file size).
+  /// Total traces in the file, from the CRC-checked footer.
   std::size_t trace_count() const { return total_; }
 
   /// Reads the next trace into `out`; returns false once all
@@ -113,47 +108,18 @@ class TraceStoreReader {
  private:
   [[noreturn]] void fail(const std::string& what) const;
   void read_exact(void* dst, std::size_t n, const char* what);
-  void open_v1(std::uint64_t file_size);
-  void open_v2(std::uint64_t file_size);
   void load_chunk();
 
   std::string path_;
   std::ifstream is_;
-  std::uint32_t version_ = 0;
   std::size_t samples_per_trace_ = 0;
   std::size_t record_bytes_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t read_ = 0;
   std::uint64_t file_size_ = 0;
   std::uint64_t offset_ = 0;  ///< current file position
-  std::vector<std::uint8_t> chunk_;  ///< current v2 payload
+  std::vector<std::uint8_t> chunk_;  ///< current chunk payload
   std::size_t chunk_pos_ = 0;
-};
-
-/// An in-memory trace set with binary (de)serialization. save() writes
-/// format v2 via TraceStoreWriter; load() accepts v1 and v2.
-class TraceStore {
- public:
-  explicit TraceStore(std::size_t samples_per_trace);
-
-  std::size_t samples_per_trace() const { return samples_per_trace_; }
-  std::size_t size() const { return traces_.size(); }
-  const StoredTrace& trace(std::size_t i) const;
-
-  /// Appends a trace; the sample count must match.
-  void add(const crypto::Block& ciphertext, std::vector<double> samples);
-
-  /// Serializes all traces to `path` (format v2); throws
-  /// util::InvariantError on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Loads a store written by save() (v2) or by the pre-v2 code (v1);
-  /// throws TraceFormatError on malformed input.
-  static TraceStore load(const std::string& path);
-
- private:
-  std::size_t samples_per_trace_;
-  std::vector<StoredTrace> traces_;
 };
 
 }  // namespace leakydsp::sim

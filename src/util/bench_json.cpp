@@ -7,35 +7,9 @@
 #include <thread>
 
 #include "util/contracts.h"
+#include "util/json.h"
 
 namespace leakydsp::util {
-
-namespace {
-
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += esc.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 HostInfo HostInfo::current() {
   HostInfo info;
@@ -104,10 +78,10 @@ void append_fields(
     const std::vector<std::pair<std::string, BenchJsonRow::Value>>& fields) {
   for (std::size_t f = 0; f < fields.size(); ++f) {
     if (f != 0) os << ", ";
-    os << '"' << escaped(fields[f].first) << "\": ";
+    os << '"' << json_escape(fields[f].first) << "\": ";
     const auto& value = fields[f].second;
     if (const auto* s = std::get_if<std::string>(&value)) {
-      os << '"' << escaped(*s) << '"';
+      os << '"' << json_escape(*s) << '"';
     } else if (const auto* d = std::get_if<double>(&value)) {
       // JSON has no NaN/Inf literal; emitting them produces a file no
       // parser accepts. Degrade those to null so a diverged bench run
@@ -131,11 +105,11 @@ void append_fields(
 
 std::string BenchJson::to_string() const {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"" << escaped(bench_) << "\",\n  \"host\": {"
+  os << "{\n  \"bench\": \"" << json_escape(bench_) << "\",\n  \"host\": {"
      << "\"hardware_threads\": " << host_.hardware_threads
-     << ", \"compiler\": \"" << escaped(host_.compiler)
-     << "\", \"cxx_flags\": \"" << escaped(host_.cxx_flags)
-     << "\", \"build_type\": \"" << escaped(host_.build_type) << "\"},";
+     << ", \"compiler\": \"" << json_escape(host_.compiler)
+     << "\", \"cxx_flags\": \"" << json_escape(host_.cxx_flags)
+     << "\", \"build_type\": \"" << json_escape(host_.build_type) << "\"},";
   if (!metrics_.empty()) {
     os << "\n  \"metrics\": {";
     append_fields(os, metrics_.front().fields_);

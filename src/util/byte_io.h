@@ -1,8 +1,9 @@
 // Bounds-checked little-endian byte-buffer (de)serialization, shared by
-// the v2 trace format and the campaign checkpoint codec. ByteWriter
-// appends into a growable buffer; ByteReader never reads past its span —
-// every overrun throws PreconditionError, which the file-format loaders
-// wrap into their typed errors (TraceFormatError / CheckpointError), so
+// the v2 trace format, the sealed-file frame and the checkpoint and golden
+// payload codecs. ByteWriter appends into a growable buffer; ByteReader
+// never reads past its span — every overrun throws PreconditionError,
+// which the file-format loaders wrap into their typed errors
+// (TraceFormatError / CheckpointError / GoldenFormatError), so
 // corrupted length fields can never drive an out-of-bounds read.
 #pragma once
 

@@ -166,6 +166,10 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
   const __m256d two = _mm256_set1_pd(2.0);
   const __m256d three = _mm256_set1_pd(3.0);
   const __m256d minus_two = _mm256_set1_pd(-2.0);
+  // The masked gather form with an explicit zero source and an all-lanes
+  // mask: the unmasked intrinsic passes an undefined source, which gcc 12
+  // reports as -Wmaybe-uninitialized. Every lane is gathered either way.
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d s = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(v + i), v_lo),
@@ -174,10 +178,10 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
     __m256d fj = _mm256_round_pd(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
     fj = _mm256_min_pd(fj, last);
     const __m128i idx = _mm256_cvttpd_epi32(fj);
-    const __m256d fi = _mm256_i32gather_pd(t.f, idx, 8);
-    const __m256d fi1 = _mm256_i32gather_pd(t.f + 1, idx, 8);
-    const __m256d di = _mm256_i32gather_pd(t.d, idx, 8);
-    const __m256d di1 = _mm256_i32gather_pd(t.d + 1, idx, 8);
+    const __m256d fi = _mm256_mask_i32gather_pd(zero, t.f, idx, all, 8);
+    const __m256d fi1 = _mm256_mask_i32gather_pd(zero, t.f + 1, idx, all, 8);
+    const __m256d di = _mm256_mask_i32gather_pd(zero, t.d, idx, all, 8);
+    const __m256d di1 = _mm256_mask_i32gather_pd(zero, t.d + 1, idx, all, 8);
     const __m256d tt = _mm256_sub_pd(s, fj);
     const __m256d t2 = _mm256_mul_pd(tt, tt);
     const __m256d t3 = _mm256_mul_pd(t2, tt);

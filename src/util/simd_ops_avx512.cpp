@@ -146,19 +146,23 @@ void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
   const __m512d two = _mm512_set1_pd(2.0);
   const __m512d three = _mm512_set1_pd(3.0);
   const __m512d minus_two = _mm512_set1_pd(-2.0);
+  // Zero-masked (maskz) and explicit-source masked forms with every lane
+  // enabled: the unmasked intrinsics pass an undefined source operand,
+  // which gcc 12 reports as -Wmaybe-uninitialized. Results are identical.
+  constexpr __mmask8 kAll = 0xFF;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512d s = _mm512_mul_pd(_mm512_sub_pd(_mm512_loadu_pd(v + i), v_lo),
                               inv_h);
-    s = _mm512_max_pd(s, zero);
-    __m512d fj =
-        _mm512_roundscale_pd(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    fj = _mm512_min_pd(fj, last);
-    const __m256i idx = _mm512_cvttpd_epi32(fj);
-    const __m512d fi = _mm512_i32gather_pd(idx, t.f, 8);
-    const __m512d fi1 = _mm512_i32gather_pd(idx, t.f + 1, 8);
-    const __m512d di = _mm512_i32gather_pd(idx, t.d, 8);
-    const __m512d di1 = _mm512_i32gather_pd(idx, t.d + 1, 8);
+    s = _mm512_maskz_max_pd(kAll, s, zero);
+    __m512d fj = _mm512_maskz_roundscale_pd(
+        kAll, s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    fj = _mm512_maskz_min_pd(kAll, fj, last);
+    const __m256i idx = _mm512_maskz_cvttpd_epi32(kAll, fj);
+    const __m512d fi = _mm512_mask_i32gather_pd(zero, kAll, idx, t.f, 8);
+    const __m512d fi1 = _mm512_mask_i32gather_pd(zero, kAll, idx, t.f + 1, 8);
+    const __m512d di = _mm512_mask_i32gather_pd(zero, kAll, idx, t.d, 8);
+    const __m512d di1 = _mm512_mask_i32gather_pd(zero, kAll, idx, t.d + 1, 8);
     const __m512d tt = _mm512_sub_pd(s, fj);
     const __m512d t2 = _mm512_mul_pd(tt, tt);
     const __m512d t3 = _mm512_mul_pd(t2, tt);

@@ -2,23 +2,16 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "util/byte_io.h"
-#include "util/crc32.h"
+#include "util/sealed_file.h"
 
 namespace leakydsp::verify {
 
 namespace {
 
-constexpr char kMagic[4] = {'L', 'D', 'G', 'C'};
-constexpr std::uint32_t kVersion = 1;
-// magic + version + payload_size before the payload, crc after it.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
+constexpr util::SealedFormat kGoldenFormat{{'L', 'D', 'G', 'C'}, 1};
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
   throw GoldenFormatError("golden file " + path + ": " + what);
@@ -54,51 +47,21 @@ void save_golden(const std::string& path, const GoldenFile& golden) {
     for (const double v : e.values) payload.f64(v);
   }
 
-  util::ByteWriter file;
-  file.bytes({reinterpret_cast<const std::uint8_t*>(kMagic), 4});
-  file.u32(kVersion);
-  file.u64(payload.size());
-  file.bytes(payload.span());
-  file.u32(util::crc32(payload.span()));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    LD_REQUIRE(out.good(), "cannot open " << tmp << " for writing");
-    out.write(reinterpret_cast<const char*>(file.span().data()),
-              static_cast<std::streamsize>(file.size()));
-    LD_REQUIRE(out.good(), "short write to " << tmp);
+  try {
+    util::write_sealed(path, kGoldenFormat, payload.span());
+  } catch (const util::SealedFileError& e) {
+    throw GoldenFormatError(std::string("golden file ") + e.what());
   }
-  std::filesystem::rename(tmp, path);
 }
 
 GoldenFile load_golden(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) corrupt(path, "cannot open");
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  if (bytes.size() < kHeaderBytes + 4) corrupt(path, "truncated header");
+  std::vector<std::uint8_t> payload;
   try {
-    util::ByteReader reader(bytes);
-    char magic[4];
-    reader.bytes({reinterpret_cast<std::uint8_t*>(magic), 4});
-    if (std::memcmp(magic, kMagic, 4) != 0) corrupt(path, "bad magic");
-    const std::uint32_t version = reader.u32();
-    if (version != kVersion) {
-      std::ostringstream oss;
-      oss << "unsupported version " << version;
-      corrupt(path, oss.str());
-    }
-    const std::uint64_t payload_size = reader.u64();
-    if (payload_size != bytes.size() - kHeaderBytes - 4) {
-      corrupt(path, "payload size disagrees with file size");
-    }
-    const std::span<const std::uint8_t> payload{
-        bytes.data() + kHeaderBytes, static_cast<std::size_t>(payload_size)};
-    util::ByteReader tail(
-        {bytes.data() + kHeaderBytes + payload_size, std::size_t{4}});
-    if (tail.u32() != util::crc32(payload)) corrupt(path, "payload CRC");
-
+    payload = util::read_sealed(path, kGoldenFormat);
+  } catch (const util::SealedFileError& e) {
+    throw GoldenFormatError(std::string("golden file ") + e.what());
+  }
+  try {
     util::ByteReader body(payload);
     GoldenFile golden;
     const std::uint32_t count = body.u32();

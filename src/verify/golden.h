@@ -6,9 +6,8 @@
 // files, so any unintended numerical drift in the pipeline fails loudly
 // with the first diverging value.
 //
-// Layout (little-endian):
-//   "LDGC" | u32 version | u64 payload_size | payload | u32 crc32(payload)
-//   payload: u32 entry_count, then per entry:
+// Layout: a sealed file (util/sealed_file.h) with magic "LDGC", version 1,
+// whose payload is (little-endian) u32 entry_count, then per entry:
 //     u32 name_len | name bytes | f64 abs_tol | f64 rel_tol |
 //     u64 value_count | f64 values...
 #pragma once
@@ -21,7 +20,8 @@
 namespace leakydsp::verify {
 
 /// Thrown when a golden file is missing, truncated, or corrupt (bad magic,
-/// version, CRC, or length fields). Derives from util::PreconditionError
+/// version, CRC, or length fields), or cannot be written (the message
+/// names the failing path and errno). Derives from util::PreconditionError
 /// so generic catch sites keep working.
 class GoldenFormatError : public util::PreconditionError {
  public:
@@ -46,7 +46,8 @@ struct GoldenFile {
   const GoldenEntry* find(const std::string& name) const;
 };
 
-/// Writes `golden` to `path` atomically (temp file + rename).
+/// Writes `golden` to `path` durably and atomically (util::write_sealed);
+/// throws GoldenFormatError on failure, leaving no "<path>.tmp" behind.
 void save_golden(const std::string& path, const GoldenFile& golden);
 
 /// Loads a golden file; throws GoldenFormatError on any corruption.

@@ -228,23 +228,19 @@ TEST(CheckpointKeying, CampaignsKeyedOnIdShareOneDirectoryWithoutClobbering) {
   EXPECT_TRUE(identical_results(resume_keyed(beta), ran_beta));
 }
 
-TEST(CheckpointKeying, KeyedCampaignStillLoadsLegacyCheckpoint) {
-  // Pre-id checkpoints stay resumable: a campaign that now carries an id
-  // falls back to the historical "campaign.ckpt" when its keyed file is
-  // absent.
-  const TempDir dir("legacy");
-  auto legacy = keyed_spec("", 303, dir.path());  // id-less: legacy name
-  const auto ran = run_keyed(legacy);
+TEST(CheckpointKeying, KeyedCampaignDoesNotLoadIdlessCheckpoint) {
+  // A campaign with an id reads only its own "campaign-<id>.ckpt". An
+  // id-less "campaign.ckpt" in the same directory belongs to some other
+  // campaign and must never be resumed in its place.
+  const TempDir dir("idless");
+  const auto idless = keyed_spec("", 303, dir.path());
+  (void)run_keyed(idless);
   ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
 
-  auto migrated = legacy;
-  migrated.id = "migrated";
-  EXPECT_TRUE(identical_results(resume_keyed(migrated), ran));
-
-  // Once the keyed file exists it wins over the legacy one.
-  const auto keyed_run = run_keyed(migrated);
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/campaign-migrated.ckpt"));
-  EXPECT_TRUE(identical_results(resume_keyed(migrated), keyed_run));
+  auto keyed = idless;
+  keyed.id = "keyed";
+  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), keyed.id));
+  EXPECT_THROW((void)resume_keyed(keyed), la::CheckpointError);
 }
 
 TEST(CheckpointKeying, IdsAreSanitizedIntoSafeFilenames) {

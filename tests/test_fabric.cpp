@@ -272,7 +272,9 @@ TEST(Netlist, BrokenVerticalPlacementShortensChain) {
   lf::CellId prev = nl.add_cell(lf::CellType::kPort, "in");
   for (int i = 0; i < 8; ++i) {
     const int row = i < 4 ? i : i + 3;  // gap after the 4th cell
-    const auto c = nl.add_cell(lf::CellType::kCarry4, "c" + std::to_string(i),
+    std::string name = "c";
+    name += std::to_string(i);
+    const auto c = nl.add_cell(lf::CellType::kCarry4, name,
                                lf::Carry4Config{4}, lf::SiteCoord{3, row});
     nl.connect(prev, c);
     prev = c;
@@ -284,8 +286,10 @@ TEST(Netlist, WorstPathAccumulatesDelay) {
   lf::Netlist nl;
   lf::CellId prev = nl.add_cell(lf::CellType::kPort, "in");
   for (int i = 0; i < 3; ++i) {
+    std::string name = "d";
+    name += std::to_string(i);
     const auto dsp = nl.add_cell(
-        lf::CellType::kDsp48, "d" + std::to_string(i),
+        lf::CellType::kDsp48, name,
         lf::Dsp48Config::leaky_identity(lf::Architecture::kSeries7, i == 0,
                                         i == 2));
     nl.connect(prev, dsp);

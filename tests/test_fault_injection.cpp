@@ -19,7 +19,6 @@
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "sim/trace_store.h"
-#include "util/byte_io.h"
 #include "util/contracts.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -63,25 +62,6 @@ std::vector<std::uint8_t> make_v2_bytes(const std::string& scratch) {
   }
   writer.finish();
   return ltest::read_file(scratch);
-}
-
-// v1 trace file, written by hand (the v1 writer no longer exists):
-// "LDTR" | u32 1 | u32 spt | u64 count | count raw records.
-std::vector<std::uint8_t> make_v1_bytes() {
-  lu::ByteWriter out;
-  const char magic[4] = {'L', 'D', 'T', 'R'};
-  out.bytes({reinterpret_cast<const std::uint8_t*>(magic), 4});
-  out.u32(1);
-  out.u32(5);
-  out.u64(10);
-  lu::Rng rng(2025);
-  for (int t = 0; t < 10; ++t) {
-    for (int i = 0; i < 16; ++i) {
-      out.u8(static_cast<std::uint8_t>(rng() & 0xff));
-    }
-    for (int i = 0; i < 5; ++i) out.f64(rng.gaussian());
-  }
-  return out.take();
 }
 
 // Fully drains the file, so payload corruption deep in the stream is
@@ -198,71 +178,6 @@ TEST(FaultInjectionV2, UnfinishedWriterLeavesRejectableFile) {
   EXPECT_THROW(load_all(mid_capture), lsim::TraceFormatError);
 }
 
-// ------------------------------------------------------------- v1 format
-
-TEST(FaultInjectionV1, HeaderCorruptionsRejected) {
-  const TempDir dir("v1_sweep");
-  const std::string path = dir.path() + "/traces.ldtr";
-  const auto base = make_v1_bytes();
-  ltest::write_file(path, base);
-  ASSERT_EQ(load_all(path), 10u);
-  EXPECT_EQ(lsim::TraceStoreReader(path).version(), 1u);
-
-  // v1 has no payload CRC, so its corpus is the structurally detectable
-  // damage: every header byte (magic, version, samples_per_trace, count)
-  // participates in a validity or size check.
-  std::size_t variants = 0;
-  for (std::size_t offset = 0; offset < 20; ++offset) {
-    ltest::write_file(path, ltest::flip_bit(base, offset,
-                                            static_cast<unsigned>(offset % 8)));
-    EXPECT_THROW(load_all(path), lsim::TraceFormatError)
-        << "header bit flip at offset " << offset;
-    ++variants;
-  }
-
-  for (const std::size_t size :
-       {std::size_t{3}, std::size_t{7}, std::size_t{12}, std::size_t{19},
-        std::size_t{20}, std::size_t{76}, base.size() - 1}) {
-    ltest::write_file(path, ltest::truncate_to(base, size));
-    EXPECT_THROW(load_all(path), lsim::TraceFormatError)
-        << "truncated to " << size;
-    ++variants;
-  }
-
-  ltest::write_file(path, ltest::zero_fill(base, 0, 4));
-  EXPECT_THROW(load_all(path), lsim::TraceFormatError) << "zeroed magic";
-  ltest::write_file(path, ltest::zero_fill(base, 8, 12));
-  EXPECT_THROW(load_all(path), lsim::TraceFormatError) << "zeroed shape";
-  variants += 2;
-
-  // Adversarial count: 2^62 traces declared in a 580-byte file must be
-  // rejected by arithmetic on the real file size, not by attempting the
-  // allocation.
-  auto huge = base;
-  const std::uint64_t count = 0x4000000000000000ull;
-  std::memcpy(huge.data() + 12, &count, 8);
-  ltest::write_file(path, huge);
-  EXPECT_THROW(load_all(path), lsim::TraceFormatError) << "2^62 traces";
-  ++variants;
-
-  EXPECT_GE(variants, 20u);
-}
-
-TEST(FaultInjectionV1, PayloadCorruptionIsUndetectable) {
-  // Documents WHY v2 exists: v1 carries no payload CRC, so a flipped
-  // sample bit loads silently. The same flip in a v2 file is caught.
-  const TempDir dir("v1_silent");
-  const std::string v1_path = dir.path() + "/v1.ldtr";
-  const auto v1 = make_v1_bytes();
-  ltest::write_file(v1_path, ltest::flip_bit(v1, 100, 3));
-  EXPECT_EQ(load_all(v1_path), 10u);  // loads, silently wrong
-
-  const std::string v2_path = dir.path() + "/v2.ldtr";
-  const auto v2 = make_v2_bytes(v2_path);
-  expect_trace_rejected(v2_path, ltest::flip_bit(v2, 100, 3),
-                        "same flip in a v2 payload");
-}
-
 TEST(FaultInjection, TypedErrorsRemainPreconditionErrors) {
   // Generic catch sites predate the typed errors; both types must keep
   // flowing through them.
@@ -270,7 +185,7 @@ TEST(FaultInjection, TypedErrorsRemainPreconditionErrors) {
   const std::string path = dir.path() + "/traces.ldtr";
   ltest::write_file(path, {'N', 'O', 'P', 'E'});
   EXPECT_THROW(load_all(path), lu::PreconditionError);
-  EXPECT_THROW(lsim::TraceStore::load(path), lsim::TraceFormatError);
+  EXPECT_THROW(load_all(path), lsim::TraceFormatError);
 }
 
 // ----------------------------------------------------------- checkpoints

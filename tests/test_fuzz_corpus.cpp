@@ -12,15 +12,11 @@
 #include <vector>
 
 #include "attack/campaign.h"
-#include "core/leaky_dsp.h"
 #include "fabric/device_spec.h"
+#include "harness/checkpoint_world.h"
 #include "harness/harness.h"
-#include "sim/scenarios.h"
-#include "sim/sensor_rig.h"
 #include "sim/trace_store.h"
 #include "support/corruption.h"
-#include "util/rng.h"
-#include "victim/aes_core.h"
 
 namespace lt = leakydsp::testing;
 
@@ -110,8 +106,6 @@ TEST(FuzzCorpus, ValidTraceStoreSeedsParse) {
 TEST(FuzzCorpus, ValidCheckpointSeedResumes) {
   // Rebuild exactly the campaign the fuzz harness uses (and that wrote
   // the committed seeds); the mid-run seed must resume to completion.
-  namespace la = leakydsp::attack;
-  namespace ls = leakydsp::sim;
   const std::string dir = (std::filesystem::temp_directory_path() /
                            "leakydsp_fuzz_seed_check")
                               .string();
@@ -119,30 +113,9 @@ TEST(FuzzCorpus, ValidCheckpointSeedResumes) {
   std::filesystem::create_directories(dir);
   std::filesystem::copy_file(corpus_dir("checkpoint") + "/valid_midrun.ckpt",
                              dir + "/campaign.ckpt");
-
-  const ls::Basys3Scenario scenario;
-  leakydsp::util::Rng rng(212);
-  leakydsp::crypto::Key key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-  leakydsp::victim::AesCoreParams aes_params;
-  aes_params.clock_mhz = 100.0;
-  aes_params.current_per_hd_bit = 0.15;
-  leakydsp::victim::AesCoreModel aes(key, scenario.aes_site(),
-                                     scenario.grid(), aes_params);
-  leakydsp::core::LeakyDspSensor sensor(
-      scenario.device(),
-      scenario.attack_placements()[ls::Basys3Scenario::kBestPlacementIndex]);
-  ls::SensorRig rig(scenario.grid(), sensor);
-  rig.calibrate(rng);
-  la::CampaignConfig config;
-  config.max_traces = 96;
-  config.break_check_stride = 48;
-  config.rank_stride = 96;
-  config.threads = 1;
-  config.checkpoint_dir = dir;
-  la::TraceCampaign campaign(rig, aes, config);
-  la::CampaignResult result;
-  ASSERT_NO_THROW(result = campaign.resume());
+  leakydsp::fuzz::CheckpointWorld world(dir);
+  leakydsp::attack::CampaignResult result;
+  ASSERT_NO_THROW(result = world.campaign.resume());
   EXPECT_EQ(result.traces_run, 96u);
   std::filesystem::remove_all(dir);
 }

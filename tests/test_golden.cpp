@@ -80,6 +80,30 @@ TEST(GoldenFormat, RejectsCorruption) {
   std::filesystem::remove(path);
 }
 
+TEST(GoldenFormat, FailedSaveThrowsTypedErrorAndLeavesNoTmp) {
+  // Saving onto a path that is an existing directory used to escape as an
+  // untyped std::filesystem::filesystem_error from the rename and leave
+  // "<path>.tmp" behind. The failure is a GoldenFormatError naming the
+  // path and the errno, and nothing is left next to the target.
+  const std::string dir = temp_path("ldgc_occupied");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/child");
+  try {
+    lv::save_golden(dir, small_golden());
+    ADD_FAILURE() << "save onto a directory succeeded";
+  } catch (const lv::GoldenFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(dir), std::string::npos) << what;
+    EXPECT_NE(what.find("errno"), std::string::npos) << what;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped error: " << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/child"));
+  std::filesystem::remove(dir + ".tmp");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(GoldenComparator, FlagsMissingExtraAndLengthMismatches) {
   const lv::GoldenFile expected = small_golden();
   lv::GoldenFile actual = small_golden();

@@ -152,24 +152,29 @@ TEST(NetlistFuzz, RandomDagsRoundTripAndAuditWithoutCrashing) {
     lf::Netlist nl;
     const std::size_t cells = 3 + rng.uniform_u64(40);
     for (std::size_t i = 0; i < cells; ++i) {
+      const auto name = [i](char kind) {
+        std::string out(1, kind);
+        out += std::to_string(i);
+        return out;
+      };
       switch (rng.uniform_u64(5)) {
         case 0:
-          nl.add_cell(lf::CellType::kLut, "l" + std::to_string(i),
+          nl.add_cell(lf::CellType::kLut, name('l'),
                       lf::LutConfig{1 + static_cast<int>(rng.uniform_u64(6)),
                                     0x2});
           break;
         case 1:
-          nl.add_cell(lf::CellType::kFf, "f" + std::to_string(i),
+          nl.add_cell(lf::CellType::kFf, name('f'),
                       lf::FfConfig{rng.bernoulli(0.2)});
           break;
         case 2:
-          nl.add_cell(lf::CellType::kCarry4, "c" + std::to_string(i),
+          nl.add_cell(lf::CellType::kCarry4, name('c'),
                       lf::Carry4Config{4},
                       lf::SiteCoord{static_cast<int>(rng.uniform_u64(20)),
                                     static_cast<int>(rng.uniform_u64(20))});
           break;
         case 3:
-          nl.add_cell(lf::CellType::kDsp48, "d" + std::to_string(i),
+          nl.add_cell(lf::CellType::kDsp48, name('d'),
                       rng.bernoulli(0.5)
                           ? lf::Dsp48Config::leaky_identity(
                                 lf::Architecture::kSeries7, true, true)
@@ -177,7 +182,7 @@ TEST(NetlistFuzz, RandomDagsRoundTripAndAuditWithoutCrashing) {
                                 lf::Architecture::kSeries7));
           break;
         default:
-          nl.add_cell(lf::CellType::kBuf, "b" + std::to_string(i));
+          nl.add_cell(lf::CellType::kBuf, name('b'));
           break;
       }
     }

@@ -286,7 +286,13 @@ TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
   };
   const std::string path = "/tmp/leakydsp_test_record_threads.ldtr";
   const auto serial = record_file(1, path);
-  EXPECT_EQ(lsim::TraceStore::load(path).size(), 150u);
+  {
+    lsim::TraceStoreReader reader(path);
+    lsim::StoredTrace trace;
+    std::size_t stored = 0;
+    while (reader.next(trace)) ++stored;  // validates every chunk CRC
+    EXPECT_EQ(stored, 150u);
+  }
   EXPECT_EQ(record_file(4, path), serial);
   std::remove(path.c_str());
 }

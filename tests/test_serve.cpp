@@ -231,8 +231,9 @@ TEST(CampaignServiceTest, WorkersHydrateWorldsConcurrently) {
   std::atomic<int> max_in_flight{0};
   std::vector<ls::StandardCampaignSpec> specs;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    specs.push_back(
-        make_spec("h" + std::to_string(seed), seed * 131, dir.path()));
+    std::string id = "h";
+    id += std::to_string(seed);
+    specs.push_back(make_spec(id, seed * 131, dir.path()));
     ls::CampaignJob job = ls::make_standard_job(specs.back());
     job.make = [make = std::move(job.make), &in_flight, &max_in_flight] {
       const int now = in_flight.fetch_add(1) + 1;
@@ -482,7 +483,13 @@ TEST(CampaignServiceTest, RejectsBadRecordJobsAtEnqueue) {
   const auto outcomes = service.drain();
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].traces_recorded, 40u);
-  EXPECT_EQ(lsim::TraceStore::load(path).size(), 40u);
+  {
+    lsim::TraceStoreReader reader(path);
+    lsim::StoredTrace trace;
+    std::size_t stored = 0;
+    while (reader.next(trace)) ++stored;  // validates every chunk CRC
+    EXPECT_EQ(stored, 40u);
+  }
   EXPECT_TRUE(identical_results(outcomes[1].result,
                                 ls::run_standard_campaign(sibling, 1)));
 }

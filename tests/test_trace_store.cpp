@@ -34,46 +34,56 @@ class TempFile {
   std::string path_;
 };
 
+/// Streams every trace of a v2 file back into memory.
+std::vector<lsim::StoredTrace> load_all(const std::string& path) {
+  lsim::TraceStoreReader reader(path);
+  std::vector<lsim::StoredTrace> traces;
+  lsim::StoredTrace t;
+  while (reader.next(t)) traces.push_back(t);
+  return traces;
+}
+
 }  // namespace
 
 TEST(TraceStore, RoundTripPreservesData) {
   lu::Rng rng(901);
-  lsim::TraceStore store(30);
-  for (int t = 0; t < 50; ++t) {
-    lc::Block ct;
-    for (auto& b : ct) b = static_cast<std::uint8_t>(rng() & 0xff);
-    std::vector<double> samples(30);
-    for (auto& s : samples) s = rng.gaussian(40.0, 1.0);
-    store.add(ct, samples);
-  }
+  std::vector<lsim::StoredTrace> written(50);
   const TempFile file("roundtrip.ldtr");
-  store.save(file.path());
-  const auto loaded = lsim::TraceStore::load(file.path());
-  ASSERT_EQ(loaded.size(), store.size());
-  ASSERT_EQ(loaded.samples_per_trace(), 30u);
-  for (std::size_t t = 0; t < store.size(); ++t) {
-    EXPECT_EQ(loaded.trace(t).ciphertext, store.trace(t).ciphertext);
-    EXPECT_EQ(loaded.trace(t).samples, store.trace(t).samples);
+  lsim::TraceStoreWriter writer(file.path(), 30);
+  for (auto& t : written) {
+    for (auto& b : t.ciphertext) b = static_cast<std::uint8_t>(rng() & 0xff);
+    t.samples.resize(30);
+    for (auto& s : t.samples) s = rng.gaussian(40.0, 1.0);
+    writer.add(t.ciphertext, t.samples);
+  }
+  writer.finish();
+  EXPECT_EQ(lsim::TraceStoreReader(file.path()).samples_per_trace(), 30u);
+  const auto loaded = load_all(file.path());
+  ASSERT_EQ(loaded.size(), written.size());
+  for (std::size_t t = 0; t < written.size(); ++t) {
+    EXPECT_EQ(loaded[t].ciphertext, written[t].ciphertext);
+    EXPECT_EQ(loaded[t].samples, written[t].samples);
   }
 }
 
 TEST(TraceStore, EmptyStoreRoundTrips) {
-  lsim::TraceStore store(10);
   const TempFile file("empty.ldtr");
-  store.save(file.path());
-  const auto loaded = lsim::TraceStore::load(file.path());
-  EXPECT_EQ(loaded.size(), 0u);
-  EXPECT_EQ(loaded.samples_per_trace(), 10u);
+  lsim::TraceStoreWriter(file.path(), 10).finish();
+  lsim::TraceStoreReader reader(file.path());
+  EXPECT_EQ(reader.trace_count(), 0u);
+  EXPECT_EQ(reader.samples_per_trace(), 10u);
+  EXPECT_TRUE(load_all(file.path()).empty());
 }
 
 TEST(TraceStore, SampleCountMismatchRejected) {
-  lsim::TraceStore store(8);
-  EXPECT_THROW(store.add(lc::Block{}, std::vector<double>(7)),
+  const TempFile file("mismatch.ldtr");
+  lsim::TraceStoreWriter writer(file.path(), 8);
+  EXPECT_THROW(writer.add(lc::Block{}, std::vector<double>(7)),
                lu::PreconditionError);
 }
 
 TEST(TraceStore, MissingFileRejected) {
-  EXPECT_THROW(lsim::TraceStore::load("/tmp/leakydsp_does_not_exist.ldtr"),
+  EXPECT_THROW(load_all("/tmp/leakydsp_does_not_exist.ldtr"),
                lu::PreconditionError);
 }
 
@@ -82,18 +92,18 @@ TEST(TraceStore, BadMagicRejected) {
   std::ofstream os(file.path(), std::ios::binary);
   os << "NOPEimmaterial trailing bytes";
   os.close();
-  EXPECT_THROW(lsim::TraceStore::load(file.path()), lu::PreconditionError);
+  EXPECT_THROW(load_all(file.path()), lu::PreconditionError);
 }
 
 TEST(TraceStore, TruncatedFileRejected) {
-  lu::Rng rng(902);
-  lsim::TraceStore store(16);
-  for (int t = 0; t < 5; ++t) {
-    std::vector<double> samples(16, 1.0);
-    store.add(lc::Block{}, samples);
-  }
   const TempFile file("trunc.ldtr");
-  store.save(file.path());
+  {
+    lsim::TraceStoreWriter writer(file.path(), 16);
+    for (int t = 0; t < 5; ++t) {
+      writer.add(lc::Block{}, std::vector<double>(16, 1.0));
+    }
+    writer.finish();
+  }
   // Chop the last 8 bytes off.
   std::ifstream is(file.path(), std::ios::binary | std::ios::ate);
   const auto size = static_cast<long>(is.tellg());
@@ -104,12 +114,7 @@ TEST(TraceStore, TruncatedFileRejected) {
   std::ofstream os(file.path(), std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   os.close();
-  EXPECT_THROW(lsim::TraceStore::load(file.path()), lu::PreconditionError);
-}
-
-TEST(TraceStore, OutOfRangeAccessRejected) {
-  lsim::TraceStore store(4);
-  EXPECT_THROW(store.trace(0), lu::PreconditionError);
+  EXPECT_THROW(load_all(file.path()), lu::PreconditionError);
 }
 
 TEST(TraceStore, StreamingWriterReaderRoundTrip) {
@@ -129,7 +134,6 @@ TEST(TraceStore, StreamingWriterReaderRoundTrip) {
     writer.finish();
   }
   lsim::TraceStoreReader reader(file.path());
-  EXPECT_EQ(reader.version(), 2u);
   EXPECT_EQ(reader.samples_per_trace(), 6u);
   ASSERT_EQ(reader.trace_count(), 8u);  // known before streaming starts
   lsim::StoredTrace trace;
@@ -159,12 +163,10 @@ TEST(TraceStore, WriterRejectsSamplesPerTraceBeyondU32) {
                lu::PreconditionError);
 }
 
-TEST(TraceStore, LoadsV1FormatFiles) {
-  // Hand-written v1 file (pre-CRC format): header + raw records.
+TEST(TraceStore, V1HeaderRejected) {
+  // The reader knows only v2. A well-formed v1 file (header + raw records,
+  // no checksums) is an unsupported version, not a trace source.
   const TempFile file("v1.ldtr");
-  lu::Rng rng(905);
-  std::vector<double> samples(3);
-  for (auto& s : samples) s = rng.gaussian();
   {
     std::ofstream os(file.path(), std::ios::binary);
     const char magic[4] = {'L', 'D', 'T', 'R'};
@@ -175,35 +177,17 @@ TEST(TraceStore, LoadsV1FormatFiles) {
     os.write(reinterpret_cast<const char*>(&version), 4);
     os.write(reinterpret_cast<const char*>(&spt), 4);
     os.write(reinterpret_cast<const char*>(&count), 8);
-    const lc::Block ct{};
-    os.write(reinterpret_cast<const char*>(ct.data()), 16);
-    os.write(reinterpret_cast<const char*>(samples.data()), 3 * 8);
-  }
-  const auto loaded = lsim::TraceStore::load(file.path());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.samples_per_trace(), 3u);
-  EXPECT_EQ(loaded.trace(0).samples, samples);
-  EXPECT_EQ(lsim::TraceStoreReader(file.path()).version(), 1u);
-}
-
-TEST(TraceStore, V1AdversarialTraceCountRejected) {
-  // A 44-byte file whose header declares 2^61 traces: must be rejected
-  // by validating against the real file size, not by allocating.
-  const TempFile file("v1huge.ldtr");
-  {
-    std::ofstream os(file.path(), std::ios::binary);
-    const char magic[4] = {'L', 'D', 'T', 'R'};
-    const std::uint32_t version = 1;
-    const std::uint32_t spt = 1;
-    const std::uint64_t count = std::uint64_t{1} << 61;
-    os.write(magic, 4);
-    os.write(reinterpret_cast<const char*>(&version), 4);
-    os.write(reinterpret_cast<const char*>(&spt), 4);
-    os.write(reinterpret_cast<const char*>(&count), 8);
-    const std::array<char, 24> record{};
+    const std::array<char, 16 + 3 * 8> record{};
     os.write(record.data(), record.size());
   }
-  EXPECT_THROW(lsim::TraceStore::load(file.path()), lsim::TraceFormatError);
+  try {
+    lsim::TraceStoreReader reader(file.path());
+    FAIL() << "v1 file was accepted";
+  } catch (const lsim::TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceStore, CorruptFilesThrowTypedTraceFormatError) {
@@ -214,7 +198,7 @@ TEST(TraceStore, CorruptFilesThrowTypedTraceFormatError) {
   std::ofstream os(file.path(), std::ios::binary);
   os << "NOPE";
   os.close();
-  EXPECT_THROW(lsim::TraceStore::load(file.path()), lsim::TraceFormatError);
+  EXPECT_THROW(load_all(file.path()), lsim::TraceFormatError);
 }
 
 TEST(TraceStore, OfflineCpaFromDiskRecoversKey) {
@@ -225,23 +209,24 @@ TEST(TraceStore, OfflineCpaFromDiskRecoversKey) {
   for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
   const lc::Aes128 aes(key);
 
-  lsim::TraceStore store(1);
-  lc::Block pt{};
-  for (int t = 0; t < 3000; ++t) {
-    const auto trace = aes.encrypt_trace(pt);
-    const double leak = -static_cast<double>(
-        leakydsp::victim::block_hd(trace.states[9], trace.states[10]));
-    store.add(trace.ciphertext,
-              std::vector<double>{leak + rng.gaussian(0.0, 4.0)});
-    pt = trace.ciphertext;
-  }
   const TempFile file("offline.ldtr");
-  store.save(file.path());
-
-  const auto loaded = lsim::TraceStore::load(file.path());
-  la::CpaAttack cpa(loaded.samples_per_trace());
-  for (std::size_t t = 0; t < loaded.size(); ++t) {
-    cpa.add_trace(loaded.trace(t).ciphertext, loaded.trace(t).samples);
+  {
+    lsim::TraceStoreWriter writer(file.path(), 1);
+    lc::Block pt{};
+    for (int t = 0; t < 3000; ++t) {
+      const auto trace = aes.encrypt_trace(pt);
+      const double leak = -static_cast<double>(
+          leakydsp::victim::block_hd(trace.states[9], trace.states[10]));
+      writer.add(trace.ciphertext,
+                 std::vector<double>{leak + rng.gaussian(0.0, 4.0)});
+      pt = trace.ciphertext;
+    }
+    writer.finish();
   }
+
+  lsim::TraceStoreReader reader(file.path());
+  la::CpaAttack cpa(reader.samples_per_trace());
+  lsim::StoredTrace trace;
+  while (reader.next(trace)) cpa.add_trace(trace.ciphertext, trace.samples);
   EXPECT_EQ(cpa.recovered_master_key(), key);
 }
