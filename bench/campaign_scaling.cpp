@@ -58,7 +58,8 @@ bool identical(const attack::CampaignResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"traces", "seed", "threads", "sweep!"},
+  const util::Cli cli(argc, argv,
+                      {"traces", "seed", "threads", "sweep!", "progress!"},
                       obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool progress = cli.get_flag("progress");

@@ -37,7 +37,7 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       {"seed", "max-traces", "threads", "checkpoint-dir",
-                       "quick!", "resume!"},
+                       "quick!", "resume!", "progress!"},
                       obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool progress = cli.get_flag("progress");

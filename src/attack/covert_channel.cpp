@@ -1,11 +1,42 @@
 #include "attack/covert_channel.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/descriptive.h"
 #include "util/contracts.h"
 
 namespace leakydsp::attack {
+
+ChannelNoise::ChannelNoise(const CovertChannelParams& params, double swing,
+                           util::Rng& rng)
+    : params_(params), swing_(swing) {
+  const double bit_ms = params_.bit_time_ms;
+  const double sigma = params_.wander_sigma_bits / std::sqrt(bit_ms);
+  rho_ = std::pow(params_.wander_rho_per_ms, bit_ms);
+  innovation_ = sigma * std::sqrt(1.0 - rho_ * rho_);
+  wander_ = rng.gaussian(0.0, sigma);
+}
+
+SlotNoise ChannelNoise::step(util::Rng& rng) {
+  const double bit_ms = params_.bit_time_ms;
+  wander_ = rho_ * wander_ + rng.gaussian(0.0, innovation_);
+  double droop = 0.0;
+  if (burst_remaining_ms_ > 0.0) {
+    const double overlap = std::min(burst_remaining_ms_, bit_ms);
+    droop = burst_amplitude_ * swing_ * (overlap / bit_ms);
+    burst_remaining_ms_ -= bit_ms;
+  } else if (rng.bernoulli(
+                 std::min(1.0, params_.burst_rate_hz * bit_ms * 1e-3))) {
+    burst_remaining_ms_ =
+        rng.exponential(1.0 / params_.burst_duration_ms_mean);
+    const double overlap = std::min(burst_remaining_ms_, bit_ms);
+    burst_amplitude_ = params_.burst_amplitude_rel * rng.uniform(0.5, 1.5);
+    droop = burst_amplitude_ * swing_ * (overlap / bit_ms);
+    burst_remaining_ms_ -= bit_ms;
+  }
+  return {wander_, droop};
+}
 
 CovertChannel::CovertChannel(sim::SensorRig& rig, victim::PowerVirus& sender,
                              CovertChannelParams params, util::Rng& rng)
@@ -52,16 +83,10 @@ ChannelStats CovertChannel::transmit(const std::vector<bool>& payload,
                                      util::Rng& rng,
                                      std::vector<bool>* decoded) {
   const double bit_ms = params_.bit_time_ms;
-  const double sigma_bit =
-      params_.wander_sigma_bits / std::sqrt(bit_ms);  // 1/sqrt(T) scaling
-  const double rho = std::pow(params_.wander_rho_per_ms, bit_ms);
-  const double innovation = sigma_bit * std::sqrt(1.0 - rho * rho);
   const double swing = level_idle_ - level_active_;
 
   ChannelStats stats;
-  double wander = rng.gaussian(0.0, sigma_bit);
-  double burst_remaining_ms = 0.0;
-  double burst_amplitude = 0.0;
+  ChannelNoise noise(params_, swing, rng);
   std::size_t sent = 0;
 
   while (sent < payload.size()) {
@@ -71,30 +96,10 @@ ChannelStats CovertChannel::transmit(const std::vector<bool>& payload,
     double pre_lo = 0.0;
     std::size_t hi_n = 0;
     std::size_t lo_n = 0;
-    auto step_noise = [&]() {
-      wander = rho * wander + rng.gaussian(0.0, innovation);
-      // Disturbance bursts: Poisson arrivals, exponential duration.
-      double droop = 0.0;
-      if (burst_remaining_ms > 0.0) {
-        const double overlap = std::min(burst_remaining_ms, bit_ms);
-        droop = burst_amplitude * swing * (overlap / bit_ms);
-        burst_remaining_ms -= bit_ms;
-      } else if (rng.bernoulli(std::min(
-                     1.0, params_.burst_rate_hz * bit_ms * 1e-3))) {
-        burst_remaining_ms =
-            rng.exponential(1.0 / params_.burst_duration_ms_mean);
-        const double overlap = std::min(burst_remaining_ms, bit_ms);
-        burst_amplitude =
-            params_.burst_amplitude_rel * rng.uniform(0.5, 1.5);
-        droop = burst_amplitude * swing * (overlap / bit_ms);
-        burst_remaining_ms -= bit_ms;
-      }
-      return droop;
-    };
-
     for (std::size_t p = 0; p < params_.preamble_bits; ++p) {
       const bool bit = (p % 2) == 0;
-      const double r = receive_bit_statistic(bit, wander, step_noise());
+      const SlotNoise n = noise.step(rng);
+      const double r = receive_bit_statistic(bit, n.wander, n.droop);
       if (bit) {
         pre_hi += r;
         ++hi_n;
@@ -120,7 +125,8 @@ ChannelStats CovertChannel::transmit(const std::vector<bool>& payload,
         std::min(params_.frame_data_bits, payload.size() - sent);
     for (std::size_t i = 0; i < frame_bits; ++i) {
       const bool bit = payload[sent + i];
-      const double r = receive_bit_statistic(bit, wander, step_noise());
+      const SlotNoise n = noise.step(rng);
+      const double r = receive_bit_statistic(bit, n.wander, n.droop);
       const bool received = r > threshold;
       if (decoded != nullptr) decoded->push_back(received);
       if (received != bit) ++stats.bit_errors;

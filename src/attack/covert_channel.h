@@ -64,6 +64,35 @@ struct ChannelStats {
   }
 };
 
+/// One slot's disturbance of the receiver's window average.
+struct SlotNoise {
+  double wander = 0.0;  ///< supply wander, correlated across slots
+  double droop = 0.0;   ///< burst droop; subtracts from the readout
+};
+
+/// The slot-level noise process both covert channels share: AR(1) supply
+/// wander with rms wander_sigma_bits / sqrt(T_slot), plus disturbance
+/// bursts (Poisson arrivals, exponential duration) whose droop is a
+/// fraction of the channel's level `swing`. Construction draws the initial
+/// wander from `rng`.
+class ChannelNoise {
+ public:
+  ChannelNoise(const CovertChannelParams& params, double swing,
+               util::Rng& rng);
+
+  /// Advances one slot and returns its wander and burst droop.
+  SlotNoise step(util::Rng& rng);
+
+ private:
+  CovertChannelParams params_;
+  double swing_ = 0.0;
+  double rho_ = 0.0;         // AR(1) coefficient per slot
+  double innovation_ = 0.0;  // rms of the AR(1) innovation
+  double wander_ = 0.0;
+  double burst_remaining_ms_ = 0.0;
+  double burst_amplitude_ = 0.0;
+};
+
 /// One sender/receiver pair on a shared FPGA.
 class CovertChannel {
  public:

@@ -65,41 +65,16 @@ ChannelStats PamCovertChannel::transmit(const std::vector<bool>& payload,
                                         util::Rng& rng,
                                         std::vector<bool>* decoded) {
   const double bit_ms = params_.bit_time_ms;
-  const double sigma_slot = params_.wander_sigma_bits / std::sqrt(bit_ms);
-  const double rho = std::pow(params_.wander_rho_per_ms, bit_ms);
-  const double innovation = sigma_slot * std::sqrt(1.0 - rho * rho);
-  const double swing = levels_.front() - levels_.back();
 
   ChannelStats stats;
-  double wander = rng.gaussian(0.0, sigma_slot);
-  double burst_remaining_ms = 0.0;
-  double burst_amplitude = 0.0;
-
-  auto slot_noise = [&]() {
-    wander = rho * wander + rng.gaussian(0.0, innovation);
-    double droop = 0.0;
-    if (burst_remaining_ms > 0.0) {
-      const double overlap = std::min(burst_remaining_ms, bit_ms);
-      droop = burst_amplitude * swing * (overlap / bit_ms);
-      burst_remaining_ms -= bit_ms;
-    } else if (rng.bernoulli(
-                   std::min(1.0, params_.burst_rate_hz * bit_ms * 1e-3))) {
-      burst_remaining_ms =
-          rng.exponential(1.0 / params_.burst_duration_ms_mean);
-      const double overlap = std::min(burst_remaining_ms, bit_ms);
-      burst_amplitude = params_.burst_amplitude_rel * rng.uniform(0.5, 1.5);
-      droop = burst_amplitude * swing * (overlap / bit_ms);
-      burst_remaining_ms -= bit_ms;
-    }
-    return wander - droop;
-  };
+  ChannelNoise noise(params_, levels_.front() - levels_.back(), rng);
 
   const std::size_t symbols_per_frame = params_.frame_data_bits / 2;
   std::size_t sent = 0;
   while (sent < payload.size()) {
     // Preamble slots (symbol ramp 0..3, repeated) keep the receiver's
     // level table honest; counted as overhead only.
-    for (std::size_t p = 0; p < params_.preamble_bits; ++p) slot_noise();
+    for (std::size_t p = 0; p < params_.preamble_bits; ++p) noise.step(rng);
 
     const std::size_t frame_bits =
         std::min(symbols_per_frame * 2, payload.size() - sent);
@@ -114,8 +89,9 @@ ChannelStats PamCovertChannel::transmit(const std::vector<bool>& payload,
           symbol = s;
         }
       }
+      const SlotNoise n = noise.step(rng);
       const double statistic =
-          levels_[static_cast<std::size_t>(symbol)] + slot_noise();
+          levels_[static_cast<std::size_t>(symbol)] + (n.wander - n.droop);
       const int received = decode_symbol(statistic);
       const auto& rx = kGray[static_cast<std::size_t>(received)];
       if (decoded != nullptr) {

@@ -114,7 +114,6 @@ double LeakyDspSensor::sample(double supply_v, util::Rng& rng) {
                           : 0.0);
     if (t <= t_capture) settled += 1.0;
   }
-  input_phase_ = !input_phase_;
   return settled;
 }
 
@@ -139,7 +138,6 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
     util::simd::div_scalar(t_capture, scale_scratch_.data(),
                            bound_scratch_.data(), n);
     for (std::size_t s = 0; s < n; ++s) {
-      input_phase_ = !input_phase_;
       out[s] = static_cast<double>(
           util::simd::count_le(settle, kOutputBits, bound_scratch_[s]));
     }
@@ -168,29 +166,9 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
           ++count;
         }
       }
-      input_phase_ = !input_phase_;
       out[s] = static_cast<double>(count);
     }
   }
-}
-
-util::BitVec LeakyDspSensor::sample_word(double supply_v, util::Rng& rng) {
-  const bool phase = input_phase_;
-  const double scale = params_.law.scale(supply_v);
-  const double t_capture = sampling_time_ns();
-  util::BitVec word(kOutputBits);
-  for (std::size_t i = 0; i < kOutputBits; ++i) {
-    const double t = settle_ns_[i] * scale +
-                     (params_.jitter_sigma_ns > 0.0
-                          ? rng.gaussian(0.0, params_.jitter_sigma_ns)
-                          : 0.0);
-    // Settled bits carry the current word; unsettled bits still hold the
-    // previous, complementary word.
-    const bool settled = t <= t_capture;
-    word.set(i, settled ? phase : !phase);
-  }
-  input_phase_ = !input_phase_;
-  return word;
 }
 
 sensors::CalibrationResult LeakyDspSensor::calibrate(

@@ -26,7 +26,6 @@
 #include "sensors/sensor.h"
 #include "timing/delay_model.h"
 #include "util/aligned.h"
-#include "util/bitvec.h"
 
 namespace leakydsp::core {
 
@@ -99,10 +98,6 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   /// jitter_sigma_ns: P(|N(0,1)| > 8) < 1.3e-15.
   static constexpr double kJitterCutSigma = 8.0;
 
-  /// Raw captured word: settled bits carry the expected value, unsettled
-  /// bits still hold the previous (complementary) word.
-  util::BitVec sample_word(double supply_v, util::Rng& rng);
-
   /// The paper's calibration: from fine phase 0, sweep the capture edge
   /// through the clock-line then signal-line IDELAY taps and keep the tap
   /// with maximum readout variation between consecutive taps; then pick
@@ -147,7 +142,6 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   int clk_taps_ = 0;
   int fine_phase_ = 0;      // MMCM fine shift, 0..5 steps of tap_ps/5
   int capture_cycles_ = 0;  // whole sample clocks spanned by the chain
-  bool input_phase_ = false;  // toggling input word state
 };
 
 }  // namespace leakydsp::core

@@ -10,7 +10,7 @@
 namespace leakydsp::obs {
 
 std::vector<std::string> cli_options() {
-  return {"log-level", "log-file", "log-json!", "trace-out", "progress!"};
+  return {"log-level", "log-file", "log-json!", "trace-out"};
 }
 
 void register_thread() { Registry::global().register_current_thread(); }

@@ -8,7 +8,9 @@
 //   --log-file P    JSON/human log to a file instead of stderr
 //   --log-json      JSON-lines log format
 //   --trace-out P   record spans, write Chrome-tracing JSON to P at exit
-//   --progress      live stderr progress line (TTY only)
+//
+// The progress meter has no shared flag: a driver that starts it lists
+// its own `--progress`.
 //
 // Everything here observes the simulation from the side: no RNG, no
 // floating-point state, so flipping any of these flags never changes a

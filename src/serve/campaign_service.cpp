@@ -345,8 +345,9 @@ struct CampaignService::Impl {
   /// the job. The order matters: the job becomes admissible only once its
   /// checkpoint is complete, so a rehydration never reads a half-written
   /// file.
-  void evict(Resident& resident, std::size_t done) {
-    const CampaignJob& job = jobs[resident.job_index].job;
+  // `done` and `job` feed only OBS_* hooks, which -DLEAKYDSP_OBS=OFF strips.
+  void evict(Resident& resident, [[maybe_unused]] std::size_t done) {
+    [[maybe_unused]] const CampaignJob& job = jobs[resident.job_index].job;
     resident.world->campaign().suspend(*resident.task);
     teardown(resident);
     {
@@ -722,9 +723,9 @@ std::string CampaignService::statusz_json() const {
   return out.str();
 }
 
-HealthSnapshot CampaignService::health() const {
+obs::HealthProbe CampaignService::health() const {
   Impl& impl = *impl_;
-  HealthSnapshot snapshot;
+  obs::HealthProbe snapshot;
   const std::size_t total = impl.jobs.size();
   const std::size_t done = impl.jobs_done.load(std::memory_order_acquire);
   snapshot.jobs_remaining = total > done ? total - done : 0;

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "attack/campaign.h"
+#include "obs/export.h"
 #include "util/rng.h"
 
 namespace leakydsp::serve {
@@ -187,13 +188,6 @@ struct ServiceIntrospection {
   std::vector<CampaignStatus> campaigns; ///< enqueue order
 };
 
-/// Stall probe for /healthz: how much work remains and how long ago the
-/// last block completed.
-struct HealthSnapshot {
-  std::size_t jobs_remaining = 0;
-  std::uint64_t ns_since_progress = 0;
-};
-
 /// The service. Typical use:
 ///   CampaignService service(config);
 ///   for (auto& job : jobs) service.enqueue(std::move(job));
@@ -231,7 +225,7 @@ class CampaignService {
   /// Stall probe for /healthz. ns_since_progress is 0 until drain()
   /// starts; afterwards it measures from the last completed block (or the
   /// drain start while the first block is still running).
-  HealthSnapshot health() const;
+  obs::HealthProbe health() const;
 
  private:
   struct Impl;

@@ -164,23 +164,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-unsigned Rng::poisson(double mean) {
-  LD_REQUIRE(mean >= 0.0, "negative Poisson mean " << mean);
-  if (mean == 0.0) return 0;
-  if (mean > 64.0) {
-    const double v = gaussian(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0U : static_cast<unsigned>(v + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  unsigned k = 0;
-  double product = uniform();
-  while (product > limit) {
-    ++k;
-    product *= uniform();
-  }
-  return k;
-}
-
 double Rng::exponential(double rate) {
   LD_REQUIRE(rate > 0.0, "exponential rate must be positive, got " << rate);
   double u = 0.0;
@@ -188,32 +171,6 @@ double Rng::exponential(double rate) {
     u = uniform();
   } while (u <= 0.0);
   return -std::log(u) / rate;
-}
-
-double Rng::student_t(double dof) {
-  LD_REQUIRE(dof > 0.0, "student_t dof must be positive, got " << dof);
-  // t = Z / sqrt(ChiSq(dof)/dof); ChiSq via sum of squared normals for
-  // integral dof is wasteful, use the gamma-free ratio-of-normals trick:
-  // for moderate dof this Marsaglia-style construction is accurate enough
-  // for noise synthesis.
-  const double z = gaussian();
-  double chi = 0.0;
-  const int whole = static_cast<int>(dof);
-  for (int i = 0; i < whole; ++i) {
-    const double g = gaussian();
-    chi += g * g;
-  }
-  const double frac = dof - whole;
-  if (frac > 0.0) {
-    const double g = gaussian();
-    chi += frac * g * g;
-  }
-  if (chi <= 0.0) return z;
-  return z / std::sqrt(chi / dof);
-}
-
-void Rng::fill_bytes(std::vector<std::uint8_t>& out) {
-  for (auto& b : out) b = static_cast<std::uint8_t>((*this)() & 0xff);
 }
 
 std::array<std::uint64_t, 6> Rng::serialize() const {

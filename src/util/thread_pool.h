@@ -6,12 +6,11 @@
 // never comes from the schedule (which indices land on which worker is
 // racy by nature) — it comes from the caller giving every index its own
 // forked RNG stream and merging per-index results in index order. See
-// parallel_reduce and DESIGN.md ("Threading model & determinism").
+// DESIGN.md ("Threading model & determinism").
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -71,26 +70,5 @@ class ThreadPool {
   struct Impl;
   Impl* impl_;
 };
-
-/// Maps fn(i) -> T over [0, count) on the pool, then folds the results in
-/// index order with merge(acc, T&&). The fold order is fixed by the index
-/// space, never by the schedule, so floating-point reductions are
-/// bit-identical for every pool size. T does not need to be
-/// default-constructible.
-template <typename T, typename MapFn, typename MergeFn>
-std::optional<T> parallel_reduce(ThreadPool& pool, std::size_t count,
-                                 const MapFn& fn, const MergeFn& merge) {
-  std::vector<std::optional<T>> slots(count);
-  pool.parallel_for(count, [&](std::size_t i) { slots[i].emplace(fn(i)); });
-  std::optional<T> acc;
-  for (auto& slot : slots) {
-    if (!acc) {
-      acc = std::move(slot);
-    } else {
-      merge(*acc, std::move(*slot));
-    }
-  }
-  return acc;
-}
 
 }  // namespace leakydsp::util

@@ -413,10 +413,7 @@ TEST(ExportServer, ScrapingADrainingServiceNeverPerturbsResults) {
 
   lo::ExpositionServer server(lo::ExpositionConfig{});
   server.set_status_provider([&service] { return service.statusz_json(); });
-  server.set_health_provider([&service] {
-    const ls::HealthSnapshot health = service.health();
-    return lo::HealthProbe{health.jobs_remaining, health.ns_since_progress};
-  });
+  server.set_health_provider([&service] { return service.health(); });
 
   // Hammer every endpoint for the whole drain.
   std::atomic<bool> done{false};
@@ -456,7 +453,7 @@ TEST(ExportServer, ScrapingADrainingServiceNeverPerturbsResults) {
     EXPECT_EQ(status.traces_done, 128u);
     EXPECT_EQ(status.traces_total, 128u);
   }
-  const ls::HealthSnapshot health = service.health();
+  const lo::HealthProbe health = service.health();
   EXPECT_EQ(health.jobs_remaining, 0u);
 }
 

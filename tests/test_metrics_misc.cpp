@@ -1,14 +1,12 @@
-// Tests for the SCA evaluation metrics, autocorrelation, the RNG
-// statistical battery, random-netlist fuzzing of the bitstream codec and
-// checker, and a monotone-response property sweep over the whole sensor
-// zoo.
+// Tests for autocorrelation, the RNG statistical battery, random-netlist
+// fuzzing of the bitstream codec and checker, and a monotone-response
+// property sweep over the whole sensor zoo.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "attack/metrics.h"
 #include "core/leaky_dsp.h"
 #include "fabric/bitstream.h"
 #include "fabric/device.h"
@@ -22,54 +20,12 @@
 #include "util/contracts.h"
 #include "util/rng.h"
 
-namespace la = leakydsp::attack;
-namespace lc = leakydsp::crypto;
 namespace lf = leakydsp::fabric;
 namespace lp = leakydsp::pdn;
 namespace ls = leakydsp::stats;
 namespace lsens = leakydsp::sensors;
 namespace lcore = leakydsp::core;
 namespace lu = leakydsp::util;
-
-// ----------------------------------------------------------------- metrics
-
-TEST(Metrics, ByteGuessRank) {
-  la::ByteScores scores;
-  for (int g = 0; g < 256; ++g) {
-    scores.score[static_cast<std::size_t>(g)] = 0.01;
-  }
-  scores.score[42] = 0.9;
-  scores.score[7] = 0.5;
-  EXPECT_EQ(la::byte_guess_rank(scores, 42), 1u);
-  EXPECT_EQ(la::byte_guess_rank(scores, 7), 2u);
-  // A flat-score byte ranks behind both peaks (ties don't count).
-  EXPECT_EQ(la::byte_guess_rank(scores, 100), 3u);
-}
-
-TEST(Metrics, SnapshotAggregates) {
-  std::array<la::ByteScores, 16> scores;
-  lc::RoundKey truth{};
-  for (int b = 0; b < 16; ++b) {
-    for (int g = 0; g < 256; ++g) {
-      scores[static_cast<std::size_t>(b)].score[static_cast<std::size_t>(g)] =
-          0.01;
-    }
-    truth[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(b);
-  }
-  // Half the bytes recovered (rank 1), half buried at rank 3.
-  for (int b = 0; b < 16; ++b) {
-    auto& s = scores[static_cast<std::size_t>(b)];
-    s.score[truth[static_cast<std::size_t>(b)]] = 0.5;
-    if (b % 2 == 1) {
-      s.score[200] = 0.9;
-      s.score[201] = 0.8;
-    }
-  }
-  const auto m = la::evaluate_snapshot(scores, truth);
-  EXPECT_EQ(m.bytes_recovered, 8);
-  EXPECT_DOUBLE_EQ(m.mean_rank, (8 * 1.0 + 8 * 3.0) / 16.0);
-  EXPECT_NEAR(m.log2_product, 8.0 * std::log2(3.0), 1e-9);
-}
 
 // --------------------------------------------------------- autocorrelation
 

@@ -100,27 +100,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(again.load(), 10);
 }
 
-TEST(ThreadPool, ParallelReduceMergesInIndexOrder) {
-  lu::ThreadPool pool(4);
-  const auto result = lu::parallel_reduce<std::vector<std::size_t>>(
-      pool, 64, [](std::size_t i) { return std::vector<std::size_t>{i}; },
-      [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& part) {
-        acc.insert(acc.end(), part.begin(), part.end());
-      });
-  ASSERT_TRUE(result.has_value());
-  std::vector<std::size_t> expected(64);
-  std::iota(expected.begin(), expected.end(), 0u);
-  // Merge order follows the index space, never the schedule.
-  EXPECT_EQ(*result, expected);
-}
-
-TEST(ThreadPool, ParallelReduceOverEmptyRangeIsEmpty) {
-  lu::ThreadPool pool(2);
-  const auto result = lu::parallel_reduce<int>(
-      pool, 0, [](std::size_t) { return 1; }, [](int& a, int&& b) { a += b; });
-  EXPECT_FALSE(result.has_value());
-}
-
 // ------------------------------------------------------- CPA shard algebra
 
 TEST(CpaShards, AddTracesMatchesPerTraceAccumulation) {

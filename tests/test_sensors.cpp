@@ -131,28 +131,6 @@ TEST_F(LeakyDspTest, MonotoneReadoutOverDroopRange) {
   }
 }
 
-TEST_F(LeakyDspTest, SampleWordHammingWeightMatchesReadout) {
-  sensor_.calibrate(1.0, rng_);
-  // With phase=false (word all zeros expected), unsettled bits read 1:
-  // HW(word) = 48 - readout; with phase=true, HW(word) = readout. Verify
-  // statistically over alternating samples.
-  lu::Rng rng_a(7);
-  lu::Rng rng_b(7);
-  lcore::LeakyDspSensor twin(dev_, {16, 10});
-  twin.set_taps(sensor_.a_taps(), sensor_.clk_taps());
-  twin.set_fine_phase(sensor_.fine_phase());
-  for (int i = 0; i < 20; ++i) {
-    const auto word = sensor_.sample_word(0.998, rng_a);
-    const double readout = twin.sample(0.998, rng_b);
-    const double hw = static_cast<double>(word.hamming_weight());
-    if (i % 2 == 0) {
-      EXPECT_DOUBLE_EQ(hw, 48.0 - readout);  // phase false
-    } else {
-      EXPECT_DOUBLE_EQ(hw, readout);  // phase true
-    }
-  }
-}
-
 TEST_F(LeakyDspTest, NetlistPassesDeployedChecks) {
   const auto report = lf::audit_bitstream(sensor_.netlist(),
                                           lf::CheckPolicy::deployed());

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: RNG determinism and distribution
-// moments, bit vectors, contracts, tables and CLI parsing.
+// moments, contracts, tables and CLI parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,13 +7,11 @@
 #include <sstream>
 
 #include "util/bench_json.h"
-#include "util/bitvec.h"
 #include "util/cli.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
-#include "util/units.h"
 
 namespace lu = leakydsp::util;
 
@@ -107,44 +105,12 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_THROW(rng.bernoulli(1.5), lu::PreconditionError);
 }
 
-TEST(Rng, PoissonMean) {
-  lu::Rng rng(29);
-  double sum = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(4.5);
-  EXPECT_NEAR(sum / n, 4.5, 0.1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApprox) {
-  lu::Rng rng(31);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(100.0);
-  EXPECT_NEAR(sum / n, 100.0, 1.0);
-}
-
 TEST(Rng, ExponentialMean) {
   lu::Rng rng(37);
   double sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
   EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
-TEST(Rng, StudentTHeavyTails) {
-  lu::Rng rng(41);
-  double sum = 0.0;
-  int extreme = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    const double t = rng.student_t(4.0);
-    sum += t;
-    if (std::abs(t) > 4.0) ++extreme;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  // t(4) has far more 4-sigma events than a Gaussian (~0.6% vs ~0.006%).
-  EXPECT_GT(extreme, n / 1000);
 }
 
 TEST(Rng, ForkedStreamsAreIndependent) {
@@ -169,79 +135,6 @@ TEST(Rng, SerializeRoundTripContinuesStreamExactly) {
     ASSERT_EQ(copy(), rng());
     ASSERT_EQ(copy.gaussian(), rng.gaussian());
   }
-}
-
-TEST(BitVec, ConstructAndTest) {
-  lu::BitVec v(100);
-  EXPECT_EQ(v.size(), 100u);
-  EXPECT_EQ(v.hamming_weight(), 0u);
-  v.set(0, true);
-  v.set(99, true);
-  EXPECT_TRUE(v.test(0));
-  EXPECT_TRUE(v.test(99));
-  EXPECT_FALSE(v.test(50));
-  EXPECT_EQ(v.hamming_weight(), 2u);
-}
-
-TEST(BitVec, FilledConstructionClearsPadding) {
-  lu::BitVec v(70, true);
-  EXPECT_EQ(v.hamming_weight(), 70u);
-}
-
-TEST(BitVec, OutOfRangeThrows) {
-  lu::BitVec v(8);
-  EXPECT_THROW(v.test(8), lu::PreconditionError);
-  EXPECT_THROW(v.set(100, true), lu::PreconditionError);
-}
-
-TEST(BitVec, FromWordRoundTrip) {
-  const auto v = lu::BitVec::from_word(0b1011, 4);
-  EXPECT_TRUE(v.test(0));
-  EXPECT_TRUE(v.test(1));
-  EXPECT_FALSE(v.test(2));
-  EXPECT_TRUE(v.test(3));
-  EXPECT_EQ(v.to_word(4), 0b1011u);
-}
-
-TEST(BitVec, FromStringMsbFirst) {
-  const auto v = lu::BitVec::from_string("1010");
-  EXPECT_EQ(v.to_word(4), 0b1010u);
-  EXPECT_EQ(v.to_string(), "1010");
-  EXPECT_THROW(lu::BitVec::from_string("10x1"), lu::PreconditionError);
-}
-
-TEST(BitVec, HammingDistance) {
-  const auto a = lu::BitVec::from_word(0b1100, 4);
-  const auto b = lu::BitVec::from_word(0b1010, 4);
-  EXPECT_EQ(a.hamming_distance(b), 2u);
-  const lu::BitVec wrong_size(5);
-  EXPECT_THROW(a.hamming_distance(wrong_size), lu::PreconditionError);
-}
-
-TEST(BitVec, BitwiseOps) {
-  const auto a = lu::BitVec::from_word(0b1100, 4);
-  const auto b = lu::BitVec::from_word(0b1010, 4);
-  EXPECT_EQ((a ^ b).to_word(4), 0b0110u);
-  EXPECT_EQ((a & b).to_word(4), 0b1000u);
-  EXPECT_EQ((a | b).to_word(4), 0b1110u);
-  EXPECT_EQ((~a).to_word(4), 0b0011u);
-}
-
-TEST(BitVec, ComplementKeepsSizeInvariant) {
-  lu::BitVec v(130);
-  const auto c = ~v;
-  EXPECT_EQ(c.size(), 130u);
-  EXPECT_EQ(c.hamming_weight(), 130u);
-}
-
-TEST(BitVec, FlipAndFill) {
-  lu::BitVec v(16);
-  v.flip(3);
-  EXPECT_TRUE(v.test(3));
-  v.flip(3);
-  EXPECT_FALSE(v.test(3));
-  v.fill(true);
-  EXPECT_EQ(v.hamming_weight(), 16u);
 }
 
 TEST(Table, AlignedPrint) {
@@ -414,13 +307,4 @@ TEST(Cli, ProgramFormExitsOnBadCommandLine) {
               "unknown option --bogus.*--quick");
   const char* help[] = {"prog", "--help", "--bogus"};
   EXPECT_EXIT(lu::Cli(3, help, {"quick!"}), ::testing::ExitedWithCode(0), "");
-}
-
-TEST(Units, Conversions) {
-  EXPECT_DOUBLE_EQ(lu::ps(1000.0), 1.0);
-  EXPECT_DOUBLE_EQ(lu::us(1.0), 1000.0);
-  EXPECT_DOUBLE_EQ(lu::ms(1.0), 1e6);
-  EXPECT_DOUBLE_EQ(lu::mv(250.0), 0.25);
-  EXPECT_DOUBLE_EQ(lu::mhz_to_period_ns(300.0), 1e3 / 300.0);
-  EXPECT_NEAR(lu::period_ns_to_mhz(lu::mhz_to_period_ns(20.0)), 20.0, 1e-12);
 }

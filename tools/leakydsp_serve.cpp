@@ -99,11 +99,8 @@ int main(int argc, char** argv) {
           std::make_unique<obs::ExpositionServer>(std::move(metrics_config));
       metrics_server->set_status_provider(
           [&service] { return service.statusz_json(); });
-      metrics_server->set_health_provider([&service] {
-        const serve::HealthSnapshot health = service.health();
-        return obs::HealthProbe{health.jobs_remaining,
-                                health.ns_since_progress};
-      });
+      metrics_server->set_health_provider(
+          [&service] { return service.health(); });
       std::cout << "metrics: http://" << cli.get_string("metrics-host",
                                                         "127.0.0.1")
                 << ":" << metrics_server->port()
