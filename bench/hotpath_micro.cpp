@@ -3,7 +3,8 @@
 //
 //   scale        — AlphaPowerLaw::scale (std::pow) vs ScaleTable (cubic LUT)
 //   stages       — binary-search stages_within vs the O(1) uniform fast path
-//   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig()
+//   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig(),
+//                  plus fill_gaussian_zig() in 64-value blocks
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
 //
@@ -14,6 +15,7 @@
 // the working directory. --quick cuts the iteration counts ~10x; CI runs it
 // as a smoke test. Running it under each LEAKYDSP_SIMD tier compares the
 // dispatch tiers' kernels (the cpa_add_traces row times add_traces).
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
 
   const auto record = [&](const char* kernel, const char* baseline_name,
                           BenchResult baseline, const char* fast_name,
-                          BenchResult fast) {
+                          BenchResult fast) -> util::BenchJsonRow& {
     const double speedup = baseline.ns_per_op / fast.ns_per_op;
     table.row()
         .add(kernel)
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
         .add(1.0, 2);
     table.row().add("").add(fast_name).add(fast.ns_per_op, 2).add(fast.ops).add(
         speedup, 2);
-    report.row()
+    return report.row()
         .set("kernel", kernel)
         .set("baseline", baseline_name)
         .set("baseline_ns_per_op", baseline.ns_per_op)
@@ -155,7 +157,30 @@ int main(int argc, char** argv) {
       g_sink = acc;
       return n;
     });
-    record("gaussian", "box_muller", bm, "ziggurat", zig);
+    util::Rng rng_c(3);
+    const auto fill = run_bench(200000 * kScale, [&](std::size_t n) {
+      std::array<double, 64> block;
+      double acc = 0.0;
+      std::size_t ops = 0;
+      for (; ops < n; ops += block.size()) {
+        rng_c.fill_gaussian_zig(block);
+        acc += block[0];
+      }
+      g_sink = acc;
+      return ops;
+    });
+    util::BenchJsonRow& row =
+        record("gaussian", "box_muller", bm, "ziggurat", zig);
+    const double fill_speedup = bm.ns_per_op / fill.ns_per_op;
+    table.row()
+        .add("")
+        .add("ziggurat_fill")
+        .add(fill.ns_per_op, 2)
+        .add(fill.ops)
+        .add(fill_speedup, 2);
+    row.set("fill", "ziggurat_fill")
+        .set("fill_ns_per_op", fill.ns_per_op)
+        .set("fill_speedup", fill_speedup);
   }
 
   // ---- sensor readouts: scalar sample() loop vs sample_batch() ----

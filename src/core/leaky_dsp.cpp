@@ -1,6 +1,7 @@
 #include "core/leaky_dsp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -147,6 +148,8 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
     // the uncertain window needs Gaussian draws. With the default geometry
     // and a calibrated capture edge that is about 21 of the 48 bits per
     // sample (a campaign trace draws ~4,150 times over its 195 readouts).
+    // Each readout fills its window's jitters in one ziggurat call, which
+    // is the same stream as one gaussian_zig() per bit in bit order.
     const double cut = kJitterCutSigma * sigma;
     bound_scratch_.resize(n);
     bound_hi_scratch_.resize(n);
@@ -160,11 +163,11 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
           util::simd::count_le(settle, kOutputBits, bound_scratch_[s]);
       const std::size_t last =
           util::simd::count_le(settle, kOutputBits, bound_hi_scratch_[s]);
+      std::array<double, kOutputBits> jitter;
+      rng.fill_gaussian_zig(std::span<double>(jitter).first(last - first));
       std::size_t count = first;
       for (std::size_t i = first; i < last; ++i) {
-        if (settle[i] * scale + sigma * rng.gaussian_zig() <= t_capture) {
-          ++count;
-        }
+        count += settle[i] * scale + sigma * jitter[i - first] <= t_capture;
       }
       out[s] = static_cast<double>(count);
     }

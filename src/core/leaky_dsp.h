@@ -85,12 +85,13 @@ class LeakyDspSensor : public sensors::VoltageSensor {
 
   /// Batched readouts through the hot-path kernel: per sample, the voltage
   /// scale comes from a precomputed timing::ScaleTable instead of std::pow,
-  /// and per-bit jitter is drawn with the ziggurat sampler — only for the
-  /// bits whose settle time lies within kJitterCutSigma of the capture
-  /// edge (about 21 of the 48 on a calibrated campaign trace); bits
-  /// further out are counted deterministically (a per-bit truncation that
-  /// perturbs each flip probability by < 7e-16). Same distribution as
-  /// sample(), different rng consumption.
+  /// and per-bit jitter is drawn with the ziggurat sampler (one
+  /// fill_gaussian_zig() per readout) — only for the bits whose settle
+  /// time lies within kJitterCutSigma of the capture edge (about 21 of
+  /// the 48 on a calibrated campaign trace); bits further out are counted
+  /// deterministically (a per-bit truncation that perturbs each flip
+  /// probability by < 7e-16). Same distribution as sample(), different
+  /// rng consumption.
   void sample_batch(std::span<const double> supply_v, std::span<double> out,
                     util::Rng& rng) override;
 

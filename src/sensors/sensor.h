@@ -10,6 +10,7 @@
 #include <string>
 
 #include "fabric/geometry.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace leakydsp::sensors {
@@ -51,6 +52,9 @@ class VoltageSensor {
   /// sample() and SensorRig's per-sample API stay the scalar reference.
   virtual void sample_batch(std::span<const double> supply_v,
                             std::span<double> out, util::Rng& rng) {
+    LD_REQUIRE(out.size() >= supply_v.size(),
+               "output span too small: " << out.size() << " < "
+                                         << supply_v.size());
     for (std::size_t i = 0; i < supply_v.size(); ++i) {
       out[i] = sample(supply_v[i], rng);
     }

@@ -76,16 +76,15 @@ void TdcSensor::sample_batch(std::span<const double> supply_v,
   // SoA pipeline over the batch, each stage a SIMD op bit-identical to the
   // per-sample expression: voltage scales from the Hermite table, the
   // capture-budget arithmetic, and the thermometer fill's two divides.
-  // Jitter draws stay scalar (the rng sequence is order-sensitive) but are
-  // hoisted out of the vector stages.
+  // The jitters come from one ziggurat fill (the same stream as one
+  // gaussian_zig() per sample, in sample order), scaled by sigma in place.
   scale_scratch_.resize(n);
   jitter_scratch_.resize(n);
   budget_scratch_.resize(n);
   scale_lut_.eval_batch(supply_v.data(), scale_scratch_.data(), n);
   if (sigma > 0.0) {
-    for (std::size_t s = 0; s < n; ++s) {
-      jitter_scratch_[s] = sigma * rng.gaussian_zig();
-    }
+    rng.fill_gaussian_zig(jitter_scratch_);
+    for (double& jitter : jitter_scratch_) jitter *= sigma;
   } else {
     util::simd::fill(jitter_scratch_.data(), n, 0.0);
   }

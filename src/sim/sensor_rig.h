@@ -17,6 +17,7 @@
 #include "pdn/droop_filter.h"
 #include "pdn/grid.h"
 #include "sensors/sensor.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace leakydsp::sim {
@@ -82,6 +83,9 @@ class SensorRig {
     /// rig's scalar reference, different rng consumption.
     void supply_batch(std::span<const double> static_droops_v,
                       std::span<double> out, util::Rng& rng) {
+      LD_REQUIRE(out.size() >= static_droops_v.size(),
+                 "output span too small: " << out.size() << " < "
+                                           << static_droops_v.size());
       for (std::size_t i = 0; i < static_droops_v.size(); ++i) {
         out[i] =
             vnom_ - filter_.step(static_droops_v[i]) - ambient_.step_zig(rng);

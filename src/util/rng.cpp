@@ -22,6 +22,20 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256++ step: advances the four state words, returns the output.
+inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
+                                  std::uint64_t& s2, std::uint64_t& s3) {
+  const std::uint64_t result = rotl(s0 + s3, 23) + s0;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return result;
+}
+
 /// Layer tables of the 256-layer ziggurat for the standard normal
 /// (Marsaglia & Tsang 2000). x_ holds the layer abscissae in descending
 /// order (x_[0] = V/f(R) > x_[1] = R > ... > x_[256] = 0), y_ the density
@@ -62,15 +76,7 @@ Rng::Rng(std::uint64_t seed) {
 
 std::uint64_t Rng::operator()() {
   ++draws_;
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
+  return xoshiro_next(state_[0], state_[1], state_[2], state_[3]);
 }
 
 double Rng::uniform() {
@@ -116,42 +122,74 @@ double Rng::gaussian(double mean, double stddev) {
 }
 
 double Rng::gaussian_zig() {
+  double x = 0.0;
+  fill_gaussian_zig({&x, 1});
+  return x;
+}
+
+void Rng::fill_gaussian_zig(std::span<double> out) {
   const ZigguratTables& t = ziggurat();
-  for (;;) {
+  std::uint64_t s0 = state_[0];
+  std::uint64_t s1 = state_[1];
+  std::uint64_t s2 = state_[2];
+  std::uint64_t s3 = state_[3];
+  std::uint64_t draws = draws_;
+  for (std::size_t k = 0; k < out.size();) {
+    const std::uint64_t bits = xoshiro_next(s0, s1, s2, s3);
+    ++draws;
     // One raw draw carries everything the common path needs: 8 layer bits,
-    // 1 sign bit, and 53 mantissa bits for the uniform abscissa.
-    const std::uint64_t bits = (*this)();
+    // 1 sign bit (moved to the double's sign bit, so the non-negative
+    // magnitude is negated without a branch), and 53 mantissa bits for the
+    // uniform abscissa.
     const std::size_t i = static_cast<std::size_t>(bits & 0xff);
-    const bool negative = (bits & 0x100) != 0;
+    const std::uint64_t sign = (bits & 0x100) << 55;
     const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-    const double x = u * t.x[i];
-    if (x < t.x[i + 1]) return negative ? -x : x;
-    if (i == 0) {
-      // Tail beyond R: Marsaglia's exponential-rejection sampler.
-      double xx = 0.0;
-      double yy = 0.0;
-      do {
-        double u1 = 0.0;
-        do {
-          u1 = uniform();
-        } while (u1 <= 0.0);
-        double u2 = 0.0;
-        do {
-          u2 = uniform();
-        } while (u2 <= 0.0);
-        xx = -std::log(u1) / ZigguratTables::kR;
-        yy = -std::log(u2);
-      } while (yy + yy < xx * xx);
-      const double v = ZigguratTables::kR + xx;
-      return negative ? -v : v;
+    double x = u * t.x[i];
+    if (x >= t.x[i + 1]) [[unlikely]] {
+      state_ = {s0, s1, s2, s3};
+      draws_ = draws;
+      const std::optional<double> kept = gaussian_zig_slow(i, x);
+      s0 = state_[0];
+      s1 = state_[1];
+      s2 = state_[2];
+      s3 = state_[3];
+      draws = draws_;
+      if (!kept) continue;
+      x = *kept;
     }
-    // Wedge: accept under the true density. Layer i's slab spans densities
-    // [y[i], y[i + 1]] (x descends with i, so y ascends; i + 1 <= 256).
-    if (t.y[i] + uniform() * (t.y[i + 1] - t.y[i]) <
-        std::exp(-0.5 * x * x)) {
-      return negative ? -x : x;
-    }
+    out[k++] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ sign);
   }
+  state_ = {s0, s1, s2, s3};
+  draws_ = draws;
+}
+
+std::optional<double> Rng::gaussian_zig_slow(std::size_t layer, double x) {
+  const ZigguratTables& t = ziggurat();
+  if (layer == 0) {
+    // Tail beyond R: Marsaglia's exponential-rejection sampler.
+    double xx = 0.0;
+    double yy = 0.0;
+    do {
+      double u1 = 0.0;
+      do {
+        u1 = uniform();
+      } while (u1 <= 0.0);
+      double u2 = 0.0;
+      do {
+        u2 = uniform();
+      } while (u2 <= 0.0);
+      xx = -std::log(u1) / ZigguratTables::kR;
+      yy = -std::log(u2);
+    } while (yy + yy < xx * xx);
+    return ZigguratTables::kR + xx;
+  }
+  // Wedge: accept under the true density. Layer i's slab spans densities
+  // [y[i], y[i + 1]] (x descends with i, so y ascends; i + 1 <= 256).
+  if (t.y[layer] + uniform() * (t.y[layer + 1] - t.y[layer]) <
+      std::exp(-0.5 * x * x)) {
+    return x;
+  }
+  return std::nullopt;
 }
 
 double Rng::gaussian_zig(double mean, double stddev) {

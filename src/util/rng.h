@@ -6,6 +6,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 namespace leakydsp::util {
 
@@ -55,8 +57,16 @@ class Rng {
   /// the common path — several times faster than gaussian(). Kept separate
   /// from gaussian() on purpose: it neither reads nor writes the Box–Muller
   /// cache, so code (and tests) pinned to the gaussian() stream and the
-  /// serialized RNG state stay bit-compatible. Batched hot paths use this.
+  /// serialized RNG state stay bit-compatible. The one-element case of
+  /// fill_gaussian_zig().
   double gaussian_zig();
+
+  /// Fills `out` with exactly out.size() consecutive gaussian_zig() values:
+  /// the same stream, the same final state and the same draws() count as
+  /// that many single calls. The generator state lives in registers for
+  /// the whole fill, so a batch costs a fraction of the per-call overhead.
+  /// Batched hot paths use this.
+  void fill_gaussian_zig(std::span<double> out);
 
   /// Ziggurat normal with the given mean and standard deviation.
   double gaussian_zig(double mean, double stddev);
@@ -79,6 +89,12 @@ class Rng {
   static Rng deserialize(const std::array<std::uint64_t, 6>& words);
 
  private:
+  /// The ziggurat's rare path for a raw word whose abscissa `x` missed
+  /// layer `layer`'s rectangle: the tail sampler for layer 0 (always
+  /// accepts) or the wedge test, drawing through operator(). Returns the
+  /// accepted magnitude, or nothing when the candidate is rejected.
+  std::optional<double> gaussian_zig_slow(std::size_t layer, double x);
+
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

@@ -7,9 +7,18 @@
 // the sample counts used is a ~1e-14 false-positive rate per case while
 // still catching any real kernel drift (a single miscounted bit shifts the
 // mean by orders of magnitude more than the bound).
+//
+// The LeakyDSP readout also has an exact law to test both paths against:
+// at a fixed supply each bit settles independently with probability
+// p_i = Phi((t_capture - settle_i * scale(v)) / sigma), so the readout is
+// Poisson-binomial over the 48 bits. That oracle chi-square-tests each
+// path's readout histogram against the law computed by dynamic
+// programming from the sensor's public timing surface.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numbers>
 #include <sstream>
 #include <vector>
 
@@ -232,6 +241,155 @@ Property<TdcBatchConfig> tdc_batch_property() {
   return prop;
 }
 
+// ------------------------------------------- LeakyDSP exact readout law
+
+constexpr std::size_t kLawSamples = 20000;
+constexpr double kLawMinExpected = 5.0;  // chi-square bin floor
+constexpr double kLawAlpha = 1e-6;       // rejection level per histogram
+
+/// Upper tail P(X > chi2) of a chi-square law with integer `dof` >= 1,
+/// from its closed forms (Abramowitz & Stegun 26.4.4 and 26.4.5).
+double chi_square_sf(double chi2, std::size_t dof) {
+  const double h = 0.5 * chi2;
+  if (dof % 2 == 0) {
+    double term = std::exp(-h);
+    double sum = term;
+    for (std::size_t j = 1; j < dof / 2; ++j) {
+      term *= h / static_cast<double>(j);
+      sum += term;
+    }
+    return sum;
+  }
+  double term = 2.0 * std::exp(-h) * std::sqrt(h / std::numbers::pi);
+  double sum = std::erfc(std::sqrt(h));
+  for (std::size_t j = 1; j <= (dof - 1) / 2; ++j) {
+    sum += term;
+    term *= h / (static_cast<double>(j) + 0.5);
+  }
+  return sum;
+}
+
+/// Exact readout pmf of a LeakyDSP sensor at a fixed supply: the
+/// Poisson-binomial law of its independently jittered bits.
+std::vector<double> leaky_readout_pmf(const core::LeakyDspSensor& sensor,
+                                      double supply_v) {
+  const double sigma = sensor.params().jitter_sigma_ns;
+  const double scale = sensor.params().law.scale(supply_v);
+  const double t_capture = sensor.sampling_time_ns();
+  const std::size_t bits = sensor.readout_bits();
+  std::vector<double> pmf(bits + 1, 0.0);
+  pmf[0] = 1.0;
+  for (std::size_t i = 0; i < bits; ++i) {
+    const double z = (t_capture - sensor.bit_settle_ns(i) * scale) / sigma;
+    const double p = 0.5 * std::erfc(-z / std::sqrt(2.0));
+    for (std::size_t k = i + 1; k > 0; --k) {
+      pmf[k] = pmf[k] * (1.0 - p) + pmf[k - 1] * p;
+    }
+    pmf[0] *= 1.0 - p;
+  }
+  return pmf;
+}
+
+/// Pearson chi-square of integer readouts against `pmf`, with adjacent
+/// readout values merged until every bin expects at least kLawMinExpected
+/// (a short remainder joins the last bin; the outer bins absorb any value
+/// the law gives no mass). Fails when the upper-tail p-value is below
+/// kLawAlpha.
+CheckOutcome chi_square_against(const std::vector<double>& readouts,
+                                const std::vector<double>& pmf,
+                                const char* path, double supply_v) {
+  const double n = static_cast<double>(readouts.size());
+  std::vector<double> observed(pmf.size(), 0.0);
+  for (const double r : readouts) {
+    const auto k = static_cast<std::size_t>(
+        std::clamp(r, 0.0, static_cast<double>(pmf.size() - 1)));
+    if (static_cast<double>(k) != r) {
+      std::ostringstream oss;
+      oss << path << " readout " << r << " is not a bit count";
+      return fail(oss.str());
+    }
+    observed[k] += 1.0;
+  }
+  std::vector<double> bin_expected;
+  std::vector<double> bin_observed;
+  double expected = 0.0;
+  double seen = 0.0;
+  for (std::size_t k = 0; k < pmf.size(); ++k) {
+    expected += n * pmf[k];
+    seen += observed[k];
+    if (expected >= kLawMinExpected) {
+      bin_expected.push_back(expected);
+      bin_observed.push_back(seen);
+      expected = 0.0;
+      seen = 0.0;
+    }
+  }
+  bin_expected.back() += expected;
+  bin_observed.back() += seen;
+  if (bin_expected.size() < 2) return pass();  // a deterministic readout
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < bin_expected.size(); ++b) {
+    const double diff = bin_observed[b] - bin_expected[b];
+    chi2 += diff * diff / bin_expected[b];
+  }
+  const std::size_t dof = bin_expected.size() - 1;
+  const double p_value = chi_square_sf(chi2, dof);
+  if (p_value < kLawAlpha) {
+    std::ostringstream oss;
+    oss << path << " at " << supply_v << " V: chi2=" << chi2 << " dof=" << dof
+        << " p=" << p_value;
+    return fail(oss.str());
+  }
+  return pass();
+}
+
+struct LeakyLawConfig {
+  double droop_mv = 4.0;
+  std::uint64_t seed = 0;
+};
+
+Property<LeakyLawConfig> leaky_law_property() {
+  Property<LeakyLawConfig> prop;
+  prop.name = "sensors.leakydsp_exact_law";
+  prop.generate = [](util::Rng& rng) {
+    LeakyLawConfig c;
+    c.droop_mv = gen_real(rng, 1.0, 10.0);
+    c.seed = rng();
+    return c;
+  };
+  prop.describe = [](const LeakyLawConfig& c) {
+    std::ostringstream oss;
+    oss << "{droop_mv=" << c.droop_mv << " seed=" << c.seed << "}";
+    return oss.str();
+  };
+  prop.check = [](const LeakyLawConfig& c) -> CheckOutcome {
+    core::LeakyDspSensor sensor(fabric::Device::basys3(), {16, 20});
+    util::Rng cal_rng(c.seed);
+    if (!sensor.calibrate(1.0, cal_rng, 64).success) {
+      return fail("default LeakyDSP failed to calibrate");
+    }
+    util::Rng rng = util::Rng(c.seed).fork(3);
+    // Near idle, and at a droop that moves the readout by several bits.
+    for (const double v : {1.0, 1.0 - c.droop_mv * 1e-3}) {
+      const std::vector<double> pmf = leaky_readout_pmf(sensor, v);
+      std::vector<double> scalar(kLawSamples);
+      for (double& r : scalar) r = sensor.sample(v, rng);
+      if (auto o = chi_square_against(scalar, pmf, "sample()", v); !o.ok) {
+        return o;
+      }
+      const std::vector<double> supply(kLawSamples, v);
+      std::vector<double> batch(kLawSamples);
+      sensor.sample_batch(supply, batch, rng);
+      if (auto o = chi_square_against(batch, pmf, "sample_batch()", v);
+          !o.ok) {
+        return o;
+      }
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
 
 void register_sensor_oracles(std::vector<Oracle>& out) {
@@ -243,6 +401,11 @@ void register_sensor_oracles(std::vector<Oracle>& out) {
       "TdcSensor::sample_batch (LUT scale + ziggurat + O(1) uniform chain) "
       "vs scalar sample() loop: same readout distribution",
       1, tdc_batch_property()));
+  out.push_back(make_oracle(
+      "LeakyDspSensor sample() and sample_batch() readouts at a fixed supply "
+      "vs the exact Poisson-binomial law of the jittered bits: chi-square "
+      "p >= 1e-6",
+      4, leaky_law_property()));
 }
 
 }  // namespace leakydsp::verify

@@ -7,18 +7,24 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "attack/cpa.h"
 #include "attack/power_model.h"
 #include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
+#include "sensors/ro_sensor.h"
 #include "sensors/tdc.h"
 #include "sim/scenarios.h"
+#include "sim/sensor_rig.h"
 #include "timing/delay_model.h"
 #include "util/contracts.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace la = leakydsp::attack;
@@ -249,6 +255,63 @@ TEST(Ziggurat, MeanAndStddevOverloadScales) {
   EXPECT_THROW(rng.gaussian_zig(0.0, -1.0), lu::PreconditionError);
 }
 
+TEST(Ziggurat, StreamPinned) {
+  // Every campaign's bytes and the committed goldens hang off this stream:
+  // 2M draws at seed 7 (the tail sampler and the wedge test both fire)
+  // must reproduce these values bit for bit and consume this many words.
+  lu::Rng rng(7);
+  lu::Crc32 crc;
+  for (std::size_t i = 0; i < 2000000; ++i) {
+    const double x = rng.gaussian_zig();
+    std::array<std::uint8_t, 8> bytes;
+    std::memcpy(bytes.data(), &x, bytes.size());
+    crc.update(bytes);
+  }
+  EXPECT_EQ(crc.value(), 0xaa07cab4u);
+  EXPECT_EQ(rng.draws(), 2044323u);
+}
+
+TEST(Ziggurat, FillMatchesSingleDraws) {
+  constexpr std::size_t kN = 300000;
+  lu::Rng single(2024);
+  lu::Rng whole(2024);
+  lu::Rng chunked(2024);
+  std::vector<double> expected(kN);
+  for (auto& x : expected) x = single.gaussian_zig();
+
+  std::vector<double> filled(kN);
+  whole.fill_gaussian_zig(filled);
+
+  std::vector<double> pieces(kN);
+  lu::Rng sizes(99);
+  for (std::size_t at = 0; at < kN;) {
+    const std::size_t len =
+        std::min<std::size_t>(kN - at, sizes.uniform_u64(64));  // 0 included
+    chunked.fill_gaussian_zig(std::span<double>(pieces).subspan(at, len));
+    at += len;
+  }
+
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(filled[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "fill diverges at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(pieces[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "chunked fill diverges at " << i;
+  }
+  EXPECT_EQ(whole.serialize(), single.serialize());
+  EXPECT_EQ(chunked.serialize(), single.serialize());
+  EXPECT_EQ(whole.draws(), single.draws());
+  EXPECT_EQ(chunked.draws(), single.draws());
+
+  // An empty fill draws nothing.
+  const auto before = whole.serialize();
+  const auto draws_before = whole.draws();
+  whole.fill_gaussian_zig({});
+  EXPECT_EQ(whole.serialize(), before);
+  EXPECT_EQ(whole.draws(), draws_before);
+}
+
 // ------------------------------------------------------------ CPA kernel
 
 TEST(CpaKernels, PairTableMatchesPerByteRows) {
@@ -421,4 +484,93 @@ TEST(SampleBatch, DefaultBaseImplementationLoopsScalar) {
   base.sample_batch(one_supply, one_out, rng);
   EXPECT_GE(one_out[0], 0.0);
   EXPECT_LE(one_out[0], 48.0);
+}
+
+TEST(SampleBatch, LeakyDspBatchKeepsThePerBitZigguratStream) {
+  // The batched kernel fills each readout's edge-window jitters in one
+  // ziggurat call; that must be exactly one gaussian_zig() per window bit
+  // in bit order, so every campaign byte survives the batching. Reference:
+  // the per-bit loop, rebuilt from the public timing surface.
+  const lsim::Basys3Scenario scenario;
+  lcore::LeakyDspSensor sensor(scenario.device(), scenario.fig3_dsp_site());
+  lu::Rng cal(3);
+  sensor.calibrate(1.0, cal);
+  const lt::ScaleTable lut(sensor.params().law);
+  const double sigma = sensor.params().jitter_sigma_ns;
+  const double cut = lcore::LeakyDspSensor::kJitterCutSigma * sigma;
+  const double t_capture = sensor.sampling_time_ns();
+
+  std::vector<double> supplies;
+  lu::Rng vr(23);
+  for (int i = 0; i < 2000; ++i) supplies.push_back(vr.uniform(0.985, 1.0));
+  std::vector<double> out(supplies.size());
+  lu::Rng rng_batch(12);
+  lu::Rng rng_ref(12);
+  sensor.sample_batch(supplies, out, rng_batch);
+  for (std::size_t s = 0; s < supplies.size(); ++s) {
+    const double scale = lut(supplies[s]);
+    const double lo = (t_capture - cut) / scale;
+    const double hi = (t_capture + cut) / scale;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < sensor.readout_bits(); ++i) {
+      const double settle = sensor.bit_settle_ns(i);
+      if (settle <= lo) {
+        ++count;
+      } else if (settle <= hi &&
+                 settle * scale + sigma * rng_ref.gaussian_zig() <=
+                     t_capture) {
+        ++count;
+      }
+    }
+    ASSERT_EQ(out[s], static_cast<double>(count)) << "readout " << s;
+  }
+  EXPECT_EQ(rng_batch.serialize(), rng_ref.serialize());
+  EXPECT_EQ(rng_batch.draws(), rng_ref.draws());
+}
+
+TEST(SampleBatch, TdcBatchKeepsThePerSampleZigguratStream) {
+  // The batch fills all its jitters in one ziggurat call; that must equal
+  // one gaussian_zig() per sample in sample order, i.e. the same readouts
+  // and final state as sampling the trace one element at a time.
+  const lsim::Basys3Scenario scenario;
+  lsens::TdcSensor sensor(scenario.device(), scenario.fig3_clb_site());
+  lu::Rng cal(3);
+  sensor.calibrate(1.0, cal);
+  std::vector<double> supplies;
+  lu::Rng vr(24);
+  for (int i = 0; i < 777; ++i) supplies.push_back(vr.uniform(0.99, 1.0));
+  std::vector<double> whole(supplies.size());
+  lu::Rng rng_whole(13);
+  sensor.sample_batch(supplies, whole, rng_whole);
+  lu::Rng rng_single(13);
+  for (std::size_t s = 0; s < supplies.size(); ++s) {
+    double one = 0.0;
+    sensor.sample_batch({&supplies[s], 1}, {&one, 1}, rng_single);
+    ASSERT_EQ(whole[s], one) << "readout " << s;
+  }
+  EXPECT_EQ(rng_whole.serialize(), rng_single.serialize());
+  EXPECT_EQ(rng_whole.draws(), rng_single.draws());
+}
+
+TEST(SampleBatch, BaseLoopRejectsShortOutputSpan) {
+  // RO, PPWM, RDS and VITI sample through the base loop; a short output
+  // span is a precondition failure, not an out-of-bounds write.
+  const lsim::Basys3Scenario scenario;
+  lsens::RoSensor sensor(scenario.device(), scenario.fig3_clb_site());
+  lu::Rng rng(1);
+  const std::vector<double> supplies(8, 1.0);
+  std::vector<double> out(7);
+  EXPECT_THROW(sensor.sample_batch(supplies, out, rng),
+               lu::PreconditionError);
+}
+
+TEST(SampleBatch, SupplyBatchRejectsShortOutputSpan) {
+  const lsim::Basys3Scenario scenario;
+  lcore::LeakyDspSensor sensor(scenario.device(), scenario.fig3_dsp_site());
+  const lsim::SensorRig rig(scenario.grid(), sensor);
+  auto sampler = rig.make_sampler();
+  lu::Rng rng(1);
+  const std::vector<double> droops(8, 0.0);
+  std::vector<double> out(7);
+  EXPECT_THROW(sampler.supply_batch(droops, out, rng), lu::PreconditionError);
 }
