@@ -7,6 +7,8 @@
 //                  plus fill_gaussian_zig() in 64-value blocks
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
+//   key_rank     — the estimator's 16 histograms convolved with the plain
+//                  dense loop vs the whole estimate_key_rank call
 //
 //   $ ./hotpath_micro [--quick]
 //   $ LEAKYDSP_SIMD=scalar ./hotpath_micro --quick   # cap the SIMD tier
@@ -15,13 +17,19 @@
 // the working directory. --quick cuts the iteration counts ~10x; CI runs it
 // as a smoke test. Running it under each LEAKYDSP_SIMD tier compares the
 // dispatch tiers' kernels (the cpa_add_traces row times add_traces).
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "attack/cpa.h"
+#include "attack/key_rank.h"
+#include "attack/power_model.h"
 #include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
 #include "obs/obs.h"
@@ -56,6 +64,55 @@ BenchResult run_bench(std::size_t iterations, Body&& body) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return {seconds / static_cast<double>(ops) * 1e9, ops};
+}
+
+/// The key-rank estimator's convolution work done the dense way: the 16
+/// per-byte log-likelihood histograms of attack::estimate_key_rank (same
+/// sharpening, same bin geometry) convolved with the plain double loop
+/// over every bin. Returns the joint histogram's mass.
+double dense_rank_convolution(const std::array<attack::ByteScores, 16>& s) {
+  const attack::KeyRankParams params;
+  std::array<std::array<double, 256>, 16> ll{};
+  double ll_min = std::numeric_limits<double>::max();
+  double ll_max = std::numeric_limits<double>::lowest();
+  for (std::size_t b = 0; b < 16; ++b) {
+    std::array<double, 256> p{};
+    double norm = 0.0;
+    for (std::size_t g = 0; g < 256; ++g) {
+      p[g] = std::pow(s[b].score[g] + params.epsilon, params.gamma);
+      norm += p[g];
+    }
+    for (std::size_t g = 0; g < 256; ++g) {
+      ll[b][g] = std::log2(p[g] / norm);
+      ll_min = std::min(ll_min, ll[b][g]);
+      ll_max = std::max(ll_max, ll[b][g]);
+    }
+  }
+  const double width = (ll_max - ll_min) / static_cast<double>(params.bins);
+  const double lo = ll_min - 0.5 * width;
+  std::vector<double> joint;
+  for (std::size_t b = 0; b < 16; ++b) {
+    std::vector<double> h(params.bins + 1, 0.0);
+    for (const double v : ll[b]) {
+      const auto bin = static_cast<std::size_t>((v - lo) / width);
+      h[std::min(bin, params.bins)] += 1.0;
+    }
+    if (b == 0) {
+      joint = std::move(h);
+      continue;
+    }
+    std::vector<double> out(joint.size() + h.size() - 1, 0.0);
+    for (std::size_t i = 0; i < joint.size(); ++i) {
+      if (joint[i] == 0.0) continue;
+      for (std::size_t j = 0; j < h.size(); ++j) {
+        out[i + j] += joint[i] * h[j];
+      }
+    }
+    joint = std::move(out);
+  }
+  double mass = 0.0;
+  for (const double c : joint) mass += c;
+  return mass;
 }
 
 }  // namespace
@@ -269,6 +326,46 @@ int main(int argc, char** argv) {
       return n * kBatch;
     });
     record("cpa_add_traces", "add_trace_loop", loop, "simd_kernel", simd_res);
+  }
+
+  // ---- key rank: dense convolution vs the tier-dispatched estimator ----
+  {
+    // A fixed mid-attack snapshot: 1,000 synthetic traces, each one
+    // POI of last-round Hamming distance plus binomial noise.
+    util::Rng rng(11);
+    crypto::RoundKey rk10;
+    for (auto& b : rk10) b = static_cast<std::uint8_t>(rng() & 0xff);
+    constexpr std::size_t kTraces = 1000;
+    std::vector<crypto::Block> cts(kTraces);
+    std::vector<double> rows(kTraces);
+    for (std::size_t t = 0; t < kTraces; ++t) {
+      for (auto& b : cts[t]) b = static_cast<std::uint8_t>(rng() & 0xff);
+      int leak = 0;
+      for (int b = 0; b < 16; ++b) {
+        leak += attack::last_round_hd(cts[t], b,
+                                      rk10[static_cast<std::size_t>(b)]);
+      }
+      for (int w = 0; w < 16; ++w) leak += std::popcount(rng());
+      rows[t] = static_cast<double>(leak);
+    }
+    attack::CpaAttack cpa(1);
+    cpa.add_traces(cts, rows);
+    const auto scores = cpa.snapshot();
+    const auto dense = run_bench(20 * kScale, [&](std::size_t n) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < n; ++r) acc += dense_rank_convolution(scores);
+      g_sink = acc;
+      return n;
+    });
+    const auto fast = run_bench(20 * kScale, [&](std::size_t n) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < n; ++r) {
+        acc += attack::estimate_key_rank(scores, rk10).log2_upper;
+      }
+      g_sink = acc;
+      return n;
+    });
+    record("key_rank", "dense_convolution", dense, "estimate_key_rank", fast);
   }
 
   std::cout << "=== hot-path microbenchmarks"

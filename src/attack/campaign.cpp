@@ -602,10 +602,23 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
   const crypto::Key true_key = aes_->cipher().round_keys()[0];
   const crypto::RoundKey true_rk10 = aes_->cipher().round_keys()[10];
 
-  if (!state.result.broken && state.t % config_.break_check_stride == 0 &&
-      state.t >= 2) {
-    const bool ok = state.cpa.recovered_master_key() == true_key;
-    if (ok) {
+  const bool break_due = !state.result.broken &&
+                         state.t % config_.break_check_stride == 0 &&
+                         state.t >= 2;
+  const bool rank_due = state.t % config_.rank_stride == 0 && state.t >= 2;
+  if (!break_due && !rank_due) return state.t < config_.max_traces;
+
+  // One correlation snapshot serves both checks: the recovered round key
+  // is its per-byte best guesses, exactly what recovered_round_key() and
+  // recovered_master_key() would each recompute from a fresh snapshot.
+  const auto scores = state.cpa.snapshot();
+  crypto::RoundKey recovered{};
+  for (std::size_t b = 0; b < 16; ++b) recovered[b] = scores[b].best_guess;
+  const bool full_key =
+      crypto::Aes128::invert_key_schedule(recovered) == true_key;
+
+  if (break_due) {
+    if (full_key) {
       if (state.consecutive_ok == 0) {
         state.result.traces_to_break = state.t;  // first stable stride
       }
@@ -620,19 +633,14 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
   }
 
   bool stop = false;
-  if (state.t % config_.rank_stride == 0 && state.t >= 2) {
-    const auto scores = state.cpa.snapshot();
+  if (rank_due) {
     Checkpoint cp;
     cp.traces = state.t;
     cp.rank = estimate_key_rank(scores, true_rk10, config_.rank_params);
-    const auto recovered = state.cpa.recovered_round_key();
-    for (int b = 0; b < 16; ++b) {
-      if (recovered[static_cast<std::size_t>(b)] ==
-          true_rk10[static_cast<std::size_t>(b)]) {
-        ++cp.correct_bytes;
-      }
+    for (std::size_t b = 0; b < 16; ++b) {
+      if (recovered[b] == true_rk10[b]) ++cp.correct_bytes;
     }
-    cp.full_key = state.cpa.recovered_master_key() == true_key;
+    cp.full_key = full_key;
     state.result.checkpoints.push_back(cp);
     stop = plan.stop_when_broken && state.result.broken;
   }

@@ -20,15 +20,30 @@ std::uint64_t next_registry_serial() {
   return serial.fetch_add(1, std::memory_order_relaxed);
 }
 
+}  // namespace
+
 /// Thread-local pointer to this thread's shard of one registry. The serial
 /// guards against a stale cache when a (test-local) registry is destroyed
-/// and another allocated at the same address.
+/// and another allocated at the same address. When the thread exits, a
+/// shard of the global registry goes back to it for the next new thread:
+/// its cells keep their counts (the merge sums every shard) and take the
+/// new thread's adds on top, so a process that starts a thread pool per
+/// run holds one shard per concurrent thread, not one per thread started.
 struct TlsShardCache {
   std::uint64_t serial = 0;
   void* shard = nullptr;
-};
-thread_local TlsShardCache tls_cache;
 
+  ~TlsShardCache() {
+    if (shard == nullptr) return;
+    Registry& global = Registry::global();
+    if (serial != global.serial_) return;
+    std::lock_guard<std::mutex> lock(global.mutex_);
+    global.idle_shards_.push_back(static_cast<Registry::Shard*>(shard));
+  }
+};
+
+namespace {
+thread_local TlsShardCache tls_cache;
 }  // namespace
 
 Registry& Registry::global() {
@@ -136,6 +151,11 @@ Registry::MetricId Registry::histogram(const std::string& name,
 }
 
 Registry::Shard& Registry::shard_for_current_thread_locked() {
+  if (!idle_shards_.empty()) {
+    Shard& shard = *idle_shards_.back();
+    idle_shards_.pop_back();
+    return shard;
+  }
   shards_.push_back(std::make_unique<Shard>(kShardCells));
   Shard& shard = *shards_.back();
   for (std::size_t i = 0; i < kShardCells; ++i) {
@@ -233,6 +253,11 @@ Registry::Snapshot Registry::snapshot() const {
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
+}
+
+std::size_t Registry::shard_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return shards_.size();
 }
 
 std::uint64_t Registry::counter_value(const std::string& name) const {

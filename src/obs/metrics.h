@@ -102,6 +102,11 @@ class Registry {
   /// the progress meter and tests use.
   std::uint64_t counter_value(const std::string& name) const;
 
+  /// Shards allocated so far. A thread's first add takes the shard of an
+  /// exited thread when one is idle (global registry), so this stays at
+  /// the peak number of threads that recorded at once.
+  std::size_t shard_count() const;
+
   /// Zeroes every cell in every shard and every gauge; registrations (and
   /// their ids) survive. Call only while no worker is concurrently adding.
   void reset();
@@ -112,6 +117,8 @@ class Registry {
   void register_current_thread();
 
  private:
+  friend struct TlsShardCache;  // returns an exiting thread's shard
+
   enum class Kind { kCounter, kGauge, kHistogram };
 
   struct Descriptor {
@@ -151,6 +158,9 @@ class Registry {
   std::vector<std::pair<std::string, LabelSet>> label_sets_;
   std::size_t next_slot_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;  ///< registration order
+  /// Shards of exited threads, handed to the next new thread (global
+  /// registry only: a thread may outlive a test-local registry).
+  std::vector<Shard*> idle_shards_;
   std::vector<std::int64_t> gauges_;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/contracts.h"
+#include "util/simd_ops.h"
 
 namespace leakydsp::stats {
 
@@ -22,7 +24,8 @@ std::size_t Histogram::bin_index(double value) const {
 }
 
 void Histogram::add(double value, double weight) {
-  LD_REQUIRE(weight >= 0.0, "negative histogram weight " << weight);
+  LD_REQUIRE(weight >= 0.0 && std::isfinite(weight),
+             "histogram weight " << weight << " is negative or not finite");
   counts_[bin_index(value)] += weight;
   total_ += weight;
 }
@@ -51,6 +54,20 @@ double Histogram::mass_at_or_above(std::size_t bin) const {
   return sum;
 }
 
+namespace {
+
+/// [first, end) of the nonzero bins; first == end when every bin is zero.
+std::pair<std::size_t, std::size_t> support(const std::vector<double>& c) {
+  const auto nonzero = [](double v) { return v != 0.0; };
+  const auto first = std::find_if(c.begin(), c.end(), nonzero);
+  if (first == c.end()) return {0, 0};
+  const auto last = std::find_if(c.rbegin(), c.rend(), nonzero);
+  return {static_cast<std::size_t>(first - c.begin()),
+          static_cast<std::size_t>(c.rend() - last)};
+}
+
+}  // namespace
+
 Histogram Histogram::convolve(const Histogram& other) const {
   LD_REQUIRE(std::abs(width_ - other.width_) <= 1e-12 * std::abs(width_),
              "convolution requires equal bin widths");
@@ -59,12 +76,15 @@ Histogram Histogram::convolve(const Histogram& other) const {
   Histogram out(lo_ + other.lo_,
                 lo_ + other.lo_ + width_ * static_cast<double>(n + m - 1),
                 n + m - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ci = counts_[i];
-    if (ci == 0.0) continue;
-    for (std::size_t j = 0; j < m; ++j) {
-      out.counts_[i + j] += ci * other.counts_[j];
-    }
+  // Counts are finite and >= 0 (add() checks every weight), so the zero
+  // bins outside each support only ever add exact +0 terms: convolving the
+  // supports alone leaves the bits of the full convolution unchanged.
+  const auto [a_first, a_end] = support(counts_);
+  const auto [b_first, b_end] = support(other.counts_);
+  if (a_first < a_end && b_first < b_end) {
+    util::simd::convolve(counts_.data() + a_first, a_end - a_first,
+                         other.counts_.data() + b_first, b_end - b_first,
+                         out.counts_.data() + a_first + b_first);
   }
   for (const double c : out.counts_) out.total_ += c;
   return out;

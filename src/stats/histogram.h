@@ -17,6 +17,7 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
+  /// Adds `weight` (finite and >= 0) to the bin of `value`.
   void add(double value, double weight = 1.0);
 
   double lo() const { return lo_; }
@@ -42,7 +43,9 @@ class Histogram {
 
   /// Convolution: the distribution of X+Y for independent X, Y described by
   /// the two histograms. Both must have identical lo/width; the result has
-  /// bins() + other.bins() - 1 bins starting at lo()+other.lo().
+  /// bins() + other.bins() - 1 bins starting at lo()+other.lo(). Runs
+  /// util::simd::convolve over each operand's first..last nonzero bin; the
+  /// counts are bit-identical to the plain dense double loop.
   Histogram convolve(const Histogram& other) const;
 
  private:

@@ -49,6 +49,19 @@ ScaleTable::ScaleTable(AlphaPowerLaw law)
     : ScaleTable(law, law.vth + 0.25 * (law.vnom - law.vth),
                  law.vnom + 0.5 * (law.vnom - law.vth)) {}
 
+double ScaleTable::operator()(double v) const {
+  if (v < v_lo_ || v > v_hi_) return law_.scale(v);
+  const double s = (v - v_lo_) * inv_h_;
+  std::size_t i = static_cast<std::size_t>(s);
+  if (i >= f_.size() - 1) i = f_.size() - 2;  // v == v_hi
+  const double t = s - static_cast<double>(i);
+  const double t2 = t * t;
+  const double t3 = t2 * t;
+  return (2.0 * t3 - 3.0 * t2 + 1.0) * f_[i] +
+         (t3 - 2.0 * t2 + t) * h_ * d_[i] +
+         (-2.0 * t3 + 3.0 * t2) * f_[i + 1] + (t3 - t2) * h_ * d_[i + 1];
+}
+
 void ScaleTable::eval_batch(const double* v, double* out,
                             std::size_t n) const {
   const util::simd::HermiteView view{f_.data(), d_.data(), f_.size(),

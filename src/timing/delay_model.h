@@ -74,19 +74,11 @@ class ScaleTable {
   void eval_batch(const double* v, double* out, std::size_t n) const;
 
   /// Delay scale factor at supply `v`: interpolated inside [v_lo, v_hi],
-  /// exact (and validity-checked) outside.
-  double operator()(double v) const {
-    if (v < v_lo_ || v > v_hi_) return law_.scale(v);
-    const double s = (v - v_lo_) * inv_h_;
-    std::size_t i = static_cast<std::size_t>(s);
-    if (i >= f_.size() - 1) i = f_.size() - 2;  // v == v_hi
-    const double t = s - static_cast<double>(i);
-    const double t2 = t * t;
-    const double t3 = t2 * t;
-    return (2.0 * t3 - 3.0 * t2 + 1.0) * f_[i] +
-           (t3 - 2.0 * t2 + t) * h_ * d_[i] +
-           (-2.0 * t3 + 3.0 * t2) * f_[i + 1] + (t3 - t2) * h_ * d_[i + 1];
-  }
+  /// exact (and validity-checked) outside. Defined out of line in the
+  /// -ffp-contract=off delay_model.cpp: it is the Hermite kernel's bitwise
+  /// reference, and an inline body would let each including TU fuse its
+  /// multiplies and adds under -march=native.
+  double operator()(double v) const;
 
  private:
   AlphaPowerLaw law_;

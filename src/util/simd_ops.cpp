@@ -93,6 +93,28 @@ void hermite_eval_scalar(const HermiteView& t, const double* v, double* out,
   }
 }
 
+void convolve_scalar(const double* a, std::size_t n, const double* b,
+                     std::size_t m, double* out) {
+  std::fill_n(out, n + m - 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ai = a[i];
+    if (ai == 0.0) continue;
+    for (std::size_t j = 0; j < m; ++j) out[i + j] = out[i + j] + ai * b[j];
+  }
+}
+
+ConvolvePlan plan_convolve(const double* a, std::size_t n, const double* b,
+                           std::size_t m, std::size_t pad) {
+  ConvolvePlan plan;
+  plan.padded_a.assign(pad, 0.0);
+  plan.padded_a.insert(plan.padded_a.end(), a, a + n);
+  plan.padded_a.resize(plan.padded_a.size() + pad, 0.0);
+  for (std::size_t j = m; j-- > 0;) {
+    if (b[j] != 0.0) plan.taps.push_back(j);
+  }
+  return plan;
+}
+
 }  // namespace detail
 
 std::size_t count_le(const double* a, std::size_t n, double bound) {
@@ -247,6 +269,22 @@ void hermite_eval(const HermiteView& t, const double* v, double* out,
 #endif
     default:
       return detail::hermite_eval_scalar(t, v, out, n);
+  }
+}
+
+void convolve(const double* a, std::size_t n, const double* b, std::size_t m,
+              double* out) {
+  switch (current_simd_tier()) {
+#ifdef LEAKYDSP_SIMD_AVX512
+    case SimdTier::kAvx512:
+      return detail::convolve_avx512(a, n, b, m, out);
+#endif
+#ifdef LEAKYDSP_SIMD_AVX2
+    case SimdTier::kAvx2:
+      return detail::convolve_avx2(a, n, b, m, out);
+#endif
+    default:
+      return detail::convolve_scalar(a, n, b, m, out);
   }
 }
 

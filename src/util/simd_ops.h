@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace leakydsp::util::simd {
 
@@ -85,6 +86,17 @@ void spmv(const std::size_t* row_start, const std::size_t* cols,
 void hermite_eval(const HermiteView& t, const double* v, double* out,
                   std::size_t n);
 
+/// Full linear convolution out[0, n + m - 1) of a[0, n) and b[0, m), for
+/// n, m >= 1 — histogram convolution. Inputs must be finite and >= 0.
+/// Every out[s] starts at +0.0 and then, for i ascending, takes
+/// out[s] = out[s] + a[i] * b[s - i], product and sum each rounded on
+/// their own. Because every term is >= +0, adding a zero term (or skipping
+/// one) is exact: the scalar tier skips zero a[i], and the vector tiers
+/// skip zero b[j] and fill whole register blocks of outputs from a
+/// zero-padded copy of a; every tier still returns the same bits.
+void convolve(const double* a, std::size_t n, const double* b, std::size_t m,
+              double* out);
+
 namespace detail {
 
 // Per-tier entry points. The public functions above dispatch on
@@ -106,6 +118,18 @@ void spmv_scalar(const std::size_t* row_start, const std::size_t* cols,
                  std::size_t n_rows);
 void hermite_eval_scalar(const HermiteView& t, const double* v, double* out,
                          std::size_t n);
+void convolve_scalar(const double* a, std::size_t n, const double* b,
+                     std::size_t m, double* out);
+
+/// Set-up shared by the vector convolve tiers: `a` between `pad` zeros on
+/// each side, and the indices of b's nonzero bins in descending order
+/// (descending j is ascending i = s - j within every output lane).
+struct ConvolvePlan {
+  std::vector<double> padded_a;
+  std::vector<std::size_t> taps;
+};
+ConvolvePlan plan_convolve(const double* a, std::size_t n, const double* b,
+                           std::size_t m, std::size_t pad);
 
 /// Shared by every dot tier: the eight partial sums (element i accumulates
 /// into acc[i mod 8]) combine in this fixed tree. Vector tiers resume their
@@ -132,6 +156,8 @@ void spmv_avx2(const std::size_t* row_start, const std::size_t* cols,
                std::size_t n_rows);
 void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
                        std::size_t n);
+void convolve_avx2(const double* a, std::size_t n, const double* b,
+                   std::size_t m, double* out);
 #endif
 
 #ifdef LEAKYDSP_SIMD_AVX512
@@ -151,6 +177,8 @@ void spmv_avx512(const std::size_t* row_start, const std::size_t* cols,
                  std::size_t n_rows);
 void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
                          std::size_t n);
+void convolve_avx512(const double* a, std::size_t n, const double* b,
+                     std::size_t m, double* out);
 #endif
 
 }  // namespace detail

@@ -201,6 +201,41 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
   hermite_eval_scalar(t, v + i, out + i, n - i);
 }
 
+void convolve_avx2(const double* a, std::size_t n, const double* b,
+                   std::size_t m, double* out) {
+  // Same output-stationary blocking as the AVX-512 tier, 16 outputs in
+  // four accumulators per block.
+  constexpr std::size_t kBlock = 16;
+  const ConvolvePlan plan = plan_convolve(a, n, b, m, kBlock);
+  const std::size_t n_out = n + m - 1;
+  for (std::size_t s0 = 0; s0 < n_out; s0 += kBlock) {
+    // b[j] reaches the block iff s0 - (n - 1) <= j <= s0 + kBlock - 1.
+    const std::size_t j_lo = s0 + 1 > n ? s0 + 1 - n : 0;
+    const std::size_t j_hi = s0 + kBlock - 1;
+    const std::size_t off = kBlock + s0;  // padded_a[off - j] = a[s0 - j]
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    auto tap = std::find_if(plan.taps.begin(), plan.taps.end(),
+                            [&](std::size_t j) { return j <= j_hi; });
+    for (; tap != plan.taps.end() && *tap >= j_lo; ++tap) {
+      const __m256d bj = _mm256_set1_pd(b[*tap]);
+      const double* src = plan.padded_a.data() + (off - *tap);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(src), bj));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(src + 4), bj));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_loadu_pd(src + 8), bj));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_loadu_pd(src + 12), bj));
+    }
+    double block[kBlock];
+    _mm256_storeu_pd(block, acc0);
+    _mm256_storeu_pd(block + 4, acc1);
+    _mm256_storeu_pd(block + 8, acc2);
+    _mm256_storeu_pd(block + 12, acc3);
+    std::copy_n(block, std::min(kBlock, n_out - s0), out + s0);
+  }
+}
+
 }  // namespace leakydsp::util::simd::detail
 
 #endif  // LEAKYDSP_SIMD_AVX2

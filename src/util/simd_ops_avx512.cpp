@@ -182,6 +182,44 @@ void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
   hermite_eval_scalar(t, v + i, out + i, n - i);
 }
 
+void convolve_avx512(const double* a, std::size_t n, const double* b,
+                     std::size_t m, double* out) {
+  // Output-stationary: a block of 32 outputs stays in four accumulators
+  // while j sweeps b's nonzero bins that reach the block, descending, so
+  // each lane adds its terms in ascending i = s - j like the scalar
+  // reference. Skipped zero b[j] and the padding around a contribute only
+  // exact +0 terms (see the contract in simd_ops.h).
+  constexpr std::size_t kBlock = 32;
+  const ConvolvePlan plan = plan_convolve(a, n, b, m, kBlock);
+  const std::size_t n_out = n + m - 1;
+  for (std::size_t s0 = 0; s0 < n_out; s0 += kBlock) {
+    // b[j] reaches the block iff s0 - (n - 1) <= j <= s0 + kBlock - 1.
+    const std::size_t j_lo = s0 + 1 > n ? s0 + 1 - n : 0;
+    const std::size_t j_hi = s0 + kBlock - 1;
+    const std::size_t off = kBlock + s0;  // padded_a[off - j] = a[s0 - j]
+    __m512d acc0 = _mm512_setzero_pd();
+    __m512d acc1 = _mm512_setzero_pd();
+    __m512d acc2 = _mm512_setzero_pd();
+    __m512d acc3 = _mm512_setzero_pd();
+    auto tap = std::find_if(plan.taps.begin(), plan.taps.end(),
+                            [&](std::size_t j) { return j <= j_hi; });
+    for (; tap != plan.taps.end() && *tap >= j_lo; ++tap) {
+      const __m512d bj = _mm512_set1_pd(b[*tap]);
+      const double* src = plan.padded_a.data() + (off - *tap);
+      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(_mm512_loadu_pd(src), bj));
+      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(_mm512_loadu_pd(src + 8), bj));
+      acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(_mm512_loadu_pd(src + 16), bj));
+      acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(_mm512_loadu_pd(src + 24), bj));
+    }
+    double block[kBlock];
+    _mm512_storeu_pd(block, acc0);
+    _mm512_storeu_pd(block + 8, acc1);
+    _mm512_storeu_pd(block + 16, acc2);
+    _mm512_storeu_pd(block + 24, acc3);
+    std::copy_n(block, std::min(kBlock, n_out - s0), out + s0);
+  }
+}
+
 }  // namespace leakydsp::util::simd::detail
 
 #endif  // LEAKYDSP_SIMD_AVX512

@@ -3,15 +3,19 @@
 //     scalar reference tier: byte-identical serialized accumulator state,
 //     at a generated batch split (which must also match the unsplit run),
 //   - the element-op tiers (fill/divides/budget arithmetic/thermometer
-//     count and the Hermite ScaleTable batch) vs the scalar tier: bitwise.
+//     count and the Hermite ScaleTable batch) vs the scalar tier: bitwise,
+//   - simd::convolve and Histogram::convolve (which runs it over each
+//     operand's nonzero support only) under every tier vs the scalar tier's
+//     dense convolution of the full operands: bitwise.
 //
-// Both oracles pin tiers through util::set_simd_tier_override and release
+// All three oracles pin tiers through util::set_simd_tier_override and release
 // it on every exit path, so a failing case never leaks a pinned tier into
 // the rest of the sweep. On hosts (or builds) without the vector tiers the
 // tier list collapses to {scalar} and the oracles degenerate to cheap
 // self-checks — still worth running: they cover the dispatch plumbing.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -20,6 +24,7 @@
 
 #include "attack/cpa.h"
 #include "crypto/aes128.h"
+#include "stats/histogram.h"
 #include "timing/delay_model.h"
 #include "util/aligned.h"
 #include "util/byte_io.h"
@@ -281,6 +286,102 @@ Property<SimdOpsConfig> simd_ops_property() {
   return prop;
 }
 
+
+// --------------------------------------------- convolution tier bitwise
+
+struct SimdConvolveConfig {
+  std::int64_t n = 16;      ///< bins of the left operand
+  std::int64_t m = 16;      ///< bins of the right operand
+  double density = 0.5;     ///< chance that an interior bin is nonzero
+  std::uint64_t seed = 0;
+};
+
+std::string describe_simd_convolve(const SimdConvolveConfig& c) {
+  std::ostringstream oss;
+  oss << "{n=" << c.n << " m=" << c.m << " density=" << c.density
+      << " seed=" << c.seed << "}";
+  return oss.str();
+}
+
+/// A histogram of `bins` unit-width bins whose nonzero bins sit inside a
+/// random sub-range (empty edges) with zero runs between them; weights mix
+/// small integer counts, as key-rank histograms hold, and reals spread
+/// over many binades, so the products and sums round.
+stats::Histogram sparse_histogram(util::Rng& rng, std::size_t bins,
+                                  double density) {
+  stats::Histogram h(0.0, static_cast<double>(bins), bins);
+  const std::size_t first = rng() % bins;
+  const std::size_t last = first + rng() % (bins - first);
+  for (std::size_t i = first; i <= last; ++i) {
+    if (i != first && i != last && rng.uniform() >= density) continue;
+    const double w = rng.bernoulli(0.5)
+                         ? static_cast<double>(1 + rng() % 8)
+                         : std::ldexp(rng.uniform(),
+                                      static_cast<int>(gen_int(rng, -20, 20)));
+    h.add(h.bin_center(i), w);
+  }
+  return h;
+}
+
+Property<SimdConvolveConfig> simd_convolve_property() {
+  Property<SimdConvolveConfig> prop;
+  prop.name = "simd.convolve_tiers_bitwise";
+  prop.generate = [](util::Rng& rng) {
+    SimdConvolveConfig c;
+    c.n = gen_int(rng, 1, 9000);
+    c.m = gen_int(rng, 1, 9000);
+    c.density = gen_real(rng, 0.0, 1.0);
+    c.seed = rng();
+    return c;
+  };
+  prop.shrink = [](const SimdConvolveConfig& c) {
+    std::vector<SimdConvolveConfig> out;
+    for (const std::int64_t n : shrink_int(c.n, 1)) {
+      SimdConvolveConfig s = c;
+      s.n = n;
+      out.push_back(s);
+    }
+    for (const std::int64_t m : shrink_int(c.m, 1)) {
+      SimdConvolveConfig s = c;
+      s.m = m;
+      out.push_back(s);
+    }
+    return out;
+  };
+  prop.describe = describe_simd_convolve;
+  prop.check = [](const SimdConvolveConfig& c) -> CheckOutcome {
+    const TierRelease release;
+    util::Rng rng(c.seed);
+    const stats::Histogram a =
+        sparse_histogram(rng, static_cast<std::size_t>(c.n), c.density);
+    const stats::Histogram b =
+        sparse_histogram(rng, static_cast<std::size_t>(c.m), c.density);
+    const std::size_t n_out = a.bins() + b.bins() - 1;
+
+    util::set_simd_tier_override(util::SimdTier::kScalar);
+    std::vector<double> reference(n_out);
+    util::simd::convolve(a.counts().data(), a.bins(), b.counts().data(),
+                         b.bins(), reference.data());
+
+    for (const util::SimdTier tier : available_tiers()) {
+      util::set_simd_tier_override(tier);
+      std::vector<double> dense(n_out);
+      util::simd::convolve(a.counts().data(), a.bins(), b.counts().data(),
+                           b.bins(), dense.data());
+      if (!same_bits(reference.data(), dense.data(), n_out))
+        return fail(std::string("simd::convolve diverges under ") +
+                    util::to_string(tier));
+      const stats::Histogram joint = a.convolve(b);
+      if (joint.bins() != n_out ||
+          !same_bits(reference.data(), joint.counts().data(), n_out))
+        return fail(std::string("Histogram::convolve diverges under ") +
+                    util::to_string(tier));
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
 
 void register_simd_oracles(std::vector<Oracle>& out) {
@@ -293,6 +394,11 @@ void register_simd_oracles(std::vector<Oracle>& out) {
       "util::simd element ops and ScaleTable::eval_batch under every "
       "available dispatch tier vs the scalar tier: bitwise-equal outputs",
       1, simd_ops_property()));
+  out.push_back(make_oracle(
+      "util::simd::convolve and Histogram::convolve (nonzero supports "
+      "only) under every available dispatch tier vs the scalar tier's dense "
+      "convolution: bitwise-equal counts",
+      1, simd_convolve_property()));
 }
 
 }  // namespace leakydsp::verify

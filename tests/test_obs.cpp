@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -143,6 +145,30 @@ TEST(ObsRegistry, CountersMergeAcrossThreadShards) {
     EXPECT_EQ(reg.counter_value("test.merge") - before, 3000u)
         << threads << " threads";
   }
+}
+
+TEST(ObsRegistry, ExitedThreadsHandTheirShardsOn) {
+  // A process that starts a pool per run (one campaign service per drain)
+  // must not grow the registry by a shard per worker it ever started.
+  ObsStateGuard guard;
+  lo::Registry& reg = lo::Registry::global();
+  const auto id = reg.counter("test.shard_reuse");
+  const std::uint64_t before = reg.counter_value("test.shard_reuse");
+  const std::size_t shards = reg.shard_count();
+  for (int run = 0; run < 20; ++run) {
+    // Each index waits until all three have started, so the caller and
+    // both workers record once in every run.
+    std::atomic<int> arrived{0};
+    lu::ThreadPool pool(3);
+    pool.parallel_for(3, [&](std::size_t) {
+      reg.add(id, 1);
+      arrived.fetch_add(1);
+      while (arrived.load() < 3) std::this_thread::yield();
+    });
+  }
+  // One shard each for the two workers and the calling thread at most.
+  EXPECT_LE(reg.shard_count(), shards + 3);
+  EXPECT_EQ(reg.counter_value("test.shard_reuse") - before, 60u);
 }
 
 TEST(ObsRegistry, GaugeLastWriteWins) {

@@ -2,8 +2,13 @@
 // agreement of every compiled tier on random inputs (element ops, Hermite
 // batch evaluation, CPA panel accumulation), the multi-byte blocked
 // CpaAttack::add_traces entry vs 16x single-byte accumulation and vs the
-// plain per-trace reference, and the batch-split invariance that backs
-// byte-identical checkpoints.
+// plain per-trace reference, the batch-split invariance that backs
+// byte-identical checkpoints, and the histogram convolution behind the
+// key-rank bounds vs the plain dense loop, with the bounds' bits pinned.
+//
+// This TU is compiled with -ffp-contract=off (tests/CMakeLists.txt): the
+// dense convolution below is a bitwise reference and must round every
+// product on its own, as the library's pinned kernels do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +18,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "attack/cpa.h"
 #include "attack/cpa_kernels.h"
+#include "attack/key_rank.h"
+#include "attack/power_model.h"
 #include "crypto/aes128.h"
+#include "stats/histogram.h"
 #include "timing/delay_model.h"
 #include "util/aligned.h"
 #include "util/byte_io.h"
@@ -28,6 +37,7 @@
 
 namespace lu = leakydsp::util;
 namespace la = leakydsp::attack;
+namespace ls = leakydsp::stats;
 namespace lt = leakydsp::timing;
 namespace simd = leakydsp::util::simd;
 namespace lverify = leakydsp::verify;
@@ -523,5 +533,152 @@ TEST(CpaSimd, MatchesPlainReferenceBitwise) {
     la::CpaAttack cpa(poi);
     cpa.add_traces(in.cts, in.rows);
     EXPECT_EQ(serialized(cpa), ref) << lu::to_string(tier);
+  }
+}
+
+// --------------------------------------------- histogram convolution
+
+namespace {
+
+/// The plain dense convolution: every a[i] times every b[j], zero terms
+/// included, each product and each sum rounded on its own.
+std::vector<double> dense_convolution(const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+  std::vector<double> out(a.size() + b.size() - 1, 0.0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      out[i + j] = out[i + j] + a[i] * b[j];
+    }
+  }
+  return out;
+}
+
+enum class Support { kFull, kZeroRuns, kEmptyEdges, kSingleBin, kEmpty };
+
+/// Unit-width histogram over [0, bins) whose nonzero bins follow `support`.
+/// Weights mix small integer counts, as key-rank histograms hold, and reals
+/// over many binades, so products and sums round.
+ls::Histogram make_histogram(lu::Rng& rng, std::size_t bins,
+                             Support support) {
+  ls::Histogram h(0.0, static_cast<double>(bins), bins);
+  const std::size_t single = rng() % bins;
+  for (std::size_t i = 0; i < bins; ++i) {
+    bool nonzero = false;
+    switch (support) {
+      case Support::kFull:
+        nonzero = true;
+        break;
+      case Support::kZeroRuns:  // every fourth run of 3 bins stays empty
+        nonzero = (i / 3) % 4 != 1 && rng.bernoulli(0.6);
+        break;
+      case Support::kEmptyEdges:  // only the middle half is nonzero
+        nonzero = 4 * i >= bins && 4 * i < 3 * bins;
+        break;
+      case Support::kSingleBin:
+        nonzero = i == single;
+        break;
+      case Support::kEmpty:
+        break;
+    }
+    if (!nonzero) continue;
+    const double w = rng.bernoulli(0.5)
+                         ? static_cast<double>(1 + rng() % 8)
+                         : std::ldexp(rng.uniform(),
+                                      static_cast<int>(rng() % 41) - 20);
+    h.add(h.bin_center(i), w);
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(HistogramConvolve, BitIdenticalToDenseLoopAcrossTiers) {
+  TierGuard guard;
+  lu::Rng rng(0xC0417);
+  // Both block widths' edges (16, 32), single bins, and the key-rank shape:
+  // a joint histogram of up to 15 * 512 + 1 bins against one byte's 513.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1},    {1, 513},  {513, 1},   {5, 17},     {16, 16},
+      {31, 33},  {33, 31},  {513, 513}, {7681, 513}, {1025, 1025}};
+  const Support supports[] = {Support::kFull, Support::kZeroRuns,
+                              Support::kEmptyEdges, Support::kSingleBin,
+                              Support::kEmpty};
+  for (const auto& [n, m] : shapes) {
+    for (const Support sa : supports) {
+      for (const Support sb : supports) {
+        const ls::Histogram a = make_histogram(rng, n, sa);
+        const ls::Histogram b = make_histogram(rng, m, sb);
+        const std::vector<double> ref =
+            dense_convolution(a.counts(), b.counts());
+        double ref_total = 0.0;
+        for (const double c : ref) ref_total += c;
+        for (const lu::SimdTier tier : available_tiers()) {
+          lu::set_simd_tier_override(tier);
+          const ls::Histogram c = a.convolve(b);
+          SCOPED_TRACE(::testing::Message()
+                       << lu::to_string(tier) << " n=" << n << " m=" << m
+                       << " supports=" << static_cast<int>(sa) << ","
+                       << static_cast<int>(sb));
+          ASSERT_EQ(c.bins(), ref.size());
+          EXPECT_BITS_EQ(c.lo(), a.lo() + b.lo());
+          EXPECT_BITS_EQ(c.total(), ref_total);
+          EXPECT_EQ(std::memcmp(c.counts().data(), ref.data(),
+                                ref.size() * sizeof(double)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+// The bits of estimate_key_rank's bounds for fixed CPA snapshots, recorded
+// before the convolution moved onto the SIMD tiers. The synthetic traces
+// are integer valued (last-round Hamming distance plus binomial noise), so
+// the snapshots are exact and build-independent.
+TEST(KeyRank, BoundsBitsPinnedAcrossTiers) {
+  TierGuard guard;
+  lu::Rng rng(0x4B52);
+  leakydsp::crypto::RoundKey rk10;
+  for (auto& b : rk10) b = static_cast<std::uint8_t>(rng() & 0xff);
+  struct Pin {
+    std::size_t traces;
+    std::uint64_t log2_lower;
+    std::uint64_t log2_upper;
+  };
+  const Pin pins[] = {{64, 0x405f0ffd83c14e47ULL, 0x405f2b98eb522f52ULL},
+                      {1000, 0x4041674d332a574dULL, 0x40444fdd7e6dda96ULL},
+                      {20000, 0x0000000000000000ULL, 0x3ff0000000000000ULL}};
+  constexpr std::size_t kPoi = 2;
+  la::CpaAttack cpa(kPoi);
+  std::size_t done = 0;
+  for (const Pin& pin : pins) {
+    std::vector<leakydsp::crypto::Block> cts;
+    std::vector<double> rows;
+    for (; done < pin.traces; ++done) {
+      leakydsp::crypto::Block ct;
+      for (auto& b : ct) b = static_cast<std::uint8_t>(rng() & 0xff);
+      int leak = 0;
+      for (int b = 0; b < 16; ++b) {
+        leak += la::last_round_hd(ct, b, rk10[static_cast<std::size_t>(b)]);
+      }
+      for (std::size_t k = 0; k < kPoi; ++k) {
+        int noise = 0;
+        for (int w = 0; w < 16; ++w) noise += std::popcount(rng());
+        rows.push_back(static_cast<double>(leak + noise));
+      }
+      cts.push_back(ct);
+    }
+    cpa.add_traces(cts, rows);
+    const auto scores = cpa.snapshot();
+    for (const lu::SimdTier tier : available_tiers()) {
+      lu::set_simd_tier_override(tier);
+      const la::KeyRankBounds bounds = la::estimate_key_rank(scores, rk10);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(bounds.log2_lower),
+                pin.log2_lower)
+          << lu::to_string(tier) << " at " << pin.traces << " traces";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(bounds.log2_upper),
+                pin.log2_upper)
+          << lu::to_string(tier) << " at " << pin.traces << " traces";
+    }
   }
 }
