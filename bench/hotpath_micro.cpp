@@ -299,7 +299,9 @@ int main(int argc, char** argv) {
 
   // ---- CPA accumulation: per-trace add_trace loop vs batched add_traces ----
   {
-    constexpr std::size_t kPoi = 12;
+    // The campaigns' POI window: two victim cycles of the Basys3 P6 attack
+    // (20 MHz AES sampled at 300 MHz), 2 * 15 = 30 POI.
+    constexpr std::size_t kPoi = 30;
     constexpr std::size_t kBatch = 64;
     util::Rng rng(10);
     std::vector<crypto::Block> cts(kBatch);

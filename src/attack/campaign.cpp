@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <system_error>
 #include <utility>
 
@@ -258,6 +259,11 @@ struct BlockShard {
   CpaAttack cpa;
   double poi_sum = 0.0;
   explicit BlockShard(std::size_t poi) : cpa(poi) {}
+  /// Back to a fresh shard's all-zero state, keeping the allocations.
+  void reset() {
+    cpa.reset();
+    poi_sum = 0.0;
+  }
 };
 
 /// Smallest multiple of `stride` strictly greater than `t`.
@@ -423,19 +429,30 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 
 /// One planned boundary step (or record wave): the materialized plaintext
 /// slice plus one slot per trace block — a CPA shard for an attack, the
-/// block's traces for a recording. run_block() fills slots independently;
-/// finish_step folds them back in block order.
+/// block's traces for a recording. run_block() fills slots independently.
+/// An attack's shards stream into the planning task's accumulator in block
+/// order: the block that completes a prefix of finished blocks folds that
+/// prefix under the plan's lock, and the merged shards are zeroed and
+/// reused by later blocks, so a step holds about one live shard per
+/// running thread plus the stragglers' successors. A recording's traces
+/// wait for finish_step, which appends them in block order.
 struct TraceCampaign::StepPlan::Impl {
   std::size_t base_t = 0;       ///< traces done when the step was planned
   std::size_t next = 0;         ///< traces done after the step completes
   std::size_t count = 0;        ///< traces in this step (next - base_t)
   std::size_t block = 0;        ///< config.block_traces at planning time
   bool stop_when_broken = true;
-  bool recording = false;       ///< slots are `records`, not `shards`
+  RunState* state = nullptr;       ///< attack task planned on (merge target)
+  Recording* recording = nullptr;  ///< recording task planned on
   util::Rng trace_parent;       ///< per-trace fork parent (snapshot)
   std::vector<crypto::Block> plaintexts;
-  std::vector<std::unique_ptr<BlockShard>> shards;
   std::vector<std::vector<sim::StoredTrace>> records;
+
+  std::mutex mutex;  ///< guards the members below
+  std::vector<bool> started;  ///< run_block has claimed the block
+  std::vector<std::unique_ptr<BlockShard>> shards;  ///< run, not yet merged
+  std::vector<std::unique_ptr<BlockShard>> spare;   ///< merged, reusable
+  std::size_t merged = 0;  ///< blocks [0, merged) are folded into *state
 };
 
 TraceCampaign::StepPlan::StepPlan() = default;
@@ -509,7 +526,7 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
     // traces is ever resident, whatever the recording's length.
     Recording& rec = *task.recording_;
     if (rec.cursor.produced >= rec.total) return StepPlan();
-    impl->recording = true;
+    impl->recording = &rec;
     impl->base_t = rec.cursor.produced;
     impl->count = std::min(rec.wave, rec.total - impl->base_t);
     impl->trace_parent = rec.cursor.trace_parent;
@@ -527,6 +544,7 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
       next = std::min(next, next_multiple(state.t, config_.break_check_stride));
     }
     next = std::min(next, next_multiple(state.t, config_.rank_stride));
+    impl->state = &state;
     impl->base_t = state.t;
     impl->count = next - state.t;
     impl->trace_parent = state.trace_parent;
@@ -538,6 +556,7 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
   }
   impl->next = impl->base_t + impl->count;
   const std::size_t blocks = (impl->count + impl->block - 1) / impl->block;
+  impl->started.resize(blocks);
   if (impl->recording) {
     impl->records.resize(blocks);
   } else {
@@ -552,6 +571,16 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(block < plan.block_count(),
              "block " << block << " out of range (" << plan.block_count()
                       << " blocks)");
+  std::unique_ptr<BlockShard> shard;
+  {
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    LD_REQUIRE(!impl.started[block], "block " << block << " already ran");
+    impl.started[block] = true;
+    if (!impl.spare.empty()) {
+      shard = std::move(impl.spare.back());
+      impl.spare.pop_back();
+    }
+  }
   const std::size_t lo = block * impl.block;
   const std::size_t hi = std::min(lo + impl.block, impl.count);
   const std::span<const crypto::Block> plaintexts{impl.plaintexts.data() + lo,
@@ -561,10 +590,27 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
         record_block(impl.trace_parent, impl.base_t + lo, plaintexts);
     return;
   }
-  auto shard = std::make_unique<BlockShard>(poi_count_);
+  if (shard) {
+    shard->reset();
+  } else {
+    shard = std::make_unique<BlockShard>(poi_count_);
+  }
   process_block(impl.base_t + lo + 1, plaintexts, impl.trace_parent,
                 shard->cpa, shard->poi_sum);
+
+  std::lock_guard<std::mutex> lock(impl.mutex);
   impl.shards[block] = std::move(shard);
+  // Fold the finished prefix in block order: the reduction tree is fixed
+  // by the block size, not by the schedule, so any thread count and any
+  // completion order give identical sums.
+  RunState& state = *impl.state;
+  while (impl.merged < impl.shards.size() && impl.shards[impl.merged]) {
+    std::unique_ptr<BlockShard>& ready = impl.shards[impl.merged];
+    state.cpa.merge(ready->cpa);
+    state.poi_sum += ready->poi_sum;
+    impl.spare.push_back(std::move(ready));
+    ++impl.merged;
+  }
 }
 
 bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
@@ -572,9 +618,11 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
              "finish_step on an empty task");
   LD_REQUIRE(step.impl_ != nullptr, "finish_step on an empty plan");
   const StepPlan consumed = std::move(step);
-  const StepPlan::Impl& plan = *consumed.impl_;
-  LD_REQUIRE(plan.base_t == task.traces_done() &&
-                 plan.recording == (task.recording_ != nullptr),
+  StepPlan::Impl& plan = *consumed.impl_;
+  LD_REQUIRE(plan.state == task.state_.get() &&
+                 plan.recording == task.recording_.get(),
+             "finish_step on a plan of another task");
+  LD_REQUIRE(plan.base_t == task.traces_done(),
              "finish_step on a plan of another step: plan at trace "
                  << plan.base_t << ", task at " << task.traces_done());
   if (task.recording_) {
@@ -589,12 +637,11 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
     return rec.written < rec.total;
   }
   RunState& state = *task.state_;
-  // Merge in block order: the reduction tree is fixed by the block size,
-  // not by the schedule, so any thread count gives identical sums.
-  for (const auto& shard : plan.shards) {
-    LD_REQUIRE(shard != nullptr, "finish_step before every block ran");
-    state.cpa.merge(shard->cpa);
-    state.poi_sum += shard->poi_sum;
+  {
+    // run_block already folded every shard into the task, in block order.
+    std::lock_guard<std::mutex> lock(plan.mutex);
+    LD_REQUIRE(plan.merged == plan.shards.size(),
+               "finish_step before every block ran");
   }
   state.t = plan.next;
   state.result.traces_run = state.t;
@@ -689,7 +736,9 @@ std::size_t TraceCampaign::approx_task_bytes() const {
   // Transient part while a step is in flight: the widest boundary step is
   // bounded by rank_stride (a rank boundary always terminates a step), and
   // every block of it may hold a shard (one CPA accumulator + its working
-  // buffers: the POI panel, one trace, and the SoA scratch) concurrently.
+  // buffers: the POI panel, one trace, and the SoA scratch) at once. Shards
+  // merge as soon as their prefix has run, so that worst case needs a
+  // straggling first block; the bound stays a valid ceiling.
   const std::size_t widest = std::min(config_.max_traces, config_.rank_stride);
   const std::size_t blocks =
       (widest + config_.block_traces - 1) / config_.block_traces;

@@ -211,8 +211,9 @@ class TraceCampaign {
   /// One planned checkpoint-boundary step (or record wave): the
   /// materialized plaintext slice plus one CPA shard (or trace batch) per
   /// trace block. Blocks are independent — any thread may execute any
-  /// subset concurrently via run_block() — and finish_step() folds them
-  /// back into the Task in block order.
+  /// subset concurrently via run_block() — and their results fold back into
+  /// the Task in block order: CPA shards as soon as every earlier block
+  /// has folded, trace batches at finish_step().
   class StepPlan {
    public:
     StepPlan(StepPlan&&) noexcept;
@@ -259,13 +260,21 @@ class TraceCampaign {
   /// one thread at a time per task (block execution is free to fan out).
   StepPlan plan_step(Task& task, bool stop_when_broken = true) const;
 
-  /// Runs one block of a planned step into its private shard. Thread-safe
-  /// across distinct `block` indices of the same plan.
+  /// Runs one block of a planned step into a private shard. Thread-safe
+  /// across distinct `block` indices of the same plan; running a block a
+  /// second time throws util::PreconditionError. An attack block's shard
+  /// folds into the planning task as soon as every earlier block has
+  /// folded, so the task is mid-step from the first run_block on: a plan
+  /// abandoned part-way (a block threw, or the plan was dropped) leaves its
+  /// task unusable, like the plaintext cursor plan_step already advanced —
+  /// reload such a task from its checkpoint.
   void run_block(StepPlan& plan, std::size_t block) const;
 
-  /// Folds a fully executed plan into the task (shards merge in block
-  /// order) and performs the boundary bookkeeping: break checks, rank
-  /// checkpoints, stop decision. Returns true while more steps remain.
+  /// Completes a fully executed plan on the task it was planned on and
+  /// performs the boundary bookkeeping: break checks, rank checkpoints,
+  /// stop decision. Throws util::PreconditionError for a plan of another
+  /// task or step, or one with a block not yet run. Returns true while
+  /// more steps remain.
   bool finish_step(Task& task, StepPlan&& plan) const;
 
   /// Durably persists the task as this campaign's checkpoint — the

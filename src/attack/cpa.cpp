@@ -90,6 +90,17 @@ void CpaAttack::merge(const CpaAttack& other) {
   }
 }
 
+void CpaAttack::reset() {
+  traces_ = 0;
+  std::fill(sum_t_.begin(), sum_t_.end(), 0.0);
+  std::fill(sum_t2_.begin(), sum_t2_.end(), 0.0);
+  for (auto& per_byte : sum_h_) per_byte.fill(0.0);
+  for (auto& per_byte : sum_h2_) per_byte.fill(0.0);
+  for (auto& per_byte : sum_ht_) {
+    std::fill(per_byte.begin(), per_byte.end(), 0.0);
+  }
+}
+
 std::size_t CpaAttack::approx_accumulator_bytes(std::size_t poi_count) {
   return sizeof(CpaAttack)                            // inline sum_h / sum_h2
          + 2 * poi_count * sizeof(double)             // sum_t, sum_t2

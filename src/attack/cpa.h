@@ -53,9 +53,15 @@ class CpaAttack {
                   std::span<const double> poi_matrix);
 
   /// Folds another accumulator (same poi_count) into this one, as if this
-  /// attack had also seen every trace `other` saw. This is how per-worker
-  /// shards of a parallel campaign combine at checkpoint boundaries.
+  /// attack had also seen every trace `other` saw. This is how the
+  /// per-block shards of a parallel campaign fold into its accumulator.
   void merge(const CpaAttack& other);
+
+  /// Zeroes every sum (all +0.0) and the trace count, keeping the POI
+  /// window and the allocations: the attack then accumulates exactly what
+  /// a freshly constructed one would. The campaign reuses merged block
+  /// shards this way.
+  void reset();
 
   /// Correlation snapshot for one key byte.
   ByteScores snapshot_byte(int byte_index) const;

@@ -28,6 +28,20 @@ void accumulate_panel_scalar(const Panel& p, double* sum_ht) {
   }
 }
 
+void hypothesis_sums_scalar(const std::uint8_t* const* rows, std::size_t n,
+                            std::uint64_t* hs, std::uint64_t* h2s) {
+  std::memset(hs, 0, 256 * sizeof(std::uint64_t));
+  std::memset(h2s, 0, 256 * sizeof(std::uint64_t));
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::uint8_t* row = rows[t];
+    for (std::size_t g = 0; g < 256; ++g) {
+      const std::uint64_t h = row[g];
+      hs[g] += h;
+      h2s[g] += h * h;
+    }
+  }
+}
+
 void trace_sums_scalar(const double* x, std::size_t n, std::size_t poi_count,
                        double* sum_t, double* sum_t2) {
   for (std::size_t t = 0; t < n; ++t) {
@@ -58,15 +72,17 @@ void accumulate_panel(const Panel& p, double* sum_ht) {
 
 void hypothesis_sums(const std::uint8_t* const* rows, std::size_t n,
                      std::uint64_t* hs, std::uint64_t* h2s) {
-  std::memset(hs, 0, 256 * sizeof(std::uint64_t));
-  std::memset(h2s, 0, 256 * sizeof(std::uint64_t));
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::uint8_t* row = rows[t];
-    for (std::size_t g = 0; g < 256; ++g) {
-      const std::uint64_t h = row[g];
-      hs[g] += h;
-      h2s[g] += h * h;
-    }
+  switch (util::current_simd_tier()) {
+#ifdef LEAKYDSP_SIMD_AVX512
+    case util::SimdTier::kAvx512:
+      return detail::hypothesis_sums_avx512(rows, n, hs, h2s);
+#endif
+#ifdef LEAKYDSP_SIMD_AVX2
+    case util::SimdTier::kAvx2:
+      return detail::hypothesis_sums_avx2(rows, n, hs, h2s);
+#endif
+    default:
+      return detail::hypothesis_sums_scalar(rows, n, hs, h2s);
   }
 }
 

@@ -51,8 +51,12 @@ Property<CpaCase> cpa_reference_property() {
   prop.name = "attack.cpa_vs_reference";
   prop.generate = [](util::Rng& rng) {
     CpaCase c;
-    c.poi = gen_int(rng, 1, 12);
-    c.traces = gen_int(rng, 1, 200);
+    // Up to 70 POI: past the campaigns' 30-POI window and every vector
+    // tile shape (AVX-512 runs 32-POI passes). Traces are capped so a case
+    // costs at most ~4,800 trace-POI rows; that still spans several of
+    // add_traces' L1 blocks (2048 / POI traces each) at any POI.
+    c.poi = gen_int(rng, 1, 70);
+    c.traces = gen_int(rng, 1, std::min<std::int64_t>(200, 4800 / c.poi));
     c.max_batch = gen_int(rng, 1, 600);  // past the kernel's trace block
     c.seed = rng();
     return c;

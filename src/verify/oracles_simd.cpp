@@ -77,8 +77,12 @@ Property<SimdCpaConfig> simd_cpa_property() {
   prop.name = "simd.cpa_tiers_bitwise";
   prop.generate = [](util::Rng& rng) {
     SimdCpaConfig c;
-    c.poi = gen_int(rng, 1, 12);
-    c.traces = gen_int(rng, 2, 200);
+    // Up to 70 POI: past the campaigns' 30-POI window and every vector
+    // tile shape (AVX-512 runs 32-POI passes). Traces are capped so a case
+    // costs at most ~4,800 trace-POI rows; that still spans several of
+    // add_traces' L1 blocks (2048 / POI traces each) at any POI.
+    c.poi = gen_int(rng, 1, 70);
+    c.traces = gen_int(rng, 2, std::min<std::int64_t>(200, 4800 / c.poi));
     c.batch = gen_int(rng, 1, 64);
     c.seed = rng();
     return c;

@@ -7,14 +7,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -184,7 +187,15 @@ bool identical_results(const la::CampaignResult& a,
   if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
       a.traces_run != b.traces_run ||
       a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
+      a.checkpoints.size() != b.checkpoints.size() ||
+      a.final_scores.size() != b.final_scores.size()) {
+    return false;
+  }
+  // Bitwise: a one-ulp slip in the shard merge order shows here even when
+  // every rank agrees.
+  if (!a.final_scores.empty() &&
+      std::memcmp(a.final_scores.data(), b.final_scores.data(),
+                  a.final_scores.size() * sizeof(double)) != 0) {
     return false;
   }
   for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
@@ -224,6 +235,7 @@ class ParallelCampaignTest : public ::testing::Test {
     config.break_check_stride = 250;
     config.rank_stride = 500;
     config.threads = threads;
+    config.keep_final_scores = true;
     la::TraceCampaign campaign(rig, aes, config);
     return campaign.run(rng);
   }
@@ -235,6 +247,7 @@ TEST_F(ParallelCampaignTest, ResultIndependentOfThreadCount) {
   const auto serial = run_with_threads(1);
   EXPECT_TRUE(serial.broken);  // boosted leakage: the campaign does break
   ASSERT_FALSE(serial.checkpoints.empty());
+  ASSERT_EQ(serial.final_scores.size(), 16u * 256u);
   EXPECT_TRUE(identical_results(serial, run_with_threads(2)));
   EXPECT_TRUE(identical_results(serial, run_with_threads(8)));
 }
@@ -356,4 +369,170 @@ TEST_F(ParallelCampaignTest, RecordOnCheckpointingCampaignWritesNoCheckpoint) {
   });
   EXPECT_EQ(file_bytes(checkpoint), checkpoint_bytes);
   std::filesystem::remove_all(base);
+}
+
+// ------------------------------------------- streaming merge of CPA shards
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A small boosted-leakage attack whose steps span several 16-trace blocks
+/// (the last one short), rebuilt from one seed so every instance is
+/// identical; `checkpoint_dir` keys where its checkpoints go.
+struct StreamWorld {
+  StreamWorld(const lsim::Basys3Scenario& scenario,
+              const std::string& checkpoint_dir)
+      : rng(233),
+        aes(random_block(rng), scenario.aes_site(), scenario.grid(),
+            boosted()),
+        sensor(scenario.device(),
+               scenario.attack_placements()
+                   [lsim::Basys3Scenario::kBestPlacementIndex]),
+        rig(scenario.grid(), sensor) {
+    rig.calibrate(rng);
+    la::CampaignConfig config;
+    config.max_traces = 600;
+    config.break_check_stride = 200;
+    config.rank_stride = 300;
+    config.block_traces = 16;
+    config.threads = 1;
+    config.keep_final_scores = true;
+    config.checkpoint_dir = checkpoint_dir;
+    config.campaign_id = "stream";
+    campaign = std::make_unique<la::TraceCampaign>(rig, aes, config);
+  }
+
+  static lv::AesCoreParams boosted() {
+    lv::AesCoreParams params;
+    params.current_per_hd_bit = 0.15;
+    return params;
+  }
+
+  std::string checkpoint() const {
+    return read_file(campaign->config().checkpoint_dir +
+                     "/campaign-stream.ckpt");
+  }
+
+  lu::Rng rng;
+  lv::AesCoreModel aes;
+  lcore::LeakyDspSensor sensor;
+  lsim::SensorRig rig;
+  std::unique_ptr<la::TraceCampaign> campaign;
+};
+
+enum class BlockOrder { kForward, kReverse, kShuffled, kRacing };
+
+/// Runs every block of `plan` in `order`; kRacing lets four threads pull
+/// block indices from a shared counter.
+void run_blocks(const la::TraceCampaign& campaign,
+                la::TraceCampaign::StepPlan& plan, BlockOrder order,
+                std::mt19937& shuffle_rng) {
+  const std::size_t blocks = plan.block_count();
+  if (order == BlockOrder::kRacing) {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> racers;
+    for (int r = 0; r < 4; ++r) {
+      racers.emplace_back([&] {
+        for (std::size_t b = next++; b < blocks; b = next++) {
+          campaign.run_block(plan, b);
+        }
+      });
+    }
+    for (auto& racer : racers) racer.join();
+    return;
+  }
+  std::vector<std::size_t> ids(blocks);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  if (order == BlockOrder::kReverse) std::reverse(ids.begin(), ids.end());
+  if (order == BlockOrder::kShuffled) {
+    std::shuffle(ids.begin(), ids.end(), shuffle_rng);
+  }
+  for (const std::size_t b : ids) campaign.run_block(plan, b);
+}
+
+}  // namespace
+
+TEST_F(ParallelCampaignTest, StreamingMergeMatchesRunInAnyBlockOrder) {
+  const std::string base = "/tmp/leakydsp_test_stream_merge";
+  std::filesystem::remove_all(base);
+
+  StreamWorld reference(scenario_, base + "/run");
+  const la::CampaignResult expected =
+      reference.campaign->run(reference.rng);
+  const std::string expected_checkpoint = reference.checkpoint();
+  ASSERT_FALSE(expected_checkpoint.empty());
+  ASSERT_EQ(expected.final_scores.size(), 16u * 256u);
+
+  // The suspended checkpoint after every step, from the first order.
+  std::vector<std::string> expected_suspends;
+  std::mt19937 shuffle_rng(7);
+  for (const BlockOrder order :
+       {BlockOrder::kForward, BlockOrder::kReverse, BlockOrder::kShuffled,
+        BlockOrder::kRacing}) {
+    const int id = static_cast<int>(order);
+    StreamWorld world(scenario_, base + "/order" + std::to_string(id));
+    const la::TraceCampaign& campaign = *world.campaign;
+    la::TraceCampaign::Task task = campaign.start(world.rng);
+    std::vector<std::string> suspends;
+    for (;;) {
+      la::TraceCampaign::StepPlan plan = campaign.plan_step(task);
+      if (plan.empty()) break;
+      ASSERT_GT(plan.block_count(), 1u);
+      run_blocks(campaign, plan, order, shuffle_rng);
+      const bool more = campaign.finish_step(task, std::move(plan));
+      campaign.suspend(task);
+      suspends.push_back(world.checkpoint());
+      if (!more) break;
+    }
+    const la::CampaignResult got = campaign.take_result(std::move(task));
+    EXPECT_TRUE(identical_results(got, expected)) << "order " << id;
+    EXPECT_EQ(world.checkpoint(), expected_checkpoint) << "order " << id;
+    if (order == BlockOrder::kForward) {
+      ASSERT_GT(suspends.size(), 2u);
+      expected_suspends = suspends;
+    } else {
+      EXPECT_EQ(suspends, expected_suspends) << "order " << id;
+    }
+  }
+  std::filesystem::remove_all(base);
+}
+
+TEST_F(ParallelCampaignTest, FinishStepRejectsAPlanOfAnotherTask) {
+  StreamWorld world(scenario_, "");
+  const la::TraceCampaign& campaign = *world.campaign;
+  lu::Rng rng_a = world.rng;
+  lu::Rng rng_b = world.rng;
+  la::TraceCampaign::Task a = campaign.start(rng_a);
+  la::TraceCampaign::Task b = campaign.start(rng_b);
+  ASSERT_EQ(a.traces_done(), b.traces_done());
+
+  la::TraceCampaign::StepPlan plan = campaign.plan_step(a);
+  for (std::size_t blk = 0; blk < plan.block_count(); ++blk) {
+    campaign.run_block(plan, blk);
+  }
+  // Same step number, other task: the blocks merged into `a`, so `b` must
+  // refuse the plan rather than advance past traces it never saw.
+  EXPECT_THROW(campaign.finish_step(b, std::move(plan)),
+               lu::PreconditionError);
+  EXPECT_EQ(b.traces_done(), 0u);
+}
+
+TEST_F(ParallelCampaignTest, RunBlockRejectsABlockThatAlreadyRan) {
+  StreamWorld world(scenario_, "");
+  const la::TraceCampaign& campaign = *world.campaign;
+  la::TraceCampaign::Task task = campaign.start(world.rng);
+  la::TraceCampaign::StepPlan plan = campaign.plan_step(task);
+  ASSERT_GT(plan.block_count(), 1u);
+  campaign.run_block(plan, 1);
+  EXPECT_THROW(campaign.run_block(plan, 1), lu::PreconditionError);
+  campaign.run_block(plan, 0);
+  EXPECT_THROW(campaign.run_block(plan, 0), lu::PreconditionError);
+  // A plan with a block left unrun cannot finish.
+  EXPECT_THROW(campaign.finish_step(task, std::move(plan)),
+               lu::PreconditionError);
 }

@@ -339,17 +339,26 @@ struct PanelFixture {
 TEST(CpaKernels, AccumulatePanelBitIdenticalAcrossTiers) {
   TierGuard guard;
   lu::Rng rng(0xACC);
-  for (const std::size_t poi : {1u, 2u, 3u, 4u, 5u, 8u, 11u, 19u}) {
+  // Every tile shape of both vector tiers (AVX2: 12-POI passes of 4-wide
+  // chunks; AVX-512: 32-POI passes of 8-wide chunks), each masked tail,
+  // and second and third passes.
+  for (const std::size_t poi :
+       {1u, 2u, 3u, 4u, 5u, 6u, 8u, 11u, 15u, 16u, 19u, 24u, 30u, 31u, 32u,
+        33u, 45u, 64u, 65u}) {
     const std::size_t n = 1 + rng() % 40;
     const PanelFixture fx(n, poi, rng);
+    // A nonzero incoming accumulator: a kernel that dropped it, or started
+    // a tile from zero, would diverge.
+    lu::aligned_vector<double> start(256 * poi);
+    for (auto& v : start) v = rng.gaussian();
 
     lu::set_simd_tier_override(lu::SimdTier::kScalar);
-    lu::aligned_vector<double> ref(256 * poi, 0.0);
+    lu::aligned_vector<double> ref = start;
     la::kernels::accumulate_panel(fx.panel(poi), ref.data());
 
     for (const lu::SimdTier tier : available_tiers()) {
       lu::set_simd_tier_override(tier);
-      lu::aligned_vector<double> got(256 * poi, 0.0);
+      lu::aligned_vector<double> got = start;
       la::kernels::accumulate_panel(fx.panel(poi), got.data());
       ASSERT_EQ(std::memcmp(got.data(), ref.data(),
                             got.size() * sizeof(double)),
@@ -406,20 +415,39 @@ TEST(CpaKernels, TraceSumsBitIdenticalAcrossTiers) {
 }
 
 TEST(CpaKernels, HypothesisSumsMatchNaiveLoop) {
+  TierGuard guard;
   lu::Rng rng(0x99);
-  const std::size_t n = 23;
-  const PanelFixture fx(n, 1, rng);
-  std::array<std::uint64_t, 256> hs{}, h2s{};
-  la::kernels::hypothesis_sums(fx.rows.data(), n, hs.data(), h2s.data());
-  for (std::size_t g = 0; g < 256; ++g) {
-    std::uint64_t eh = 0, eh2 = 0;
+  // 1023 traces fill a uint16 lane of the vector tiers exactly; 1024, 2047
+  // and 3000 cross one or two folds into the uint64 outputs.
+  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 2047u, 3000u}) {
+    PanelFixture fx(n, 1, rng);
+    // Even guesses read the largest distance, 8, on every trace, so their
+    // h^2 sums pass 2^16 at trace 1024: a lane that missed its fold wraps.
     for (std::size_t t = 0; t < n; ++t) {
-      const std::uint64_t h = fx.rows[t][g];
-      eh += h;
-      eh2 += h * h;
+      for (std::size_t g = 0; g < 256; g += 2) fx.row_storage[t * 256 + g] = 8;
     }
-    EXPECT_EQ(hs[g], eh) << "g=" << g;
-    EXPECT_EQ(h2s[g], eh2) << "g=" << g;
+    std::array<std::uint64_t, 256> eh{}, eh2{};
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t g = 0; g < 256; ++g) {
+        const std::uint64_t h = fx.rows[t][g];
+        eh[g] += h;
+        eh2[g] += h * h;
+      }
+    }
+    for (const lu::SimdTier tier : available_tiers()) {
+      lu::set_simd_tier_override(tier);
+      // Stale outputs: the op overwrites, it does not accumulate.
+      std::array<std::uint64_t, 256> hs, h2s;
+      hs.fill(12345);
+      h2s.fill(12345);
+      la::kernels::hypothesis_sums(fx.rows.data(), n, hs.data(), h2s.data());
+      for (std::size_t g = 0; g < 256; ++g) {
+        ASSERT_EQ(hs[g], eh[g]) << lu::to_string(tier) << " n=" << n
+                                << " g=" << g;
+        ASSERT_EQ(h2s[g], eh2[g]) << lu::to_string(tier) << " n=" << n
+                                  << " g=" << g;
+      }
+    }
   }
 }
 
