@@ -6,6 +6,8 @@
 //   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig(),
 //                  plus fill_gaussian_zig() in 64-value blocks
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
+//   group        — eight per-trace LeakyDSP sample_batch() calls vs one
+//                  8-trace sample_traces() (ns per readout)
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
 //   key_rank     — the estimator's 16 histograms convolved with the plain
 //                  dense loop vs the whole estimate_key_rank call
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -268,6 +271,41 @@ int main(int argc, char** argv) {
       return n * supplies.size();
     });
     record("leakydsp_sample", "scalar_loop", scalar, "sample_batch", batch);
+
+    // A campaign block's digitization: eight 195-readout traces near the
+    // calibrated idle point, each on its own stream, as eight sample_batch
+    // calls vs one sample_traces call (the AVX-512 group kernel when that
+    // tier dispatches, the same loop otherwise). ns per readout.
+    constexpr std::size_t kGroup = sensors::VoltageSensor::kTraceGroup;
+    constexpr std::size_t kReadouts = 195;
+    std::vector<double> group_supplies(kGroup * kReadouts);
+    for (double& v : group_supplies) v = 1.0 - rng.uniform(0.0, 3e-3);
+    std::vector<double> group_out(group_supplies.size());
+    std::vector<util::Rng> rngs_a;
+    for (std::size_t g = 0; g < kGroup; ++g) rngs_a.push_back(rng.fork(g));
+    std::vector<util::Rng> rngs_b = rngs_a;
+    const auto per_trace = run_bench(400 * kScale, [&](std::size_t n) {
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t g = 0; g < kGroup; ++g) {
+          sensor.sample_batch(
+              std::span<const double>(group_supplies)
+                  .subspan(g * kReadouts, kReadouts),
+              std::span<double>(group_out).subspan(g * kReadouts, kReadouts),
+              rngs_a[g]);
+        }
+        g_sink = group_out[0];
+      }
+      return n * group_supplies.size();
+    });
+    const auto grouped = run_bench(400 * kScale, [&](std::size_t n) {
+      for (std::size_t r = 0; r < n; ++r) {
+        sensor.sample_traces(group_supplies, group_out, rngs_b);
+        g_sink = group_out[0];
+      }
+      return n * group_supplies.size();
+    });
+    record("leakydsp_group", "per_trace_batch", per_trace, "sample_traces",
+           grouped);
   }
   {
     sensors::TdcSensor sensor(scenario.device(), scenario.fig3_clb_site());

@@ -4,12 +4,13 @@
 // plaintexts into the victim AES core, per-cycle leakage current through
 // the PDN coupling and droop dynamics, sensor readouts at the 300 MHz
 // sample clock, online CPA over a points-of-interest window, and key-rank
-// checkpoints. Its batched pipeline (sample_trace) generates every AES
-// trace in the stack — run(), resume(), record(), the campaign service and
-// generate_trace — and run(), resume() and record() drive the same Task API
-// the service schedules. sim::SensorRig's per-sample API is the scalar
-// reference: a consistency test holds the two paths' mean traces within 4
-// standard errors of each other.
+// checkpoints. Its batched pipeline (supply_trace, then the sensor's
+// sample_traces) generates every AES trace in the stack — run(), resume(),
+// record(), the campaign service and generate_trace — and run(), resume()
+// and record() drive the same Task API the service schedules.
+// sim::SensorRig's per-sample API is the scalar reference: a consistency
+// test holds the two paths' mean traces within 4 standard errors of each
+// other.
 #pragma once
 
 #include <algorithm>
@@ -394,10 +395,13 @@ class TraceCampaign {
                             std::vector<pdn::CurrentInjection>& scratch) const;
 
   /// The per-block generation loop behind process_block and record_block:
-  /// clones the rig's sampler and the AES core, samples trace i of the
-  /// block from trace_parent.fork(first_fork + i), and hands
-  /// (i, readouts, ciphertext) to `sink`. Counts the traces sampled and
-  /// their RNG draws. Defined in campaign.cpp.
+  /// clones the rig's sampler and the AES core, then takes the block in
+  /// groups of up to VoltageSensor::kTraceGroup consecutive traces. Trace i
+  /// of the block draws all its noise from trace_parent.fork(first_fork +
+  /// i): supply_trace runs per trace, in order, and one sample_traces call
+  /// then digitizes the whole group, each trace on its own stream. Hands
+  /// (i, readouts, ciphertext) to `sink` in trace order. Counts the traces
+  /// sampled and their RNG draws. Defined in campaign.cpp.
   template <class Sink>
   void generate_block(const util::Rng& trace_parent, std::size_t first_fork,
                       std::span<const crypto::Block> plaintexts,
@@ -417,20 +421,21 @@ class TraceCampaign {
   /// SIMD stages they flow through.
   struct TraceScratch {
     util::aligned_vector<double> droops;    ///< static droop per sample
-    util::aligned_vector<double> supplies;  ///< supply voltage per sample
+    util::aligned_vector<double> supplies;  ///< a trace group's supplies
     std::vector<pdn::CurrentInjection> injections;  ///< interferer scratch
   };
 
-  /// One encryption through thread-private state, writing all
-  /// trace_samples_ readouts into `out` (which must be that large). The
-  /// trace flows through structure-of-arrays stages: victim droops ->
-  /// supply voltages (batched PDN filter + ziggurat ambient noise) ->
-  /// readouts (the sensor's sample_batch kernel). `gain` is the hoisted
+  /// Stages 1-2 of one trace through thread-private state: one encryption
+  /// -> victim droops -> supply voltages (batched PDN filter + ziggurat
+  /// ambient noise), trace_samples_ of them into `supplies` (which must be
+  /// that large). Interferer and ambient draws come from `rng`. The
+  /// sensor's sample_traces kernel digitizes the supplies afterwards, on
+  /// the same `rng`. `gain` is the hoisted
   /// coupling().gain_at_node(aes.pdn_node()). Defined in campaign.cpp.
-  void sample_trace(sim::SensorRig::Sampler& sampler,
+  void supply_trace(sim::SensorRig::Sampler& sampler,
                     victim::AesCoreModel& aes, const crypto::Block& plaintext,
                     double gain, util::Rng& rng, TraceScratch& scratch,
-                    std::span<double> out) const;
+                    std::span<double> supplies) const;
 
   /// Materializes the chained-plaintext sequence p[i+1] = E(p[i]).
   std::vector<crypto::Block> plaintext_chain(crypto::Block& plaintext,

@@ -9,6 +9,7 @@
 #include "fabric/netlist_builders.h"
 #include "sensors/calibration.h"
 #include "util/contracts.h"
+#include "util/cpu_features.h"
 #include "util/simd_ops.h"
 
 namespace leakydsp::core {
@@ -118,6 +119,14 @@ double LeakyDspSensor::sample(double supply_v, util::Rng& rng) {
   return settled;
 }
 
+void LeakyDspSensor::capture_bounds(const double* scale, double* lo,
+                                    double* hi, std::size_t n) const {
+  const double t_capture = sampling_time_ns();
+  const double cut = kJitterCutSigma * params_.jitter_sigma_ns;
+  util::simd::div_scalar(t_capture - cut, scale, lo, n);
+  util::simd::div_scalar(t_capture + cut, scale, hi, n);
+}
+
 void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
                                   std::span<double> out, util::Rng& rng) {
   LD_REQUIRE(out.size() >= supply_v.size(),
@@ -149,14 +158,13 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
     // and a calibrated capture edge that is about 21 of the 48 bits per
     // sample (a campaign trace draws ~4,150 times over its 195 readouts).
     // Each readout fills its window's jitters in one ziggurat call, which
-    // is the same stream as one gaussian_zig() per bit in bit order.
-    const double cut = kJitterCutSigma * sigma;
+    // is the same stream as one gaussian_zig() per bit in bit order. This
+    // count is the reference the AVX-512 group kernel must equal bit for
+    // bit, which is why this file builds with -ffp-contract=off.
     bound_scratch_.resize(n);
     bound_hi_scratch_.resize(n);
-    util::simd::div_scalar(t_capture - cut, scale_scratch_.data(),
-                           bound_scratch_.data(), n);
-    util::simd::div_scalar(t_capture + cut, scale_scratch_.data(),
-                           bound_hi_scratch_.data(), n);
+    capture_bounds(scale_scratch_.data(), bound_scratch_.data(),
+                   bound_hi_scratch_.data(), n);
     for (std::size_t s = 0; s < n; ++s) {
       const double scale = scale_scratch_[s];
       const std::size_t first =
@@ -172,6 +180,38 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
       out[s] = static_cast<double>(count);
     }
   }
+}
+
+void LeakyDspSensor::sample_traces(std::span<const double> supplies,
+                                   std::span<double> out,
+                                   std::span<util::Rng> rngs) {
+#ifdef LEAKYDSP_SIMD_AVX512
+  if (params_.jitter_sigma_ns > 0.0 &&
+      util::current_simd_tier() >= util::SimdTier::kAvx512) {
+    const std::size_t n = trace_length(supplies, out, rngs);
+    const std::size_t total = supplies.size();
+    scale_scratch_.resize(total);
+    bound_scratch_.resize(total);
+    bound_hi_scratch_.resize(total);
+    window_scratch_.resize(2 * total);
+    scale_lut_.eval_batch(supplies.data(), scale_scratch_.data(), total);
+    capture_bounds(scale_scratch_.data(), bound_scratch_.data(),
+                   bound_hi_scratch_.data(), total);
+    detail::TraceGroupView group;
+    group.settle = settle_ns_.data();
+    group.t_capture = sampling_time_ns();
+    group.sigma = params_.jitter_sigma_ns;
+    group.readouts = n;
+    group.scale = scale_scratch_.data();
+    group.lo = bound_scratch_.data();
+    group.hi = bound_hi_scratch_.data();
+    group.windows = window_scratch_.data();
+    group.out = out.data();
+    detail::count_trace_group_avx512(group, rngs);
+    return;
+  }
+#endif
+  VoltageSensor::sample_traces(supplies, out, rngs);
 }
 
 sensors::CalibrationResult LeakyDspSensor::calibrate(

@@ -85,15 +85,25 @@ class LeakyDspSensor : public sensors::VoltageSensor {
 
   /// Batched readouts through the hot-path kernel: per sample, the voltage
   /// scale comes from a precomputed timing::ScaleTable instead of std::pow,
-  /// and per-bit jitter is drawn with the ziggurat sampler (one
-  /// fill_gaussian_zig() per readout) — only for the bits whose settle
-  /// time lies within kJitterCutSigma of the capture edge (about 21 of
-  /// the 48 on a calibrated campaign trace); bits further out are counted
-  /// deterministically (a per-bit truncation that perturbs each flip
-  /// probability by < 7e-16). Same distribution as sample(), different
-  /// rng consumption.
+  /// and per-bit jitter is drawn with the ziggurat sampler — only for the
+  /// bits whose settle time lies within kJitterCutSigma of the capture
+  /// edge (about 21 of the 48 on a calibrated campaign trace); bits
+  /// further out are counted deterministically (a per-bit truncation that
+  /// perturbs each flip probability by < 7e-16). The window's jitters are
+  /// one gaussian_zig() per bit in bit order, readout after readout. Same
+  /// distribution as sample(), different rng consumption.
   void sample_batch(std::span<const double> supply_v, std::span<double> out,
                     util::Rng& rng) override;
+
+  /// sample_batch() for up to kTraceGroup traces at once. On the AVX-512
+  /// tier (with jitter) the group kernel steps the traces' ziggurat
+  /// streams side by side, one trace per lane, into small per-lane
+  /// buffers and counts the readouts whose windows are complete from
+  /// there; the readouts, rng states and draws() are those of
+  /// sample_batch() on every trace. Other tiers, and jitter-free sensors,
+  /// loop sample_batch().
+  void sample_traces(std::span<const double> supplies, std::span<double> out,
+                     std::span<util::Rng> rngs) override;
 
   /// Jitter truncation radius of the batched kernel, in units of
   /// jitter_sigma_ns: P(|N(0,1)| > 8) < 1.3e-15.
@@ -126,6 +136,13 @@ class LeakyDspSensor : public sensors::VoltageSensor {
  private:
   static constexpr std::size_t kOutputBits = 48;
 
+  /// The capture bounds of jittered readouts at voltage scales scale[0, n):
+  /// (t_capture -/+ kJitterCutSigma sigma) / scale. Bits that settle by
+  /// `lo` always settle, bits after `hi` never do; the ones between draw
+  /// jitter. Shared by sample_batch and the group kernel's windows.
+  void capture_bounds(const double* scale, double* lo, double* hi,
+                      std::size_t n) const;
+
   fabric::Architecture arch_;
   fabric::SiteCoord site_;
   LeakyDspParams params_;
@@ -134,15 +151,46 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   // Per-bit nominal settle times; 64-byte aligned for the SIMD edge-window
   // bit count in sample_batch.
   util::aligned_vector<double> settle_ns_;
-  // sample_batch scratch (per-sample scale factors and capture bounds);
-  // not part of the sensor state.
+  // sample_batch/sample_traces scratch (per-sample scale factors, capture
+  // bounds and the group kernel's edge windows); not part of the sensor
+  // state.
   util::aligned_vector<double> scale_scratch_;
   util::aligned_vector<double> bound_scratch_;
   util::aligned_vector<double> bound_hi_scratch_;
+  std::vector<std::uint8_t> window_scratch_;
   int a_taps_ = 0;
   int clk_taps_ = 0;
   int fine_phase_ = 0;      // MMCM fine shift, 0..5 steps of tap_ps/5
   int capture_cycles_ = 0;  // whole sample clocks spanned by the chain
 };
+
+namespace detail {
+
+/// A trace group's jittered readouts, ready to count: the inputs
+/// LeakyDspSensor::sample_traces hands the AVX-512 group kernel. Per-readout
+/// arrays hold the traces back to back (trace g's readout s at
+/// g * readouts + s).
+struct TraceGroupView {
+  const double* settle = nullptr;  ///< the 48 ascending settle times [ns]
+  double t_capture = 0.0;          ///< capture instant [ns]
+  double sigma = 0.0;              ///< jitter rms [ns], > 0
+  std::size_t readouts = 0;        ///< readouts per trace
+  const double* scale = nullptr;  ///< voltage scale per readout
+  const double* lo = nullptr;     ///< capture bounds per readout
+  const double* hi = nullptr;
+  std::uint8_t* windows = nullptr;  ///< scratch: 2 bytes per readout
+  double* out = nullptr;            ///< readouts
+};
+
+#ifdef LEAKYDSP_SIMD_AVX512
+/// Counts every readout of `group`, trace g drawing its window jitters
+/// from rngs[g] (rngs.size() <= util::Rng::kZigLanes). Bit-identical to
+/// sample_batch()'s per-readout loop on each trace; defined in
+/// leaky_dsp_avx512.cpp.
+void count_trace_group_avx512(const TraceGroupView& group,
+                              std::span<util::Rng> rngs);
+#endif
+
+}  // namespace detail
 
 }  // namespace leakydsp::core

@@ -48,7 +48,8 @@ class VoltageSensor {
   /// scaling, ziggurat jitter). Batched readouts follow the same
   /// distribution as the scalar path but may consume the rng stream
   /// differently (documented per sensor), so a given experiment must pick
-  /// one path and stay on it. Trace campaigns and calibration batch;
+  /// one path and stay on it. Calibration batches through this call, and
+  /// trace campaigns through sample_traces(), which is the same stream;
   /// sample() and SensorRig's per-sample API stay the scalar reference.
   virtual void sample_batch(std::span<const double> supply_v,
                             std::span<double> out, util::Rng& rng) {
@@ -57,6 +58,26 @@ class VoltageSensor {
                                          << supply_v.size());
     for (std::size_t i = 0; i < supply_v.size(); ++i) {
       out[i] = sample(supply_v[i], rng);
+    }
+  }
+
+  /// Most traces one sample_traces() call digitizes: the AVX-512 lanes
+  /// the LeakyDSP group kernel steps side by side.
+  static constexpr std::size_t kTraceGroup = util::Rng::kZigLanes;
+
+  /// A group of 1..kTraceGroup equally long traces, trace g on its own
+  /// generator rngs[g]: supplies and out hold the traces back to back
+  /// (trace g at [g * n, (g + 1) * n), n = supplies.size() / rngs.size()).
+  /// Every trace gets exactly the readouts, rng state and draws() of
+  /// sample_batch(trace g, out g, rngs[g]); the base implementation is that
+  /// loop, and an override may only change how fast it runs.
+  virtual void sample_traces(std::span<const double> supplies,
+                             std::span<double> out,
+                             std::span<util::Rng> rngs) {
+    const std::size_t n = trace_length(supplies, out, rngs);
+    for (std::size_t g = 0; g < rngs.size(); ++g) {
+      sample_batch(supplies.subspan(g * n, n), out.subspan(g * n, n),
+                   rngs[g]);
     }
   }
 
@@ -71,6 +92,23 @@ class VoltageSensor {
   /// state). Parallel campaigns give every worker block its own clone so
   /// concurrent sampling never shares mutable sensor state.
   virtual std::unique_ptr<VoltageSensor> clone() const = 0;
+
+ protected:
+  /// Checks sample_traces()' group shape and returns the trace length.
+  static std::size_t trace_length(std::span<const double> supplies,
+                                  std::span<double> out,
+                                  std::span<util::Rng> rngs) {
+    LD_REQUIRE(!rngs.empty() && rngs.size() <= kTraceGroup,
+               "trace group of " << rngs.size() << " outside 1.."
+                                 << kTraceGroup);
+    LD_REQUIRE(supplies.size() % rngs.size() == 0,
+               supplies.size() << " supplies do not split into "
+                               << rngs.size() << " equal traces");
+    LD_REQUIRE(out.size() >= supplies.size(),
+               "output span too small: " << out.size() << " < "
+                                         << supplies.size());
+    return supplies.size() / rngs.size();
+  }
 };
 
 }  // namespace leakydsp::sensors

@@ -232,4 +232,6 @@ Rng Rng::fork(std::uint64_t stream_index) const {
   return child;
 }
 
+const double* Rng::ziggurat_layers() { return ziggurat().x.data(); }
+
 }  // namespace leakydsp::util

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,6 +72,28 @@ class Rng {
   /// Ziggurat normal with the given mean and standard deviation.
   double gaussian_zig(double mean, double stddev);
 
+  /// Lanes and steps of one fill_gaussian_zig_lanes() call.
+  static constexpr std::size_t kZigLanes = 8;
+  static constexpr std::size_t kZigLaneTile = 32;
+
+#if defined(LEAKYDSP_SIMD_AVX512)
+  /// Up to kZigLanes fill_gaussian_zig() streams stepped side by side, one
+  /// xoshiro256++ state per AVX-512 lane (rngs.size() <= kZigLanes,
+  /// left.size() == rngs.size()). Lane l takes the next
+  /// min(left[l], kZigLaneTile) values of rngs[l]'s stream, writes them to
+  /// out[l][0..), and subtracts their number from left[l]; each out[l] must
+  /// have room for kZigLaneTile values (slots past the lane's values may
+  /// be overwritten). Every rngs[l] ends with the values, state and
+  /// draws() that rngs[l].fill_gaussian_zig() would give. A raw draw that
+  /// misses its layer's rectangle (~1.1% of steps) is resolved by that
+  /// lane's own gaussian_zig(), restarted from the lane's state before the
+  /// step, so the slow path is the scalar one. Call only when the
+  /// AVX-512 tier is available at run time.
+  static void fill_gaussian_zig_lanes(std::span<Rng> rngs,
+                                      std::span<std::size_t> left,
+                                      double* const* out);
+#endif
+
   /// Bernoulli trial with probability p of true.
   bool bernoulli(double p);
 
@@ -94,6 +117,15 @@ class Rng {
   /// accepts) or the wedge test, drawing through operator(). Returns the
   /// accepted magnitude, or nothing when the candidate is rejected.
   std::optional<double> gaussian_zig_slow(std::size_t layer, double x);
+
+#if defined(LEAKYDSP_SIMD_AVX512)
+  /// fill_gaussian_zig_lanes' step kernel (rng_avx512.cpp).
+  friend struct ZigLaneKernel;
+#endif
+
+  /// The ziggurat's 257 layer abscissae, descending (x[256] = 0): what the
+  /// common path of every sampler, scalar or lane-stepped, reads.
+  static const double* ziggurat_layers();
 
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;

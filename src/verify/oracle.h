@@ -11,9 +11,19 @@
 #include <string>
 #include <vector>
 
+#include "util/cpu_features.h"
 #include "verify/gen.h"
 
 namespace leakydsp::verify {
+
+/// Releases the dispatch override on destruction (exception-safe): tier
+/// oracles pin each tier in turn and must not leak the last one.
+struct TierRelease {
+  ~TierRelease() { util::set_simd_tier_override(std::nullopt); }
+};
+
+/// Every dispatch tier the running host can execute, ascending.
+std::vector<util::SimdTier> available_tiers();
 
 /// One registered differential oracle. `run` executes `iterations`
 /// generated configurations from `seed` and reports the standard

@@ -14,9 +14,13 @@
 // Poisson-binomial over the 48 bits. That oracle chi-square-tests each
 // path's readout histogram against the law computed by dynamic
 // programming from the sensor's public timing surface.
+//
+// The trace-group path (sample_traces) is not a different distribution but
+// the same stream: it is checked bitwise against per-trace sample_batch.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numbers>
 #include <sstream>
@@ -390,6 +394,115 @@ Property<LeakyLawConfig> leaky_law_property() {
   return prop;
 }
 
+// ------------------------------------------ LeakyDSP trace-group kernel
+
+struct LeakyGroupConfig {
+  std::int64_t traces = 8;
+  std::int64_t readouts = 195;
+  std::int64_t n_dsp = 3;
+  double taper = 1.55;
+  double jitter_sigma_ns = 0.008;
+  double droop_mv = 8.0;
+  std::uint64_t seed = 0;
+};
+
+Property<LeakyGroupConfig> leaky_group_property() {
+  Property<LeakyGroupConfig> prop;
+  prop.name = "simd.leakydsp_groups_bitwise";
+  prop.generate = [](util::Rng& rng) {
+    LeakyGroupConfig c;
+    c.traces = gen_int(
+        rng, 1, static_cast<std::int64_t>(sensors::VoltageSensor::kTraceGroup));
+    c.readouts = gen_int(rng, 1, 300);
+    c.n_dsp = gen_int(rng, 1, 4);
+    c.taper = gen_real(rng, 0.0, 1.55);
+    // Mostly the campaign's jitter range; sometimes none (no draws), and
+    // sometimes wide enough for windows of more than 32 bits.
+    const std::int64_t kind = gen_int(rng, 0, 9);
+    c.jitter_sigma_ns = kind == 0   ? 0.0
+                        : kind == 1 ? gen_real(rng, 0.02, 0.05)
+                                    : gen_real(rng, 0.004, 0.012);
+    c.droop_mv = gen_real(rng, 0.0, 60.0);
+    c.seed = rng();
+    return c;
+  };
+  prop.shrink = [](const LeakyGroupConfig& c) {
+    std::vector<LeakyGroupConfig> out;
+    for (const std::int64_t k : shrink_int(c.traces, 1)) {
+      LeakyGroupConfig s = c;
+      s.traces = k;
+      out.push_back(s);
+    }
+    for (const std::int64_t n : shrink_int(c.readouts, 1)) {
+      LeakyGroupConfig s = c;
+      s.readouts = n;
+      out.push_back(s);
+    }
+    for (const double droop : shrink_real(c.droop_mv, 0.0)) {
+      LeakyGroupConfig s = c;
+      s.droop_mv = droop;
+      out.push_back(s);
+    }
+    return out;
+  };
+  prop.describe = [](const LeakyGroupConfig& c) {
+    std::ostringstream oss;
+    oss << "{traces=" << c.traces << " readouts=" << c.readouts
+        << " n_dsp=" << c.n_dsp << " taper=" << c.taper
+        << " jitter=" << c.jitter_sigma_ns << " droop_mv=" << c.droop_mv
+        << " seed=" << c.seed << "}";
+    return oss.str();
+  };
+  prop.check = [](const LeakyGroupConfig& c) -> CheckOutcome {
+    const TierRelease release;
+    core::LeakyDspParams params;
+    params.n_dsp = static_cast<std::size_t>(c.n_dsp);
+    params.taper = c.taper;
+    params.jitter_sigma_ns = c.jitter_sigma_ns;
+    core::LeakyDspSensor sensor(fabric::Device::basys3(), {16, 20}, params);
+    util::Rng rng(c.seed);
+    if (!sensor.calibrate(1.0, rng, 64).success) return pass();
+    const std::size_t k = static_cast<std::size_t>(c.traces);
+    const std::size_t n = static_cast<std::size_t>(c.readouts);
+    std::vector<double> supplies(k * n);
+    for (double& v : supplies) v = rng.uniform(1.0 - c.droop_mv * 1e-3, 1.006);
+    std::vector<util::Rng> start;
+    for (std::size_t g = 0; g < k; ++g) start.push_back(rng.fork(g));
+
+    // Reference: per-trace sample_batch on the scalar tier.
+    util::set_simd_tier_override(util::SimdTier::kScalar);
+    std::vector<double> reference(k * n);
+    std::vector<util::Rng> reference_rngs = start;
+    for (std::size_t g = 0; g < k; ++g) {
+      sensor.sample_batch(std::span<const double>(supplies).subspan(g * n, n),
+                          std::span<double>(reference).subspan(g * n, n),
+                          reference_rngs[g]);
+    }
+    for (const util::SimdTier tier : available_tiers()) {
+      util::set_simd_tier_override(tier);
+      std::vector<util::Rng> rngs = start;
+      std::vector<double> out(k * n);
+      sensor.sample_traces(supplies, out, rngs);
+      if (std::memcmp(out.data(), reference.data(),
+                      out.size() * sizeof(double)) != 0) {
+        return fail(std::string("sample_traces readouts diverge under ") +
+                    util::to_string(tier));
+      }
+      for (std::size_t g = 0; g < k; ++g) {
+        if (rngs[g].serialize() != reference_rngs[g].serialize() ||
+            rngs[g].draws() != reference_rngs[g].draws()) {
+          std::ostringstream oss;
+          oss << "trace " << g << "'s rng ends elsewhere under "
+              << util::to_string(tier);
+          return fail(oss.str());
+        }
+      }
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
 
 void register_sensor_oracles(std::vector<Oracle>& out) {
@@ -406,6 +519,12 @@ void register_sensor_oracles(std::vector<Oracle>& out) {
       "vs the exact Poisson-binomial law of the jittered bits: chi-square "
       "p >= 1e-6",
       4, leaky_law_property()));
+  out.push_back(make_oracle(
+      "LeakyDspSensor::sample_traces (groups of 1-8 traces, AVX-512 lanes "
+      "on that tier) under every available dispatch tier vs per-trace "
+      "sample_batch on the scalar tier: bitwise-equal readouts, rng states "
+      "and draws",
+      1, leaky_group_property()));
 }
 
 }  // namespace leakydsp::verify

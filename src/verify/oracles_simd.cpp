@@ -36,20 +36,6 @@ namespace leakydsp::verify {
 
 namespace {
 
-/// Releases the dispatch override on destruction (exception-safe).
-struct TierRelease {
-  ~TierRelease() { util::set_simd_tier_override(std::nullopt); }
-};
-
-std::vector<util::SimdTier> available_tiers() {
-  std::vector<util::SimdTier> tiers{util::SimdTier::kScalar};
-  if (util::detected_simd_tier() >= util::SimdTier::kAvx2)
-    tiers.push_back(util::SimdTier::kAvx2);
-  if (util::detected_simd_tier() >= util::SimdTier::kAvx512)
-    tiers.push_back(util::SimdTier::kAvx512);
-  return tiers;
-}
-
 // ------------------------------------------- CPA kernel tier equivalence
 
 struct SimdCpaConfig {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "sim/sensor_rig.h"
 #include "timing/delay_model.h"
 #include "util/contracts.h"
+#include "util/cpu_features.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -41,6 +43,21 @@ lc::Block random_block(lu::Rng& rng) {
   lc::Block b;
   for (auto& byte : b) byte = static_cast<std::uint8_t>(rng() & 0xff);
   return b;
+}
+
+/// Restores the dispatch override on scope exit so a failing test cannot
+/// leak a pinned tier into its neighbors.
+struct TierGuard {
+  ~TierGuard() { lu::set_simd_tier_override(std::nullopt); }
+};
+
+/// Every tier the running host can actually execute, ascending.
+std::vector<lu::SimdTier> available_tiers() {
+  std::vector<lu::SimdTier> tiers{lu::SimdTier::kScalar};
+  const lu::SimdTier top = lu::detected_simd_tier();
+  if (top >= lu::SimdTier::kAvx2) tiers.push_back(lu::SimdTier::kAvx2);
+  if (top >= lu::SimdTier::kAvx512) tiers.push_back(lu::SimdTier::kAvx512);
+  return tiers;
 }
 
 }  // namespace
@@ -312,6 +329,66 @@ TEST(Ziggurat, FillMatchesSingleDraws) {
   EXPECT_EQ(whole.draws(), draws_before);
 }
 
+TEST(Ziggurat, LanesMatchPerStreamFills) {
+#if defined(LEAKYDSP_SIMD_AVX512)
+  if (lu::detected_simd_tier() < lu::SimdTier::kAvx512) {
+    GTEST_SKIP() << "host cannot run the AVX-512 lane stepper";
+  }
+  // Eight streams of unequal length (one empty, some ending mid-tile),
+  // long enough that layer-0 tails and wedge rejections fire in several
+  // lanes: each lane must reproduce its own generator's fill exactly.
+  constexpr std::size_t kLanes = lu::Rng::kZigLanes;
+  const std::array<std::size_t, kLanes> counts = {40000, 0,     1,     31,
+                                                  33,    20000, 30001, 64};
+  std::vector<lu::Rng> lanes;
+  std::vector<lu::Rng> reference;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    lanes.push_back(lu::Rng(4242).fork(l));
+    reference.push_back(lu::Rng(4242).fork(l));
+  }
+  std::array<std::vector<double>, kLanes> got;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    got[l].resize(counts[l] + lu::Rng::kZigLaneTile);
+  }
+  std::array<std::size_t, kLanes> left = counts;
+  std::array<std::size_t, kLanes> at{};
+  while (std::any_of(left.begin(), left.end(),
+                     [](std::size_t v) { return v > 0; })) {
+    std::array<double*, kLanes> out{};
+    std::array<std::size_t, kLanes> before = left;
+    for (std::size_t l = 0; l < kLanes; ++l) out[l] = got[l].data() + at[l];
+    lu::Rng::fill_gaussian_zig_lanes(lanes, left, out.data());
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ASSERT_EQ(before[l] - left[l],
+                std::min(before[l], lu::Rng::kZigLaneTile));
+      at[l] += before[l] - left[l];
+    }
+  }
+  std::size_t tails = 0;
+  std::size_t slow_draws = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    SCOPED_TRACE(l);
+    std::vector<double> expected(counts[l]);
+    reference[l].fill_gaussian_zig(expected);
+    for (std::size_t i = 0; i < counts[l]; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[l][i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "lane " << l << " diverges at " << i;
+      if (std::abs(expected[i]) > 3.6541528853610088) ++tails;
+    }
+    EXPECT_EQ(lanes[l].serialize(), reference[l].serialize());
+    EXPECT_EQ(lanes[l].draws(), reference[l].draws());
+    slow_draws += reference[l].draws() - counts[l];
+  }
+  // The slow path ran: tail values exist, and the extra draws exceed the
+  // tails' two each, so wedge tests (and their rejections) ran as well.
+  EXPECT_GT(tails, 5u);
+  EXPECT_GT(slow_draws, 2 * tails + 100);
+#else
+  GTEST_SKIP() << "built without the AVX-512 tier";
+#endif
+}
+
 // ------------------------------------------------------------ CPA kernel
 
 TEST(CpaKernels, PairTableMatchesPerByteRows) {
@@ -526,6 +603,76 @@ TEST(SampleBatch, LeakyDspBatchKeepsThePerBitZigguratStream) {
   }
   EXPECT_EQ(rng_batch.serialize(), rng_ref.serialize());
   EXPECT_EQ(rng_batch.draws(), rng_ref.draws());
+}
+
+TEST(SampleBatch, LeakyDspTraceGroupsKeepEachTracesStream) {
+  // sample_traces digitizes up to eight traces at once (on AVX-512, one
+  // trace per lane); every trace must get exactly the readouts, final
+  // state and draws() of sample_batch on a copy of its own generator,
+  // under every dispatch tier, from idle down to a droop that pins the
+  // readout to the bottom rail (and above idle, to the top rail). A wide
+  // jitter makes windows longer than 32 bits; none makes them empty.
+  const lsim::Basys3Scenario scenario;
+  lcore::LeakyDspParams no_jitter;
+  no_jitter.jitter_sigma_ns = 0.0;
+  lcore::LeakyDspParams wide_jitter;
+  wide_jitter.jitter_sigma_ns = 0.03;
+  for (const lcore::LeakyDspParams& params :
+       {lcore::LeakyDspParams{}, no_jitter, wide_jitter}) {
+    lcore::LeakyDspSensor sensor(scenario.device(), scenario.fig3_dsp_site(),
+                                 params);
+    lu::Rng cal(3);
+    ASSERT_TRUE(sensor.calibrate(1.0, cal).success);
+    const std::size_t kReadouts = 97;
+    std::vector<double> supplies(lsens::VoltageSensor::kTraceGroup *
+                                 kReadouts);
+    lu::Rng vr(31);
+    for (std::size_t i = 0; i < supplies.size(); ++i) {
+      const double droop = 0.06 * static_cast<double>(i % kReadouts) /
+                           static_cast<double>(kReadouts);
+      supplies[i] = vr.uniform(1.004, 1.01) - droop;
+    }
+    std::array<double, 2> rails = {48.0, 0.0};
+    std::vector<double> readouts;
+
+    const TierGuard guard;
+    for (const lu::SimdTier tier : available_tiers()) {
+      lu::set_simd_tier_override(tier);
+      for (std::size_t k = 1; k <= lsens::VoltageSensor::kTraceGroup; ++k) {
+        SCOPED_TRACE(testing::Message()
+                     << "tier " << lu::to_string(tier) << ", " << k
+                     << " traces, sigma " << params.jitter_sigma_ns);
+        const std::span<const double> group(supplies.data(), k * kReadouts);
+        std::vector<lu::Rng> rngs;
+        for (std::size_t g = 0; g < k; ++g) {
+          rngs.push_back(lu::Rng(500 + k).fork(g));
+        }
+        const std::vector<lu::Rng> copies = rngs;
+        std::vector<double> out(group.size());
+        sensor.sample_traces(group, out, rngs);
+        for (std::size_t g = 0; g < k; ++g) {
+          lu::Rng ref = copies[g];
+          std::vector<double> expected(kReadouts);
+          sensor.sample_batch(group.subspan(g * kReadouts, kReadouts),
+                              expected, ref);
+          for (std::size_t s = 0; s < kReadouts; ++s) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[g * kReadouts + s]),
+                      std::bit_cast<std::uint64_t>(expected[s]))
+                << "trace " << g << " readout " << s;
+          }
+          EXPECT_EQ(rngs[g].serialize(), ref.serialize()) << "trace " << g;
+          EXPECT_EQ(rngs[g].draws(), ref.draws()) << "trace " << g;
+        }
+        readouts.insert(readouts.end(), out.begin(), out.end());
+      }
+    }
+    // The supplies reach both rails, and the jittered sensor draws.
+    for (const double rail : rails) {
+      EXPECT_NE(std::find(readouts.begin(), readouts.end(), rail),
+                readouts.end())
+          << "no readout at " << rail;
+    }
+  }
 }
 
 TEST(SampleBatch, TdcBatchKeepsThePerSampleZigguratStream) {

@@ -119,7 +119,8 @@ TEST(OracleRegistry, CoversEveryOptimizedReferencePair) {
         "store.v2_roundtrip_vs_memory", "attack.cpa_vs_reference",
         "attack.campaign_parallel_vs_serial",
         "attack.campaign_resume_vs_straight", "fabric.spec_invariants",
-        "fabric.generated_vs_hardcoded", "simd.convolve_tiers_bitwise"}) {
+        "fabric.generated_vs_hardcoded", "simd.convolve_tiers_bitwise",
+        "simd.leakydsp_groups_bitwise"}) {
     EXPECT_TRUE(names.count(required)) << "oracle missing: " << required;
   }
 }
