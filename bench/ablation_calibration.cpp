@@ -48,8 +48,7 @@ double sensitivity(sim::SensorRig& rig, victim::PowerVirus& virus,
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "readouts"});
   const auto seed = cli.get_seed("seed", 9);
-  const auto readouts =
-      static_cast<std::size_t>(cli.get_int("readouts", 1000));
+  const auto readouts = cli.get_count("readouts", 1000, 1);
 
   const sim::Basys3Scenario scenario;
   util::Rng rng(seed);

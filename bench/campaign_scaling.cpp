@@ -34,27 +34,6 @@ struct TimedRun {
   double seconds = 0.0;
 };
 
-bool identical(const attack::CampaignResult& a,
-               const attack::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,8 +42,7 @@ int main(int argc, char** argv) {
                       obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool progress = cli.get_flag("progress");
-  const auto max_traces =
-      static_cast<std::size_t>(cli.get_int("traces", 60000));
+  const auto max_traces = cli.get_count("traces", 60000, 1);
   const auto seed = cli.get_seed("seed", 7);
   const std::size_t threads = cli.get_threads();
 
@@ -129,7 +107,7 @@ int main(int argc, char** argv) {
   for (const std::size_t c : counts) {
     const TimedRun timed = run_once(c);
     if (c == 1) serial = timed;
-    const bool same = identical(timed.result, serial.result);
+    const bool same = timed.result == serial.result;
     all_identical = all_identical && same;
     const bool oversubscribed = hw_threads > 0 && c > hw_threads;
     const double speedup = serial.seconds / timed.seconds;

@@ -22,8 +22,7 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "payload"});
   util::Rng rng(cli.get_seed("seed", 18));
-  const auto payload_bits =
-      static_cast<std::size_t>(cli.get_int("payload", 9680));
+  const auto payload_bits = cli.get_count("payload", 9680, 1);
 
   const sim::Axu3egbScenario scenario;
   core::LeakyDspSensor sensor(scenario.device(), scenario.receiver_site());

@@ -20,8 +20,7 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces"});
   util::Rng rng(cli.get_seed("seed", 20));
-  const auto max_traces =
-      static_cast<std::size_t>(cli.get_int("max-traces", 30000));
+  const auto max_traces = cli.get_count("max-traces", 30000, 1);
 
   const sim::Basys3Scenario scenario;
   crypto::Key key;

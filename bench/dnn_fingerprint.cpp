@@ -19,8 +19,7 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "inferences"});
   util::Rng rng(cli.get_seed("seed", 16));
-  const auto inferences =
-      static_cast<std::size_t>(cli.get_int("inferences", 8));
+  const auto inferences = cli.get_count("inferences", 8, 1);
 
   const sim::Basys3Scenario scenario;
   core::LeakyDspSensor sensor(

@@ -9,18 +9,18 @@
 //
 // Paper reference: rank falls with traces everywhere, at placement-
 // dependent speed; the ordering matches the placement quality of Table I.
+//
+// The eight campaigns are independent jobs drained together through one
+// serve::CampaignService over the hardware's threads.
 #include <algorithm>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "attack/campaign.h"
-#include "core/leaky_dsp.h"
+#include "basys3_cells.h"
 #include "sim/scenarios.h"
-#include "sim/sensor_rig.h"
 #include "util/cli.h"
-#include "util/rng.h"
 #include "util/table.h"
 #include "victim/aes_core.h"
 
@@ -41,14 +41,10 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 4);
   const bool quick = cli.get_flag("quick");
-  const auto max_traces = static_cast<std::size_t>(
-      cli.get_int("max-traces", quick ? 10000 : 60000));
+  const auto max_traces =
+      cli.get_count("max-traces", quick ? 10000 : 60000, 1);
 
   const sim::Basys3Scenario scenario;
-  util::Rng rng(seed);
-  crypto::Key key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-
   victim::AesCoreParams aes_params;
   if (quick) aes_params.current_per_hd_bit *= 3.0;
 
@@ -62,28 +58,24 @@ int main(int argc, char** argv) {
             << "; seed " << seed
             << (quick ? " [--quick: leakage boosted 3x]" : "") << "\n\n";
 
-  // Run every placement once, keeping all rank checkpoints.
-  std::vector<attack::CampaignResult> results;
+  // Every placement runs to max_traces, keeping all rank checkpoints.
+  std::vector<serve::CampaignJob> jobs;
   for (std::size_t i = 0; i < scenario.attack_placements().size(); ++i) {
-    util::Rng run_rng = rng.fork(i);
-    victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
-                             aes_params);
-    core::LeakyDspSensor sensor(scenario.device(),
-                                scenario.attack_placements()[i]);
-    sim::SensorRig rig(scenario.grid(), sensor);
-    rig.calibrate(run_rng);
-    attack::TraceCampaign campaign(rig, aes, config);
-    results.push_back(campaign.run(run_rng, /*stop_when_broken=*/false));
+    jobs.push_back(bench::basys3_job(placement_label(i), scenario,
+                                     scenario.attack_placements()[i], seed,
+                                     static_cast<int>(i), aes_params, config));
+    jobs.back().stop_when_broken = false;
   }
+  const auto outcomes = bench::drain_cells(std::move(jobs), /*threads=*/0);
 
   // (a) heat ranking at 20 k traces (or the nearest checkpoint).
   const std::size_t heat_traces = std::min<std::size_t>(20000, max_traces);
   std::cout << "--- Fig. 5(a): placements ranked by key rank at "
             << util::format_count(heat_traces) << " traces ---\n";
   std::vector<std::pair<double, std::size_t>> heat;
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     double mid = 128.0;
-    for (const auto& cp : results[i].checkpoints) {
+    for (const auto& cp : outcomes[i].result.checkpoints) {
       if (cp.traces <= heat_traces) mid = cp.rank.log2_mid();
     }
     heat.push_back({mid, i});
@@ -94,7 +86,7 @@ int main(int argc, char** argv) {
   for (std::size_t order = 0; order < heat.size(); ++order) {
     const std::size_t i = heat[order].second;
     int correct = 0;
-    for (const auto& cp : results[i].checkpoints) {
+    for (const auto& cp : outcomes[i].result.checkpoints) {
       if (cp.traces <= heat_traces) correct = cp.correct_bytes;
     }
     heat_table.row()
@@ -125,12 +117,12 @@ int main(int argc, char** argv) {
   std::vector<std::string> headers{"traces"};
   for (const auto i : selected) headers.push_back(placement_label(i));
   util::Table curves(headers);
-  const std::size_t checkpoints = results[selected[0]].checkpoints.size();
-  for (std::size_t c = 0; c < checkpoints; ++c) {
+  const auto& first = outcomes[selected[0]].result.checkpoints;
+  for (std::size_t c = 0; c < first.size(); ++c) {
     auto& row = curves.row();
-    row.add(util::format_count(results[selected[0]].checkpoints[c].traces));
+    row.add(util::format_count(first[c].traces));
     for (const auto i : selected) {
-      const auto& cp = results[i].checkpoints[c];
+      const auto& cp = outcomes[i].result.checkpoints[c];
       std::string bounds = "[";
       bounds += util::format_double(cp.rank.log2_lower, 1);
       bounds += ", ";

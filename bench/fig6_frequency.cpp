@@ -8,14 +8,16 @@
 //
 // Paper reference: efficiency decreases monotonically with frequency; at
 // 100 MHz the key needs ~78 k traces (collected 60 k + an extra 20 k).
+//
+// The four campaigns are independent jobs drained together through one
+// serve::CampaignService over the hardware's threads.
 #include <iostream>
+#include <vector>
 
 #include "attack/campaign.h"
-#include "core/leaky_dsp.h"
+#include "basys3_cells.h"
 #include "sim/scenarios.h"
-#include "sim/sensor_rig.h"
 #include "util/cli.h"
-#include "util/rng.h"
 #include "util/table.h"
 #include "victim/aes_core.h"
 
@@ -25,14 +27,10 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 8);
   const bool quick = cli.get_flag("quick");
-  const auto max_traces = static_cast<std::size_t>(
-      cli.get_int("max-traces", quick ? 12000 : 160000));
+  const auto max_traces =
+      cli.get_count("max-traces", quick ? 12000 : 160000, 1);
 
   const sim::Basys3Scenario scenario;
-  util::Rng rng(seed);
-  crypto::Key key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-
   const auto best_site =
       scenario
           .attack_placements()[sim::Basys3Scenario::kBestPlacementIndex];
@@ -42,29 +40,39 @@ int main(int argc, char** argv) {
             << "); seed " << seed
             << (quick ? " [--quick: leakage boosted 3x]" : "") << "\n\n";
 
-  util::Table table({"AES clock [MHz]", "sensor samples/cycle",
-                     "traces to break", "paper"});
+  attack::CampaignConfig config;
+  config.max_traces = max_traces;
+  config.rank_stride = 10000;
+
   const double freqs[] = {20.0, 100.0 / 3.0, 50.0, 100.0};
   const char* paper[] = {"25k", "-", "-", "78k (worst)"};
+  std::vector<std::size_t> samples_per_cycle(4);
+  std::vector<serve::CampaignJob> jobs;
   for (std::size_t f = 0; f < 4; ++f) {
-    util::Rng run_rng = rng.fork(f);
     victim::AesCoreParams aes_params;
     aes_params.clock_mhz = freqs[f];
     if (quick) aes_params.current_per_hd_bit *= 3.0;
-    victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
-                             aes_params);
-    core::LeakyDspSensor sensor(scenario.device(), best_site);
-    sim::SensorRig rig(scenario.grid(), sensor);
-    rig.calibrate(run_rng);
+    jobs.push_back(bench::basys3_job(util::format_double(freqs[f], 1),
+                                     scenario, best_site, seed,
+                                     static_cast<int>(f), aes_params, config));
+    // Read the campaign's samples per victim cycle off its world as the
+    // service builds it.
+    jobs.back().make = [make = std::move(jobs.back().make),
+                        &spc = samples_per_cycle[f]] {
+      auto world = make();
+      spc = world->campaign().samples_per_cycle();
+      return world;
+    };
+  }
+  const auto outcomes = bench::drain_cells(std::move(jobs), /*threads=*/0);
 
-    attack::CampaignConfig config;
-    config.max_traces = max_traces;
-    config.rank_stride = 10000;
-    attack::TraceCampaign campaign(rig, aes, config);
-    const auto result = campaign.run(run_rng);
+  util::Table table({"AES clock [MHz]", "sensor samples/cycle",
+                     "traces to break", "paper"});
+  for (std::size_t f = 0; f < 4; ++f) {
+    const attack::CampaignResult& result = outcomes[f].result;
     table.row()
         .add(freqs[f], 1)
-        .add(campaign.samples_per_cycle())
+        .add(samples_per_cycle[f])
         .add(result.broken
                  ? util::format_count(result.traces_to_break)
                  : ("not broken in " + util::format_count(result.traces_run)))

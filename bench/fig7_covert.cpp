@@ -28,9 +28,8 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "runs", "payload"});
   const auto seed = cli.get_seed("seed", 6);
-  const auto runs = static_cast<std::size_t>(cli.get_int("runs", 10));
-  const auto payload_bits =
-      static_cast<std::size_t>(cli.get_int("payload", 9680));
+  const auto runs = cli.get_count("runs", 10, 1);
+  const auto payload_bits = cli.get_count("payload", 9680, 1);
 
   const sim::Axu3egbScenario scenario;
   util::Rng rng(seed);

@@ -21,8 +21,8 @@ using namespace leakydsp;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "train", "test"});
   util::Rng rng(cli.get_seed("seed", 15));
-  const auto train_reps = static_cast<std::size_t>(cli.get_int("train", 4));
-  const auto test_reps = static_cast<std::size_t>(cli.get_int("test", 8));
+  const auto train_reps = cli.get_count("train", 4, 1);
+  const auto test_reps = cli.get_count("test", 8, 1);
 
   const sim::Basys3Scenario scenario;
   crypto::Key key;

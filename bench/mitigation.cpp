@@ -8,14 +8,16 @@
 // 2. Active-fence noise injection: a defender tenant injects random
 //    switching noise into the PDN next to the AES core; the bench measures
 //    how many traces the best-placement attack needs as the fence
-//    amplitude grows.
+//    amplitude grows. Its four campaigns are independent jobs drained
+//    together through one serve::CampaignService.
+#include <cmath>
 #include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include <cmath>
-#include <memory>
-
 #include "attack/campaign.h"
+#include "basys3_cells.h"
 #include "attack/cpa.h"
 #include "attack/key_enumeration.h"
 #include "attack/second_order_cpa.h"
@@ -45,14 +47,22 @@ std::string verdict(const fabric::CheckReport& report) {
   return out + ")";
 }
 
+/// Bytes of the recovered round-10 key that match the true one.
+int correct_bytes(const crypto::RoundKey& recovered,
+                  const crypto::RoundKey& truth) {
+  int correct = 0;
+  for (std::size_t b = 0; b < 16; ++b) correct += recovered[b] == truth[b];
+  return correct;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 10);
   const bool quick = cli.get_flag("quick");
-  const auto max_traces = static_cast<std::size_t>(
-      cli.get_int("max-traces", quick ? 10000 : 80000));
+  const auto max_traces =
+      cli.get_count("max-traces", quick ? 10000 : 80000, 1);
 
   std::cout << "=== Mitigation study (Section V) ===\n\n"
             << "--- 1. Bitstream checks ---\n";
@@ -94,49 +104,51 @@ int main(int argc, char** argv) {
             << (quick ? "; [--quick: leakage boosted 3x]" : "") << "\n\n";
   {
     const sim::Basys3Scenario scenario;
-    util::Rng rng(seed);
-    crypto::Key key;
-    for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+    victim::AesCoreParams aes_params;
+    if (quick) aes_params.current_per_hd_bit *= 3.0;
+    attack::CampaignConfig config;
+    config.max_traces = max_traces;
+    config.rank_stride = 20000;
+
+    // Fence cells occupy the guard band directly above the victim Pblock
+    // (between the AES core and the attacker placements). The fences are
+    // const and shared: every campaign draws from its own RNG stream.
+    const std::size_t fence_sizes[] = {0, 500, 1000, 2000};
+    std::vector<std::unique_ptr<const victim::ActiveFence>> fences;
+    std::vector<serve::CampaignJob> jobs;
+    for (const std::size_t fence_cells : fence_sizes) {
+      jobs.push_back(bench::basys3_job(
+          std::to_string(fence_cells), scenario,
+          scenario.attack_placements()
+              [sim::Basys3Scenario::kBestPlacementIndex],
+          seed, static_cast<int>(fence_cells + 1), aes_params, config));
+      fences.emplace_back();
+      if (fence_cells == 0) continue;
+      victim::ActiveFenceParams fence_params;
+      fence_params.instance_count = fence_cells;
+      fences.back() = std::make_unique<const victim::ActiveFence>(
+          scenario.device(), scenario.grid(), fabric::Rect{6, 17, 24, 24},
+          fence_params);
+      jobs.back().make = [make = std::move(jobs.back().make),
+                          fence = fences.back().get()] {
+        auto world = make();
+        world->campaign().add_interferer(
+            [fence](double, util::Rng& r,
+                    std::vector<pdn::CurrentInjection>& out) {
+              for (const auto& d : fence->draws(r)) out.push_back(d);
+            });
+        return world;
+      };
+    }
+    const auto outcomes = bench::drain_cells(std::move(jobs), /*threads=*/0);
 
     util::Table table({"fence cells", "fence mean current [A]",
                        "traces to break"});
-    for (const std::size_t fence_cells : {0u, 500u, 1000u, 2000u}) {
-      util::Rng run_rng = rng.fork(fence_cells + 1);
-      victim::AesCoreParams aes_params;
-      if (quick) aes_params.current_per_hd_bit *= 3.0;
-      victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
-                               aes_params);
-      core::LeakyDspSensor sensor(
-          scenario.device(),
-          scenario.attack_placements()
-              [sim::Basys3Scenario::kBestPlacementIndex]);
-      sim::SensorRig rig(scenario.grid(), sensor);
-      rig.calibrate(run_rng);
-
-      attack::CampaignConfig config;
-      config.max_traces = max_traces;
-      config.rank_stride = 20000;
-      attack::TraceCampaign campaign(rig, aes, config);
-
-      // Fence cells occupy the guard band directly above the victim
-      // Pblock (between the AES core and the attacker placements).
-      std::unique_ptr<victim::ActiveFence> fence;
-      if (fence_cells > 0) {
-        victim::ActiveFenceParams fence_params;
-        fence_params.instance_count = fence_cells;
-        fence = std::make_unique<victim::ActiveFence>(
-            scenario.device(), scenario.grid(), fabric::Rect{6, 17, 24, 24},
-            fence_params);
-        campaign.add_interferer(
-            [&fence](double, util::Rng& r,
-                     std::vector<pdn::CurrentInjection>& out) {
-              for (const auto& d : fence->draws(r)) out.push_back(d);
-            });
-      }
-      const auto result = campaign.run(run_rng);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const attack::CampaignResult& result = outcomes[i].result;
       table.row()
-          .add(fence_cells)
-          .add(fence ? fence->mean_current() : 0.0, 2)
+          .add(fence_sizes[i])
+          .add(fences[i] ? fences[i]->mean_current() : 0.0, 2)
           .add(result.broken
                    ? util::format_count(result.traces_to_break)
                    : ("not broken in " +
@@ -193,16 +205,8 @@ int main(int argc, char** argv) {
         cpa.add_trace(core.ciphertext(), poi);
         pt = core.ciphertext();
       }
-      const auto recovered = cpa.recovered_round_key();
-      const auto& truth = core.cipher().round_keys()[10];
-      int correct = 0;
-      for (int b = 0; b < 16; ++b) {
-        if (recovered[static_cast<std::size_t>(b)] ==
-            truth[static_cast<std::size_t>(b)]) {
-          ++correct;
-        }
-      }
-      return correct;
+      return correct_bytes(cpa.recovered_round_key(),
+                           core.cipher().round_keys()[10]);
     };
 
     util::Table table({"implementation", "traces", "key bytes recovered"});
@@ -294,26 +298,16 @@ int main(int argc, char** argv) {
     }
 
     const auto& truth = masked.cipher().round_keys()[10];
-    auto correct_of = [&](const crypto::RoundKey& recovered) {
-      int correct = 0;
-      for (int b = 0; b < 16; ++b) {
-        if (recovered[static_cast<std::size_t>(b)] ==
-            truth[static_cast<std::size_t>(b)]) {
-          ++correct;
-        }
-      }
-      return correct;
-    };
     util::Table table({"attack on the masked core", "traces",
                        "key bytes recovered"});
     table.row()
         .add("first-order CPA")
         .add(util::format_count(traces))
-        .add(correct_of(first_order.recovered_round_key()));
+        .add(correct_bytes(first_order.recovered_round_key(), truth));
     table.row()
         .add("second-order CPA (centered-square)")
         .add(util::format_count(traces))
-        .add(correct_of(second_order.recovered_round_key()));
+        .add(correct_bytes(second_order.recovered_round_key(), truth));
     table.print(std::cout);
 
     // Any byte the second-order argmax leaves buried falls to optimal-order

@@ -96,34 +96,6 @@ std::string fresh_dir(const std::string& name) {
   return name;
 }
 
-/// Byte-for-byte comparison of two campaign results, including the
-/// checkpoint trail and the fused-score vector. Exact == on doubles is
-/// the point: the service contract is bit-identical scheduling.
-bool identical(const attack::CampaignResult& a,
-               const attack::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size() ||
-      a.final_scores.size() != b.final_scores.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.final_scores.size(); ++i) {
-    if (a.final_scores[i] != b.final_scores[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,7 +196,7 @@ int main(int argc, char** argv) {
         const attack::CampaignResult standalone =
             scenario::run_sweep_campaign(spec, /*threads=*/1);
         ++identity_checked;
-        if (!identical(outcome.cells[i].per_sensor[0], standalone)) {
+        if (outcome.cells[i].per_sensor[0] != standalone) {
           ++identity_mismatches;
           std::cerr << "IDENTITY MISMATCH: " << spec.campaign_id << " on "
                     << die_name << "\n";

@@ -12,15 +12,20 @@
 // Paper reference: LeakyDSP 25 k-58 k traces across placements (P6 best);
 // TDC 51 k traces in its single evaluated setting.
 //
-// Campaigns fan out over --threads workers (default: hardware concurrency)
-// with bit-identical results for every thread count. Besides the console
-// table the bench writes per-placement wall time and throughput to
-// BENCH_table1_traces.json.
+// The nine campaigns are independent jobs drained together through one
+// serve::CampaignService on --threads workers (default: hardware
+// concurrency), with bit-identical results for every thread count. Besides
+// the console table the bench writes per-placement results and the
+// drain's wall time and throughput to BENCH_table1_traces.json.
 #include <chrono>
 #include <iostream>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "attack/campaign.h"
-#include "core/leaky_dsp.h"
+#include "basys3_cells.h"
 #include "obs/obs.h"
 #include "pdn/coupling.h"
 #include "sensors/tdc.h"
@@ -34,33 +39,57 @@
 
 using namespace leakydsp;
 
+namespace {
+
+crypto::Key draw_key(util::Rng& rng) {
+  crypto::Key key;
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+  return key;
+}
+
+/// The TDC baseline's world, built in the order of the LeakyDSP cells:
+/// Rng(seed), 16 key draws, fork(100), TDC sensor, calibrate, campaign.
+class TdcWorld final : public serve::CampaignWorld {
+ public:
+  TdcWorld(const sim::Basys3Scenario& scenario, fabric::SiteCoord site,
+           std::uint64_t seed, const victim::AesCoreParams& aes_params,
+           const attack::CampaignConfig& config)
+      : rng_(seed),
+        aes_(draw_key(rng_), scenario.aes_site(), scenario.grid(),
+             aes_params),
+        tdc_(scenario.device(), site),
+        rig_(scenario.grid(), tdc_) {
+    rng_ = rng_.fork(100);
+    rig_.calibrate(rng_);
+    campaign_.emplace(rig_, aes_, config);
+  }
+
+  attack::TraceCampaign& campaign() override { return *campaign_; }
+  util::Rng& rng() override { return rng_; }
+
+ private:
+  util::Rng rng_;
+  victim::AesCoreModel aes_;
+  sensors::TdcSensor tdc_;
+  sim::SensorRig rig_;
+  std::optional<attack::TraceCampaign> campaign_;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv,
-                      {"seed", "max-traces", "threads", "checkpoint-dir",
-                       "quick!", "resume!", "progress!"},
+                      {"seed", "max-traces", "threads", "quick!", "progress!"},
                       obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool progress = cli.get_flag("progress");
   const auto seed = cli.get_seed("seed", 7);
   const std::size_t threads = cli.get_threads();
   const bool quick = cli.get_flag("quick");
-  const auto max_traces = static_cast<std::size_t>(
-      cli.get_int("max-traces", quick ? 8000 : 90000));
-  // --checkpoint-dir DIR makes every campaign durable (one subdirectory
-  // per placement); --resume continues placements whose checkpoint exists
-  // instead of restarting them, with byte-identical results.
-  const auto checkpoint_dir = cli.get_string("checkpoint-dir", "");
-  const bool resume = cli.get_flag("resume");
-  if (resume && checkpoint_dir.empty()) {
-    std::cerr << "--resume requires --checkpoint-dir\n";
-    return 1;
-  }
+  const auto max_traces =
+      cli.get_count("max-traces", quick ? 8000 : 90000, 1);
 
   const sim::Basys3Scenario scenario;
-  util::Rng rng(seed);
-  crypto::Key key;
-  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-
   victim::AesCoreParams aes_params;
   if (quick) aes_params.current_per_hd_bit *= 3.0;  // ~9x fewer traces
 
@@ -73,107 +102,79 @@ int main(int argc, char** argv) {
   attack::CampaignConfig config;
   config.max_traces = max_traces;
   config.rank_stride = 5000;
-  config.threads = threads;
 
-  // Per-placement campaign config: placements checkpoint independently, so
-  // a killed sweep resumes at the placement it died in.
-  const auto placement_config = [&](const std::string& label) {
-    attack::CampaignConfig c = config;
-    if (!checkpoint_dir.empty()) c.checkpoint_dir = checkpoint_dir + "/" + label;
-    return c;
+  // P1..P8 draw from forks 0..7 of the post-key stream; the TDC baseline
+  // sits next to the best placement on fork 100.
+  const auto& placements = scenario.attack_placements();
+  std::vector<fabric::SiteCoord> sites = placements;
+  sites.push_back(scenario.adjacent_clb_site(
+      placements[sim::Basys3Scenario::kBestPlacementIndex]));
+  std::vector<serve::CampaignJob> jobs;
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    std::string label = "P";
+    label += std::to_string(i + 1);
+    jobs.push_back(bench::basys3_job(label, scenario, sites[i], seed,
+                                     static_cast<int>(i), aes_params, config));
+  }
+  jobs.emplace_back().id = "TDC";
+  jobs.back().make = [&scenario, site = sites.back(), seed, aes_params,
+                      config] {
+    return std::make_unique<TdcWorld>(scenario, site, seed, aes_params,
+                                      config);
   };
 
+  if (progress) {
+    obs::Progress::start("Table I", jobs.size() * max_traces,
+                         "campaign.traces_sampled", "");
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcomes = bench::drain_cells(std::move(jobs), threads);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  if (progress) obs::Progress::finish();
+
   util::BenchJson report("table1_traces");
-  const auto timed_run = [&](attack::TraceCampaign& campaign,
-                             util::Rng& run_rng, const std::string& label) {
-    if (progress) {
-      obs::Progress::start(label, max_traces, "campaign.traces_sampled",
-                           "campaign.checkpoint.traces");
-    }
-    const auto start = std::chrono::steady_clock::now();
-    attack::CampaignResult result;
-    if (resume && attack::TraceCampaign::checkpoint_exists(
-                      checkpoint_dir + "/" + label, "")) {
-      std::cout << "[" << label << "] resuming from checkpoint\n";
-      result = campaign.resume();
-    } else {
-      result = campaign.run(run_rng);
-    }
-    if (progress) obs::Progress::finish();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+  util::Table table({"placement", "site", "coupling [uV/A]",
+                     "traces to break", "paper"});
+  const std::size_t aes_node = scenario.grid().node_of_site(scenario.aes_site());
+  const char* paper_notes[] = {"",          "(closest)", "", "",
+                               "",          "(best)",    "", ""};
+  std::size_t traces_total = 0;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const std::string& label = outcomes[i].id;
+    const attack::CampaignResult& result = outcomes[i].result;
+    const bool tdc = i == placements.size();
+    traces_total += result.traces_run;
     report.row()
         .set("placement", label)
         .set("threads", static_cast<std::int64_t>(threads))
         .set("traces_run", static_cast<std::int64_t>(result.traces_run))
         .set("broken", result.broken)
         .set("traces_to_break",
-             static_cast<std::int64_t>(result.traces_to_break))
-        .set("wall_seconds", seconds)
-        .set("traces_per_second",
-             static_cast<double>(result.traces_run) / seconds);
-    return result;
-  };
+             static_cast<std::int64_t>(result.traces_to_break));
 
-  util::Table table({"placement", "site", "coupling [uV/A]",
-                     "traces to break", "paper"});
-  const std::size_t aes_node = scenario.grid().node_of_site(scenario.aes_site());
-  const char* paper_notes[] = {"",          "(closest)", "", "",
-                               "",          "(best)",    "", ""};
-  for (std::size_t i = 0; i < scenario.attack_placements().size(); ++i) {
-    const auto site = scenario.attack_placements()[i];
-    util::Rng run_rng = rng.fork(i);
-    victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
-                             aes_params);
-    core::LeakyDspSensor sensor(scenario.device(), site);
-    sim::SensorRig rig(scenario.grid(), sensor);
-    rig.calibrate(run_rng);
-    std::string label = "P";
-    label += std::to_string(i + 1);
-    attack::TraceCampaign campaign(rig, aes, placement_config(label));
-    const auto result = timed_run(campaign, run_rng, label);
-
-    const pdn::SensorCoupling coupling(scenario.grid(), site);
+    const pdn::SensorCoupling coupling(scenario.grid(), sites[i]);
     std::string where = "(";
-    where += std::to_string(site.x);
+    where += std::to_string(sites[i].x);
     where += ',';
-    where += std::to_string(site.y);
+    where += std::to_string(sites[i].y);
     where += ')';
     table.row()
-        .add(label + " " + paper_notes[i])
+        .add(tdc ? label : label + " " + paper_notes[i])
         .add(where)
         .add(coupling.gain_at_node(aes_node) * 1e6, 0)
         .add(result.broken ? util::format_count(result.traces_to_break)
                            : ("not broken in " +
                               util::format_count(result.traces_run)))
-        .add(i == 5 ? "25k (best)" : "25k-58k");
+        .add(tdc ? "51k" : i == 5 ? "25k (best)" : "25k-58k");
   }
-
-  // TDC baseline next to the best placement.
-  {
-    util::Rng run_rng = rng.fork(100);
-    victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
-                             aes_params);
-    const auto best =
-        scenario.attack_placements()[sim::Basys3Scenario::kBestPlacementIndex];
-    const auto tdc_site = scenario.adjacent_clb_site(best);
-    sensors::TdcSensor tdc(scenario.device(), tdc_site);
-    sim::SensorRig rig(scenario.grid(), tdc);
-    rig.calibrate(run_rng);
-    attack::TraceCampaign campaign(rig, aes, placement_config("TDC"));
-    const auto result = timed_run(campaign, run_rng, "TDC");
-    const pdn::SensorCoupling coupling(scenario.grid(), tdc_site);
-    table.row()
-        .add("TDC")
-        .add("(" + std::to_string(tdc_site.x) + "," +
-             std::to_string(tdc_site.y) + ")")
-        .add(coupling.gain_at_node(aes_node) * 1e6, 0)
-        .add(result.broken ? util::format_count(result.traces_to_break)
-                           : ("not broken in " +
-                              util::format_count(result.traces_run)))
-        .add("51k");
-  }
+  report.row()
+      .set("placement", "all")
+      .set("threads", static_cast<std::int64_t>(threads))
+      .set("traces_run", static_cast<std::int64_t>(traces_total))
+      .set("wall_seconds", seconds)
+      .set("traces_per_second", static_cast<double>(traces_total) / seconds);
 
   table.print(std::cout);
   obs::fill_bench_metrics(report.metrics());

@@ -34,8 +34,7 @@ std::string hex(const crypto::Key& key) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "seed", "threads"});
-  const auto max_traces =
-      static_cast<std::size_t>(cli.get_int("traces", 8000));
+  const auto max_traces = cli.get_count("traces", 8000, 1);
   const std::size_t threads = cli.get_threads();
   util::Rng rng(cli.get_seed("seed", 7));
 

@@ -19,7 +19,7 @@ using namespace leakydsp;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "seed"});
-  const auto traces = static_cast<std::size_t>(cli.get_int("traces", 1500));
+  const auto traces = cli.get_count("traces", 1500, 1);
   util::Rng rng(cli.get_seed("seed", 17));
 
   const sim::Basys3Scenario scenario;

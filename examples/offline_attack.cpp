@@ -30,10 +30,8 @@ int main(int argc, char** argv) {
   }
   // Default POI window: the last-round cycle of the 20 MHz victim at 15
   // samples/cycle (cycle 10 plus one cycle of ringing).
-  const auto poi_begin =
-      static_cast<std::size_t>(cli.get_int("poi-begin", 150));
-  const auto poi_count =
-      static_cast<std::size_t>(cli.get_int("poi-count", 30));
+  const auto poi_begin = cli.get_count("poi-begin", 150, 0);
+  const auto poi_count = cli.get_count("poi-count", 30, 1);
   if (poi_begin + poi_count > reader.samples_per_trace()) {
     std::cerr << "POI window outside the stored traces ("
               << reader.samples_per_trace() << " samples)\n";

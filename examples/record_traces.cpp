@@ -24,7 +24,7 @@ using namespace leakydsp;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "out", "seed", "threads"});
-  const auto traces = static_cast<std::size_t>(cli.get_int("traces", 6000));
+  const auto traces = cli.get_count("traces", 6000, 1);
   const auto out = cli.get_string("out", "/tmp/leakydsp.ldtr");
   util::Rng rng(cli.get_seed("seed", 19));
 

@@ -96,6 +96,7 @@ struct Checkpoint {
   KeyRankBounds rank;
   int correct_bytes = 0;   ///< matching bytes of the round-10 key
   bool full_key = false;   ///< master key fully recovered
+  friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
 };
 
 /// Campaign outcome.
@@ -111,6 +112,11 @@ struct CampaignResult {
   /// empty otherwise. This is the vector cooperative sensing sums
   /// across K sensor campaigns before the fused argmax.
   std::vector<double> final_scores;
+
+  /// Field-by-field equality, exact on doubles: two runs of one campaign
+  /// are equal only when they are bit-identical (NaN aside).
+  friend bool operator==(const CampaignResult&,
+                         const CampaignResult&) = default;
 };
 
 /// Runs a key-extraction campaign against `aes` using `rig`'s sensor.

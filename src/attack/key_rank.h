@@ -22,6 +22,7 @@ struct KeyRankBounds {
   double log2_upper = 128.0;
 
   double log2_mid() const { return 0.5 * (log2_lower + log2_upper); }
+  friend bool operator==(const KeyRankBounds&, const KeyRankBounds&) = default;
 };
 
 /// Estimator configuration.

@@ -95,7 +95,11 @@ struct CampaignJob {
   /// Rehydrate from this job's existing durable checkpoint instead of
   /// starting fresh (same contract as TraceCampaign::resume: throws
   /// CheckpointError when none exists). How a killed service run is
-  /// continued: re-enqueue the unfinished jobs with resume = true.
+  /// continued: re-enqueue the unfinished jobs with resume = true. The
+  /// service writes a job's checkpoint only when it evicts the job, so a
+  /// killed job resumes from its last eviction; a job resident since
+  /// admission has no checkpoint and restarts from trace 0 (enqueue it
+  /// with resume = false).
   bool resume = false;
   /// When set, this job records traces instead of attacking.
   std::optional<RecordJobSpec> record;

@@ -156,13 +156,18 @@ std::uint64_t Cli::get_seed(const std::string& name,
   }
 }
 
-std::size_t Cli::get_threads(const std::string& name) const {
-  const auto n = get_int(
-      name, static_cast<std::int64_t>(ThreadPool::hardware_threads()));
-  if (n < 1) {
-    fail("option --" + name + " must be >= 1, got " + std::to_string(n));
+std::size_t Cli::get_count(const std::string& name, std::size_t fallback,
+                           std::size_t min) const {
+  const auto n = get_int(name, static_cast<std::int64_t>(fallback));
+  if (n < 0 || static_cast<std::uint64_t>(n) < min) {
+    fail("option --" + name + " must be >= " + std::to_string(min) +
+         ", got " + std::to_string(n));
   }
   return static_cast<std::size_t>(n);
+}
+
+std::size_t Cli::get_threads(const std::string& name) const {
+  return get_count(name, ThreadPool::hardware_threads(), 1);
 }
 
 bool Cli::get_flag(const std::string& name) const {

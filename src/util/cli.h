@@ -47,6 +47,12 @@ class Cli {
                          std::uint64_t fallback) const;
   bool get_flag(const std::string& name) const;
 
+  /// A count option: `--name N`, defaulting to `fallback`. N must be an
+  /// integer >= `min`; a negative or smaller value is a usage error, never
+  /// a wrapped std::size_t.
+  std::size_t get_count(const std::string& name, std::size_t fallback,
+                        std::size_t min) const;
+
   /// Worker-thread count for parallel stages: `--threads N`, defaulting to
   /// the hardware concurrency. N must be >= 1.
   std::size_t get_threads(const std::string& name = "threads") const;

@@ -57,27 +57,6 @@ struct KillSignal : std::runtime_error {
 
 constexpr long long kNeverKill = std::numeric_limits<long long>::max();
 
-bool identical_results(const la::CampaignResult& a,
-                       const la::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 class CheckpointResumeTest : public ::testing::Test {
@@ -144,7 +123,7 @@ TEST_F(CheckpointResumeTest, KilledCampaignResumesByteIdentical) {
         << "no checkpoint survived kill " << i;
     const auto resumed =
         execute(resume_threads[i], dir.path(), kNeverKill, true);
-    EXPECT_TRUE(identical_results(reference, resumed))
+    EXPECT_TRUE(reference == resumed)
         << "resume diverged for kill " << i << " (killed at "
         << kill_threads[i] << " threads, resumed at " << resume_threads[i]
         << ")";
@@ -159,7 +138,7 @@ TEST_F(CheckpointResumeTest, ResumeOfCompletedCampaignReturnsStoredResult) {
   // stored result directly instead of re-running anything — a fuse of 0
   // would kill any attempt to generate traces.
   const auto again = execute(4, dir.path(), 0, true);
-  EXPECT_TRUE(identical_results(first, again));
+  EXPECT_TRUE(first == again);
 }
 
 TEST_F(CheckpointResumeTest, CheckpointingDoesNotPerturbResults) {
@@ -168,7 +147,7 @@ TEST_F(CheckpointResumeTest, CheckpointingDoesNotPerturbResults) {
   const TempDir dir("perturb");
   const auto with = execute(2, dir.path(), kNeverKill, false);
   const auto without = execute(2, "", kNeverKill, false);
-  EXPECT_TRUE(identical_results(with, without));
+  EXPECT_TRUE(with == without);
 }
 
 // --------------------------------------------------- per-campaign keying
@@ -224,8 +203,8 @@ TEST(CheckpointKeying, CampaignsKeyedOnIdShareOneDirectoryWithoutClobbering) {
 
   // Each id resumes its OWN completed state, byte-identical — beta's run
   // did not clobber alpha's checkpoint.
-  EXPECT_TRUE(identical_results(resume_keyed(alpha), ran_alpha));
-  EXPECT_TRUE(identical_results(resume_keyed(beta), ran_beta));
+  EXPECT_TRUE(resume_keyed(alpha) == ran_alpha);
+  EXPECT_TRUE(resume_keyed(beta) == ran_beta);
 }
 
 TEST(CheckpointKeying, KeyedCampaignDoesNotLoadIdlessCheckpoint) {

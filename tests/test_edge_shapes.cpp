@@ -150,27 +150,6 @@ class EdgeCampaign {
   lsim::Basys3Scenario scenario_;
 };
 
-bool identical_results(const la::CampaignResult& a,
-                       const la::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 TEST(CampaignEdges, SingleTraceCampaignRuns) {
@@ -183,7 +162,7 @@ TEST(CampaignEdges, SingleTraceCampaignRuns) {
   // Parallel config on a single trace degenerates cleanly too, and the
   // determinism contract holds even here.
   const auto parallel = harness.execute(1, 4, "", false);
-  EXPECT_TRUE(identical_results(result, parallel));
+  EXPECT_TRUE(result == parallel);
 }
 
 TEST(CampaignEdges, NonBlockMultipleTraceCountCheckpointsAndResumes) {
@@ -195,14 +174,14 @@ TEST(CampaignEdges, NonBlockMultipleTraceCountCheckpointsAndResumes) {
   EXPECT_EQ(straight.traces_run, 130u);
 
   const auto parallel = harness.execute(130, 3, "", false);
-  EXPECT_TRUE(identical_results(straight, parallel));
+  EXPECT_TRUE(straight == parallel);
 
   const TempDir dir("ragged");
   const auto checkpointed = harness.execute(130, 2, dir.path(), false);
-  EXPECT_TRUE(identical_results(straight, checkpointed));
+  EXPECT_TRUE(straight == checkpointed);
   ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), ""));
   const auto resumed = harness.execute(130, 1, dir.path(), true);
-  EXPECT_TRUE(identical_results(straight, resumed));
+  EXPECT_TRUE(straight == resumed);
 }
 
 TEST(CampaignEdges, ResumeWithoutCheckpointThrowsTypedError) {

@@ -103,13 +103,6 @@ ls::StandardCampaignSpec scrape_spec(const std::string& id,
   return spec;
 }
 
-bool identical_results(const la::CampaignResult& a,
-                       const la::CampaignResult& b) {
-  return a.traces_to_break == b.traces_to_break && a.broken == b.broken &&
-         a.traces_run == b.traces_run &&
-         a.mean_poi_readout == b.mean_poi_readout;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------- sanitize
@@ -441,7 +434,7 @@ TEST(ExportServer, ScrapingADrainingServiceNeverPerturbsResults) {
   ASSERT_EQ(outcomes.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto standalone = ls::run_standard_campaign(specs[i], 2);
-    EXPECT_TRUE(identical_results(outcomes[i].result, standalone))
+    EXPECT_TRUE(outcomes[i].result == standalone)
         << "scraped result diverged from standalone for " << specs[i].id;
   }
 

@@ -361,27 +361,6 @@ la::CampaignResult run_campaign(std::size_t threads) {
   return campaign.run(rng);
 }
 
-bool identical_results(const la::CampaignResult& a,
-                       const la::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Counters whose totals the determinism contract pins across thread
 /// counts (gauges and latency histograms legitimately vary).
 const char* const kPinnedCounters[] = {
@@ -453,7 +432,7 @@ TEST(ObsCampaign, FullObservabilityDoesNotPerturbResults) {
   lo::SpanSink::global().disable();
   lo::Logger::global().reset();
 
-  EXPECT_TRUE(identical_results(plain, observed))
+  EXPECT_TRUE(plain == observed)
       << "observability must never feed back into the simulation";
   EXPECT_GT(lo::SpanSink::global().size(), 0u);
   std::remove(log_path.c_str());

@@ -1,7 +1,8 @@
 // Placement sweeps on generated dies: plan determinism, placement
 // constraints (distinct clock regions, non-overlapping cascades), the
 // byte-identity of service-drained cells vs standalone reruns (including
-// the final CPA score vectors), and score fusion.
+// the final CPA score vectors), score fusion, and the equivalence of a
+// basys3_spec() cell with the hand-built Basys3Scenario world.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,11 +11,16 @@
 #include <vector>
 
 #include "attack/campaign.h"
+#include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
 #include "fabric/device_spec.h"
 #include "scenario/placement_sweep.h"
 #include "serve/campaign_service.h"
+#include "sim/scenarios.h"
+#include "sim/sensor_rig.h"
 #include "util/contracts.h"
+#include "util/rng.h"
+#include "victim/aes_core.h"
 
 namespace fb = leakydsp::fabric;
 namespace sc = leakydsp::scenario;
@@ -63,6 +69,16 @@ void expect_identical(const leakydsp::attack::CampaignResult& a,
   EXPECT_EQ(a.broken, b.broken);
   EXPECT_EQ(a.traces_to_break, b.traces_to_break);
   EXPECT_EQ(a.mean_poi_readout, b.mean_poi_readout);  // exact, no tolerance
+  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
+  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
+    EXPECT_EQ(a.checkpoints[i].traces, b.checkpoints[i].traces);
+    EXPECT_EQ(a.checkpoints[i].rank.log2_lower,
+              b.checkpoints[i].rank.log2_lower);
+    EXPECT_EQ(a.checkpoints[i].rank.log2_upper,
+              b.checkpoints[i].rank.log2_upper);
+    EXPECT_EQ(a.checkpoints[i].correct_bytes, b.checkpoints[i].correct_bytes);
+    EXPECT_EQ(a.checkpoints[i].full_key, b.checkpoints[i].full_key);
+  }
   ASSERT_EQ(a.final_scores.size(), b.final_scores.size());
   for (std::size_t i = 0; i < a.final_scores.size(); ++i) {
     ASSERT_EQ(a.final_scores[i], b.final_scores[i]) << "score index " << i;
@@ -217,4 +233,57 @@ TEST(PlacementSweep, CellWorldSpecMatchesPlan) {
   EXPECT_EQ(spec.campaign_id, plan.cells[1].campaign_ids[1]);
   EXPECT_TRUE(fb::parse_device_spec(fb::spec_to_json(spec.device_spec)) ==
               spec.device_spec);
+}
+
+TEST(PlacementSweep, Basys3CellMatchesScenarioWorld) {
+  // The paper harnesses (Table I, Fig. 5, Fig. 6, the fence rows) drain
+  // their cells as sweep worlds on basys3_spec(). Each must equal the
+  // world they used to build by hand on Basys3Scenario: Rng(seed), 16 key
+  // draws, fork(i), LeakyDSP sensor at P<i+1>, calibrate, run.
+  const leakydsp::sim::Basys3Scenario scenario;
+  constexpr std::uint64_t kSeed = 7;
+  leakydsp::victim::AesCoreParams aes_params;
+  aes_params.current_per_hd_bit *= 20.0;  // P2 and P6 break by 512 traces
+  leakydsp::attack::CampaignConfig config;
+  config.max_traces = 768;
+  config.break_check_stride = 64;
+  config.rank_stride = 256;
+  config.threads = 2;
+  config.keep_final_scores = true;
+
+  for (const std::size_t i : {std::size_t{1}, std::size_t{5}}) {  // P2, P6
+    SCOPED_TRACE("placement P" + std::to_string(i + 1));
+    const fb::SiteCoord site = scenario.attack_placements()[i];
+
+    leakydsp::util::Rng rng(kSeed);
+    leakydsp::crypto::Key key;
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+    leakydsp::util::Rng run_rng = rng.fork(i);
+    leakydsp::victim::AesCoreModel aes(key, scenario.aes_site(),
+                                       scenario.grid(), aes_params);
+    leakydsp::core::LeakyDspSensor sensor(scenario.device(), site);
+    leakydsp::sim::SensorRig rig(scenario.grid(), sensor);
+    rig.calibrate(run_rng);
+    leakydsp::attack::TraceCampaign campaign(rig, aes, config);
+    const auto expected = campaign.run(run_rng, /*stop_when_broken=*/false);
+
+    sc::CellWorldSpec spec;
+    spec.device_spec = fb::basys3_spec();
+    spec.victim_site = scenario.aes_site();
+    spec.sensor_site = site;
+    spec.cell_seed = kSeed;
+    spec.sensor_index = static_cast<int>(i);
+    spec.campaign.max_traces = config.max_traces;
+    spec.campaign.block_traces = config.block_traces;
+    spec.campaign.break_check_stride = config.break_check_stride;
+    spec.campaign.rank_stride = config.rank_stride;
+    spec.campaign.victim_clock_mhz = aes_params.clock_mhz;
+    spec.campaign.current_per_hd_bit = aes_params.current_per_hd_bit;
+    spec.campaign.stop_when_broken = false;
+    const auto actual = sc::run_sweep_campaign(spec, /*threads=*/2);
+
+    EXPECT_TRUE(expected.broken);
+    ASSERT_EQ(actual.checkpoints.size(), 3u);
+    expect_identical(actual, expected);
+  }
 }

@@ -44,27 +44,6 @@ class TempDir {
   std::string path_;
 };
 
-bool identical_results(const la::CampaignResult& a,
-                       const la::CampaignResult& b) {
-  if (a.traces_to_break != b.traces_to_break || a.broken != b.broken ||
-      a.traces_run != b.traces_run ||
-      a.mean_poi_readout != b.mean_poi_readout ||
-      a.checkpoints.size() != b.checkpoints.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    const auto& ca = a.checkpoints[i];
-    const auto& cb = b.checkpoints[i];
-    if (ca.traces != cb.traces || ca.correct_bytes != cb.correct_bytes ||
-        ca.full_key != cb.full_key ||
-        ca.rank.log2_lower != cb.rank.log2_lower ||
-        ca.rank.log2_upper != cb.rank.log2_upper) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// A small standard campaign: 4 boundary steps of 2 blocks-per-stride
 /// each, never broken at these trace counts — enough steps for eviction
 /// and fairness to be observable while staying fast.
@@ -116,7 +95,7 @@ TEST(CampaignServiceTest, UncontendedDrainMatchesStandaloneByteForByte) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(outcomes[i].id, specs[i].id) << "enqueue order not preserved";
     const auto standalone = ls::run_standard_campaign(specs[i], 2);
-    EXPECT_TRUE(identical_results(outcomes[i].result, standalone))
+    EXPECT_TRUE(outcomes[i].result == standalone)
         << "service result diverged from standalone for " << specs[i].id;
   }
 }
@@ -150,7 +129,7 @@ TEST(CampaignServiceTest, EvictedCampaignsRehydrateByteIdentical) {
   bool saw_evicted = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto standalone = ls::run_standard_campaign(specs[i], 1);
-    EXPECT_TRUE(identical_results(outcomes[i].result, standalone))
+    EXPECT_TRUE(outcomes[i].result == standalone)
         << "evicted/rehydrated campaign " << specs[i].id
         << " diverged from standalone (evictions="
         << outcomes[i].evictions << ")";
@@ -209,8 +188,7 @@ TEST(CampaignServiceTest, OneWorkerContendedDrainKeepsItsSchedule) {
   EXPECT_EQ(builds.load(), 21u);
   ASSERT_EQ(outcomes.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(identical_results(outcomes[i].result,
-                                  ls::run_standard_campaign(specs[i], 1)))
+    EXPECT_TRUE(outcomes[i].result == ls::run_standard_campaign(specs[i], 1))
         << specs[i].id;
   }
 }
@@ -257,8 +235,7 @@ TEST(CampaignServiceTest, WorkersHydrateWorldsConcurrently) {
       << "world builds were serialized: no two factories ever overlapped";
   ASSERT_EQ(outcomes.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(identical_results(outcomes[i].result,
-                                  ls::run_standard_campaign(specs[i], 1)))
+    EXPECT_TRUE(outcomes[i].result == ls::run_standard_campaign(specs[i], 1))
         << specs[i].id;
   }
 }
@@ -309,11 +286,9 @@ TEST(CampaignServiceTest, KilledServiceResumesByteIdentical) {
     service.enqueue(ls::make_standard_job(spec_b));
     const auto outcomes = service.drain();
     ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_TRUE(identical_results(outcomes[0].result,
-                                  ls::run_standard_campaign(spec_a, 1)))
+    EXPECT_TRUE(outcomes[0].result == ls::run_standard_campaign(spec_a, 1))
         << "kill + service-level resume diverged from standalone";
-    EXPECT_TRUE(identical_results(outcomes[1].result,
-                                  ls::run_standard_campaign(spec_b, 1)));
+    EXPECT_TRUE(outcomes[1].result == ls::run_standard_campaign(spec_b, 1));
   }
 }
 
@@ -345,8 +320,7 @@ TEST(CampaignServiceTest, MemoryBudgetBoundsResidencyWithoutChangingResults) {
   EXPECT_LE(service.stats().peak_resident_bytes,
             config.memory_budget_bytes);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(identical_results(outcomes[i].result,
-                                  ls::run_standard_campaign(specs[i], 1)))
+    EXPECT_TRUE(outcomes[i].result == ls::run_standard_campaign(specs[i], 1))
         << "budget-constrained drain diverged for " << specs[i].id;
   }
 }
@@ -377,8 +351,7 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
   const auto outcomes = service.drain();
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].traces_recorded, kTraces);
-  EXPECT_TRUE(identical_results(outcomes[1].result,
-                                ls::run_standard_campaign(rider, 1)));
+  EXPECT_TRUE(outcomes[1].result == ls::run_standard_campaign(rider, 1));
 
   {
     auto world = ls::make_standard_world(spec);
@@ -426,8 +399,7 @@ TEST(CampaignServiceTest, RecordJobNeverEvictsUnderPressure) {
   EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), rec.id));
   for (const std::size_t i : {0u, 2u, 3u}) {
     const auto& spec = attacks[i == 0 ? 0 : i - 1];
-    EXPECT_TRUE(identical_results(outcomes[i].result,
-                                  ls::run_standard_campaign(spec, 1)))
+    EXPECT_TRUE(outcomes[i].result == ls::run_standard_campaign(spec, 1))
         << spec.id;
   }
   const ls::ServiceIntrospection view = service.introspect();
@@ -490,8 +462,7 @@ TEST(CampaignServiceTest, RejectsBadRecordJobsAtEnqueue) {
     while (reader.next(trace)) ++stored;  // validates every chunk CRC
     EXPECT_EQ(stored, 40u);
   }
-  EXPECT_TRUE(identical_results(outcomes[1].result,
-                                ls::run_standard_campaign(sibling, 1)));
+  EXPECT_TRUE(outcomes[1].result == ls::run_standard_campaign(sibling, 1));
 }
 
 TEST(CampaignServiceTest, RejectsDuplicateIdsAndDoubleDrain) {

@@ -179,6 +179,18 @@ TEST(Cli, ParsesValuesAndFlags) {
   EXPECT_FALSE(cli.get_flag("missing_flag"));
 }
 
+TEST(Cli, CountsTakeDefaultsAndMinimums) {
+  const char* none[] = {"prog"};
+  EXPECT_EQ(lu::Cli(1, none, {"traces"}).get_count("traces", 60000, 1),
+            60000u);
+  const char* zero[] = {"prog", "--budget-mb", "0"};
+  EXPECT_EQ(lu::Cli(3, zero, {"budget-mb"}).get_count("budget-mb", 4, 0), 0u);
+  const char* negative[] = {"prog", "--traces", "-1"};
+  EXPECT_THROW(
+      lu::Cli::throwing(3, negative, {"traces"}).get_count("traces", 1, 0),
+      lu::PreconditionError);
+}
+
 TEST(Cli, ThreadsDefaultsToHardwareAndRejectsZero) {
   const char* none[] = {"prog"};
   EXPECT_EQ(lu::Cli(1, none, {"threads"}).get_threads(),
@@ -302,6 +314,16 @@ TEST(Cli, ProgramFormExitsOnBadCommandLine) {
   const char* zero[] = {"prog", "--threads", "0"};
   EXPECT_EXIT(lu::Cli(3, zero, {"threads"}).get_threads(),
               ::testing::ExitedWithCode(2), "must be >= 1");
+  // A negative count never wraps to a huge std::size_t, and a count below
+  // the option's minimum is a usage error too.
+  const char* negative[] = {"prog", "--max-traces", "-1"};
+  EXPECT_EXIT(lu::Cli(3, negative, {"max-traces"}).get_count("max-traces",
+                                                               8000, 0),
+              ::testing::ExitedWithCode(2), "--max-traces must be >= 0");
+  const char* below[] = {"prog", "--max-traces", "0"};
+  EXPECT_EXIT(lu::Cli(3, below, {"max-traces"}).get_count("max-traces",
+                                                            8000, 1),
+              ::testing::ExitedWithCode(2), "--max-traces must be >= 1");
   const char* unknown[] = {"prog", "--bogus"};
   EXPECT_EXIT(lu::Cli(2, unknown, {"quick!"}), ::testing::ExitedWithCode(2),
               "unknown option --bogus.*--quick");

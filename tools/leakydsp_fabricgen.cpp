@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
                         {"board", "spec", "json!", "xdc!", "cascade"});
     const bool want_json = cli.get_flag("json");
     const bool want_xdc = cli.get_flag("xdc");
-    const std::size_t cascade =
-        static_cast<std::size_t>(cli.get_int("cascade", 3));
+    const std::size_t cascade = cli.get_count("cascade", 3, 1);
 
     fabric::DeviceSpec spec;
     if (cli.has("board") == cli.has("spec")) {

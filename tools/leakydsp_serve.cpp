@@ -60,16 +60,13 @@ int main(int argc, char** argv) {
                          "metrics-host", "stall-deadline-ms"},
                         obs::cli_options());
     const std::string trace_out = obs::apply_cli(cli);
-    const auto campaigns =
-        static_cast<std::size_t>(cli.get_int("campaigns", 16));
-    const auto traces = static_cast<std::size_t>(cli.get_int("traces", 64));
+    const auto campaigns = cli.get_count("campaigns", 16, 1);
+    const auto traces = cli.get_count("traces", 64, 1);
     const auto seed = cli.get_seed("seed", 7);
     const std::size_t threads = cli.get_threads();
-    const auto max_resident =
-        static_cast<std::size_t>(cli.get_int("max-resident", 4));
-    const auto budget_mb =
-        static_cast<std::size_t>(cli.get_int("budget-mb", 0));
-    const auto quantum = static_cast<std::size_t>(cli.get_int("quantum", 2));
+    const auto max_resident = cli.get_count("max-resident", 4, 1);
+    const auto budget_mb = cli.get_count("budget-mb", 0, 0);
+    const auto quantum = cli.get_count("quantum", 2, 1);
     const std::string checkpoint_dir = cli.get_string(
         "checkpoint-dir",
         (std::filesystem::temp_directory_path() / "leakydsp_serve").string());
@@ -92,9 +89,9 @@ int main(int argc, char** argv) {
       obs::ExpositionConfig metrics_config;
       metrics_config.bind_address = cli.get_string("metrics-host", "127.0.0.1");
       metrics_config.port =
-          static_cast<std::uint16_t>(cli.get_int("metrics-port", 0));
-      metrics_config.stall_deadline =
-          std::chrono::milliseconds(cli.get_int("stall-deadline-ms", 10000));
+          static_cast<std::uint16_t>(cli.get_count("metrics-port", 0, 0));
+      metrics_config.stall_deadline = std::chrono::milliseconds(
+          cli.get_count("stall-deadline-ms", 10000, 1));
       metrics_server =
           std::make_unique<obs::ExpositionServer>(std::move(metrics_config));
       metrics_server->set_status_provider(

@@ -32,7 +32,7 @@ namespace {
 namespace lv = leakydsp::verify;
 
 constexpr std::uint64_t kDefaultSeed = 212;
-constexpr std::int64_t kDefaultIterations = 100;
+constexpr std::size_t kDefaultIterations = 100;
 
 bool run_oracles(const std::vector<lv::Oracle>& oracles,
                  const std::string& filter, std::uint64_t seed,
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
     }
 
     const std::uint64_t seed = cli.get_seed("seed", kDefaultSeed);
-    const std::size_t iterations = static_cast<std::size_t>(
-        cli.get_int("iterations", kDefaultIterations));
+    const std::size_t iterations =
+        cli.get_count("iterations", kDefaultIterations, 1);
     const std::string filter = cli.get_string("oracle", "");
     const std::int64_t only_case = cli.get_int("only-case", -1);
     const std::string golden_dir =
