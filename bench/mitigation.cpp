@@ -10,7 +10,12 @@
 //    how many traces the best-placement attack needs as the fence
 //    amplitude grows. Its four campaigns are independent jobs drained
 //    together through one serve::CampaignService.
-#include <cmath>
+// 3. Masking: campaigns against the unprotected and the first-order
+//    masked core (AesCoreParams::masked) count the round-10 key bytes
+//    first-order CPA recovers from each.
+// 4. Second-order CPA (skipped under --quick): 140k traces of a
+//    high-leakage masked core's campaign stream feed first-order and
+//    one-pass second-order CPA; key enumeration finishes the residual rank.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -18,6 +23,7 @@
 
 #include "attack/campaign.h"
 #include "basys3_cells.h"
+#include "poi_stream.h"
 #include "attack/cpa.h"
 #include "attack/key_enumeration.h"
 #include "attack/second_order_cpa.h"
@@ -29,9 +35,9 @@
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "victim/active_fence.h"
 #include "victim/aes_core.h"
-#include "victim/masked_aes_core.h"
 
 using namespace leakydsp;
 
@@ -168,66 +174,40 @@ int main(int argc, char** argv) {
     util::Rng rng(seed + 1);
     crypto::Key key;
     for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
-    victim::AesCoreParams aes_params;
-    aes_params.current_per_hd_bit *= 3.0;  // generous leakage for the demo
-    const auto site =
-        scenario
-            .attack_placements()[sim::Basys3Scenario::kBestPlacementIndex];
     const std::size_t traces = quick ? 4000 : 12000;
+    attack::CampaignConfig config;
+    config.max_traces = traces;
+    config.rank_stride = traces;
 
-    // Shared trace loop over any core exposing the AesCoreModel interface.
-    auto attack_bytes_recovered = [&](auto& core, util::Rng& run_rng) {
-      core::LeakyDspSensor sensor(scenario.device(), site);
+    // One campaign per core, run to the end; its one rank checkpoint
+    // counts the recovered round-10 key bytes.
+    auto bytes_recovered = [&](bool masked, util::Rng run_rng) {
+      victim::AesCoreParams aes_params;
+      aes_params.current_per_hd_bit *= 3.0;  // generous leakage for the demo
+      aes_params.masked = masked;
+      victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
+                               aes_params);
+      core::LeakyDspSensor sensor(
+          scenario.device(),
+          scenario
+              .attack_placements()[sim::Basys3Scenario::kBestPlacementIndex]);
       sim::SensorRig rig(scenario.grid(), sensor);
       rig.calibrate(run_rng);
-      const double gain = rig.coupling().gain_at_node(core.pdn_node());
-      const auto spc = static_cast<std::size_t>(
-          std::lround(core.clock_period_ns() /
-                      rig.params().sample_period_ns));
-      const std::size_t trace_samples =
-          (core.cycles_per_encryption() + 2) * spc;
-      const std::size_t poi_begin = 10 * spc;
-      const std::size_t poi_count = 2 * spc;
-      attack::CpaAttack cpa(poi_count);
-      std::vector<double> poi(poi_count);
-      crypto::Block pt;
-      for (auto& b : pt) b = static_cast<std::uint8_t>(run_rng() & 0xff);
-      for (std::size_t t = 0; t < traces; ++t) {
-        core.start_encryption(pt);
-        for (std::size_t s = 0; s < trace_samples; ++s) {
-          const double droop = gain * core.current_at_cycle(s / spc);
-          const double v = rig.supply_for_droop(droop, run_rng);
-          const double readout = rig.sensor().sample(v, run_rng);
-          if (s >= poi_begin && s < poi_begin + poi_count) {
-            poi[s - poi_begin] = readout;
-          }
-        }
-        cpa.add_trace(core.ciphertext(), poi);
-        pt = core.ciphertext();
-      }
-      return correct_bytes(cpa.recovered_round_key(),
-                           core.cipher().round_keys()[10]);
+      attack::TraceCampaign campaign(rig, aes, config);
+      return campaign.run(run_rng, /*stop_when_broken=*/false)
+          .checkpoints.back()
+          .correct_bytes;
     };
 
     util::Table table({"implementation", "traces", "key bytes recovered"});
-    {
-      util::Rng run_rng = rng.fork(1);
-      victim::AesCoreModel plain(key, scenario.aes_site(), scenario.grid(),
-                                 aes_params);
-      table.row()
-          .add("unprotected")
-          .add(util::format_count(traces))
-          .add(attack_bytes_recovered(plain, run_rng));
-    }
-    {
-      util::Rng run_rng = rng.fork(2);
-      victim::MaskedAesCoreModel masked(key, scenario.aes_site(),
-                                        scenario.grid(), aes_params);
-      table.row()
-          .add("first-order masked")
-          .add(util::format_count(traces))
-          .add(attack_bytes_recovered(masked, run_rng));
-    }
+    table.row()
+        .add("unprotected")
+        .add(util::format_count(traces))
+        .add(bytes_recovered(false, rng.fork(1)));
+    table.row()
+        .add("first-order masked")
+        .add(util::format_count(traces))
+        .add(bytes_recovered(true, rng.fork(2)));
     table.print(std::cout);
     std::cout << "\nExpected shape: the unprotected core loses most or all "
                  "key bytes at this trace count; the masked core's "
@@ -248,54 +228,28 @@ int main(int argc, char** argv) {
     for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
     victim::AesCoreParams aes_params;
     aes_params.current_per_hd_bit = 0.2;
-    victim::MaskedAesCoreModel masked(key, scenario.aes_site(),
-                                      scenario.grid(), aes_params);
+    aes_params.masked = true;
+    victim::AesCoreModel masked(key, scenario.aes_site(), scenario.grid(),
+                                aes_params);
     core::LeakyDspSensor sensor(
         scenario.device(),
         scenario
             .attack_placements()[sim::Basys3Scenario::kBestPlacementIndex]);
     sim::SensorRig rig(scenario.grid(), sensor);
     rig.calibrate(rng);
-
-    const double gain = rig.coupling().gain_at_node(masked.pdn_node());
-    const std::size_t spc = 15;
-    const std::size_t poi_begin = 10 * spc;
-    const std::size_t poi_count = 2 * spc;
-    const std::size_t trace_samples = 13 * spc;
+    const attack::TraceCampaign campaign(rig, masked);
     const std::size_t traces = 140000;
 
-    attack::CpaAttack first_order(poi_count);
-    attack::SecondOrderCpa second_order(poi_count);
-    std::vector<std::vector<double>> stored;
-    std::vector<crypto::Block> cts;
-    stored.reserve(traces);
-    cts.reserve(traces);
-    crypto::Block pt;
-    for (auto& b : pt) b = static_cast<std::uint8_t>(rng() & 0xff);
-    crypto::Block known_pt{};
-    crypto::Block known_ct{};
-    for (std::size_t t = 0; t < traces; ++t) {
-      masked.start_encryption(pt);
-      std::vector<double> poi(poi_count);
-      for (std::size_t s = 0; s < trace_samples; ++s) {
-        const double droop = gain * masked.current_at_cycle(s / spc);
-        const double readout =
-            rig.sensor().sample(rig.supply_for_droop(droop, rng), rng);
-        if (s >= poi_begin && s < poi_begin + poi_count) {
-          poi[s - poi_begin] = readout;
-        }
-      }
-      first_order.add_trace(masked.ciphertext(), poi);
-      second_order.add_profile(poi);
-      stored.push_back(std::move(poi));
-      cts.push_back(masked.ciphertext());
-      known_pt = pt;
-      known_ct = masked.ciphertext();
-      pt = masked.ciphertext();
-    }
-    for (std::size_t t = 0; t < traces; ++t) {
-      second_order.add_trace(cts[t], stored[t]);
-    }
+    attack::CpaAttack first_order(campaign.poi_count());
+    attack::SecondOrderCpa second_order(campaign.poi_count());
+    auto cursor = campaign.start_record(rng);
+    util::ThreadPool pool;
+    bench::stream_poi_rows(
+        campaign, cursor, traces, pool,
+        [&](std::span<const crypto::Block> cts, std::span<const double> rows) {
+          first_order.add_traces(cts, rows);
+          second_order.add_traces(cts, rows);
+        });
 
     const auto& truth = masked.cipher().round_keys()[10];
     util::Table table({"attack on the masked core", "traces",
@@ -316,8 +270,9 @@ int main(int argc, char** argv) {
     for (int b = 0; b < 16; ++b) {
       scores[static_cast<std::size_t>(b)] = second_order.snapshot_byte(b);
     }
-    const auto enumeration =
-        attack::enumerate_and_verify(scores, known_pt, known_ct, 1u << 22);
+    const crypto::Block known_pt{};
+    const auto enumeration = attack::enumerate_and_verify(
+        scores, known_pt, masked.cipher().encrypt(known_pt), 1u << 22);
     std::cout << "\nsecond-order scores + key enumeration: "
               << (enumeration.found
                       ? ("FULL KEY after " +

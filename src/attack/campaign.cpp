@@ -91,7 +91,7 @@ void TraceCampaign::supply_trace(sim::SensorRig::Sampler& sampler,
              "supply buffer too small: " << supplies.size() << " < "
                                          << trace_samples_);
   sampler.settle();  // idle between encryptions, as on the board
-  aes.start_encryption(plaintext);
+  aes.start_encryption(plaintext, rng);  // a masked core's masks come first
   scratch.droops.resize(trace_samples_);
 
   // Stage 1 (SoA): static droop per sensor sample. The victim current is

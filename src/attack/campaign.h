@@ -62,10 +62,10 @@ struct CampaignConfig {
   /// result is bit-identical for every value — see run().
   std::size_t threads = 0;
   /// Traces per work block. Each block is generated by one worker into its
-  /// own CPA shard; shards merge in block order. The block size is part of
-  /// the determinism contract (it fixes the floating-point reduction tree),
-  /// so changing it changes results in the last ulp — thread counts never
-  /// do.
+  /// own CPA shard; shards merge in block order. Neither the block size nor
+  /// the thread count changes results: every readout is a count, so every
+  /// CPA sum is an exact integer in a double and no reduction order can
+  /// round it differently.
   std::size_t block_traces = 64;
   /// Directory for durable checkpoints ("" = disabled). When set, run()
   /// writes an atomic, CRC-protected snapshot of the full campaign state
@@ -144,6 +144,8 @@ class TraceCampaign {
 
   /// Number of sensor samples per victim clock cycle.
   std::size_t samples_per_cycle() const { return spc_; }
+  /// First sample of the POI window within a trace.
+  std::size_t poi_begin() const { return poi_begin_; }
   /// POI window size in sensor samples.
   std::size_t poi_count() const { return poi_count_; }
 
@@ -434,10 +436,11 @@ class TraceCampaign {
   /// Stages 1-2 of one trace through thread-private state: one encryption
   /// -> victim droops -> supply voltages (batched PDN filter + ziggurat
   /// ambient noise), trace_samples_ of them into `supplies` (which must be
-  /// that large). Interferer and ambient draws come from `rng`. The
-  /// sensor's sample_traces kernel digitizes the supplies afterwards, on
-  /// the same `rng`. `gain` is the hoisted
-  /// coupling().gain_at_node(aes.pdn_node()). Defined in campaign.cpp.
+  /// that large). A masked core's round masks, then the interferer and
+  /// ambient draws, come from `rng`. The sensor's sample_traces kernel
+  /// digitizes the supplies afterwards, on the same `rng`. `gain` is the
+  /// hoisted coupling().gain_at_node(aes.pdn_node()). Defined in
+  /// campaign.cpp.
   void supply_trace(sim::SensorRig::Sampler& sampler,
                     victim::AesCoreModel& aes, const crypto::Block& plaintext,
                     double gain, util::Rng& rng, TraceScratch& scratch,

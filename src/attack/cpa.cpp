@@ -10,6 +10,19 @@
 
 namespace leakydsp::attack {
 
+void rank_guesses(ByteScores& scores) {
+  for (std::size_t g = 0; g < scores.score.size(); ++g) {
+    const double s = scores.score[g];
+    if (s > scores.best_score) {
+      scores.runner_up_score = scores.best_score;
+      scores.best_score = s;
+      scores.best_guess = static_cast<std::uint8_t>(g);
+    } else if (s > scores.runner_up_score) {
+      scores.runner_up_score = s;
+    }
+  }
+}
+
 CpaAttack::CpaAttack(std::size_t poi_count) : poi_(poi_count) {
   LD_REQUIRE(poi_ >= 1, "need at least one point of interest");
   sum_t_.assign(poi_, 0.0);
@@ -187,14 +200,8 @@ ByteScores CpaAttack::snapshot_byte(int byte_index) const {
       }
     }
     result.score[gi] = best;
-    if (best > result.best_score) {
-      result.runner_up_score = result.best_score;
-      result.best_score = best;
-      result.best_guess = static_cast<std::uint8_t>(g);
-    } else if (best > result.runner_up_score) {
-      result.runner_up_score = best;
-    }
   }
+  rank_guesses(result);
   return result;
 }
 

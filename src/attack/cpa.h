@@ -28,6 +28,10 @@ struct ByteScores {
   double runner_up_score = 0.0;
 };
 
+/// Sets best_guess, best_score and runner_up_score from `scores.score`,
+/// scanning guesses in ascending order: a tie keeps the lower guess.
+void rank_guesses(ByteScores& scores);
+
 /// Online last-round CPA over a fixed number of points of interest.
 class CpaAttack {
  public:
@@ -95,6 +99,9 @@ class CpaAttack {
   std::size_t resident_bytes() const;
 
  private:
+  // Reads the raw sums to correlate with centered squares at snapshot time.
+  friend class SecondOrderCpa;
+
   std::size_t poi_;
   std::size_t traces_ = 0;
 

@@ -44,11 +44,11 @@ void DpaAttack::add_trace(const crypto::Block& ciphertext,
   }
 }
 
-DpaAttack::ByteDoms DpaAttack::snapshot_byte(int byte_index) const {
+ByteScores DpaAttack::snapshot_byte(int byte_index) const {
   LD_REQUIRE(byte_index >= 0 && byte_index < 16, "bad byte index");
   LD_REQUIRE(traces_ >= 2, "need at least two traces");
   const auto& per_guess = parts_[static_cast<std::size_t>(byte_index)];
-  ByteDoms result;
+  ByteScores result;
   for (int g = 0; g < 256; ++g) {
     const auto& p0 = per_guess[static_cast<std::size_t>(g)][0];
     const auto& p1 = per_guess[static_cast<std::size_t>(g)][1];
@@ -61,15 +61,9 @@ DpaAttack::ByteDoms DpaAttack::snapshot_byte(int byte_index) const {
         best = std::max(best, std::abs(diff));
       }
     }
-    result.dom[static_cast<std::size_t>(g)] = best;
-    if (best > result.best_dom) {
-      result.runner_up_dom = result.best_dom;
-      result.best_dom = best;
-      result.best_guess = static_cast<std::uint8_t>(g);
-    } else if (best > result.runner_up_dom) {
-      result.runner_up_dom = best;
-    }
+    result.score[static_cast<std::size_t>(g)] = best;
   }
+  rank_guesses(result);
   return result;
 }
 

@@ -11,8 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "attack/cpa.h"
 #include "crypto/aes128.h"
-#include "stats/accumulators.h"
 
 namespace leakydsp::attack {
 
@@ -31,13 +31,7 @@ class DpaAttack {
                  std::span<const double> poi_samples);
 
   /// max_k |mean1[k] - mean0[k]| per guess for one key byte.
-  struct ByteDoms {
-    std::array<double, 256> dom{};
-    std::uint8_t best_guess = 0;
-    double best_dom = 0.0;
-    double runner_up_dom = 0.0;
-  };
-  ByteDoms snapshot_byte(int byte_index) const;
+  ByteScores snapshot_byte(int byte_index) const;
 
   crypto::RoundKey recovered_round_key() const;
 

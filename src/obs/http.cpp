@@ -148,6 +148,7 @@ void HttpServer::handle_connection(int fd) {
   if (request.empty()) return;  // no request before close or deadline
 
   HttpResponse response;
+  bool head = false;
   const std::size_t line_end = request.find("\r\n");
   const std::size_t sp1 = request.find(' ');
   const std::size_t sp2 =
@@ -172,16 +173,18 @@ void HttpServer::handle_connection(int fd) {
         response.content_type = "text/plain; charset=utf-8";
         response.body = std::string("handler error: ") + e.what() + "\n";
       }
-      if (req.method == "HEAD") response.body.clear();
+      head = req.method == "HEAD";
     }
   }
 
+  // A HEAD response carries the GET response's Content-Length and no body
+  // (RFC 9110 §8.6).
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     status_text(response.status) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
-  out += response.body;
+  if (!head) out += response.body;
   (void)write_all(fd, out.data(), out.size());
   served_.fetch_add(1, std::memory_order_relaxed);
 }

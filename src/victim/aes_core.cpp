@@ -28,9 +28,43 @@ AesCoreModel::AesCoreModel(const crypto::Key& key,
 }
 
 void AesCoreModel::start_encryption(const crypto::Block& plaintext) {
-  plaintext_ = plaintext;
+  LD_REQUIRE(!params_.masked, "a masked core needs a mask stream");
   trace_ = aes_.encrypt_trace(plaintext);
   running_ = true;
+  // Load: a cleared state register takes plaintext ^ key.
+  cycle_hd_[0] = block_hd(crypto::Block{}, trace_.states[0]);
+  for (std::size_t r = 1; r <= 10; ++r) {
+    cycle_hd_[r] = block_hd(trace_.states[r - 1], trace_.states[r]);
+  }
+}
+
+void AesCoreModel::start_encryption(const crypto::Block& plaintext,
+                                    util::Rng& rng) {
+  if (!params_.masked) {
+    start_encryption(plaintext);
+    return;
+  }
+  trace_ = aes_.encrypt_trace(plaintext);
+  running_ = true;
+  // The register holds two shares, (state ^ mask, mask), with a fresh mask
+  // per round; the load fills cleared registers, and each cycle's HD sums
+  // both shares' transitions.
+  crypto::Block share{};
+  crypto::Block mask{};
+  for (std::size_t r = 0; r <= 10; ++r) {
+    crypto::Block next_mask;
+    crypto::Block next_share;
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < next_mask.size(); ++i) {
+      if (i % 8 == 0) word = rng();
+      next_mask[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+      next_share[i] =
+          static_cast<std::uint8_t>(trace_.states[r][i] ^ next_mask[i]);
+    }
+    cycle_hd_[r] = block_hd(share, next_share) + block_hd(mask, next_mask);
+    share = next_share;
+    mask = next_mask;
+  }
 }
 
 std::size_t AesCoreModel::round_transition_hd(std::size_t r) const {
@@ -41,19 +75,12 @@ std::size_t AesCoreModel::round_transition_hd(std::size_t r) const {
 
 double AesCoreModel::current_at_cycle(std::size_t c) const {
   LD_REQUIRE(running_, "no encryption started");
-  if (c < params_.load_cycles) {
-    // Loading plaintext xor key into a previously-cleared state register.
-    const std::size_t hd = block_hd(crypto::Block{}, trace_.states[0]);
-    return params_.static_active_current +
-           params_.current_per_hd_bit * static_cast<double>(hd);
-  }
-  const std::size_t round = c - params_.load_cycles + 1;
-  if (round <= 10) {
-    return params_.static_active_current +
-           params_.current_per_hd_bit *
-               static_cast<double>(round_transition_hd(round));
-  }
-  return params_.idle_current;
+  // Every load cycle reads entry 0; round r registers in entry r.
+  const std::size_t entry =
+      c < params_.load_cycles ? 0 : c - params_.load_cycles + 1;
+  if (entry > 10) return params_.idle_current;
+  return params_.static_active_current +
+         params_.current_per_hd_bit * static_cast<double>(cycle_hd_[entry]);
 }
 
 }  // namespace leakydsp::victim

@@ -4,13 +4,23 @@
 // abstraction — proportional to the Hamming distance of the state-register
 // transition plus switching in the SubBytes logic — which is exactly the
 // dependency CPA exploits.
+//
+// The same core also models the first-order Boolean-masked variant — the
+// "developers can modify their circuits as constant-power implementation"
+// mitigation from the paper's discussion (AesCoreParams::masked). Its state
+// register holds two shares (state ^ mask, mask) with a fresh random mask
+// every round; each share's Hamming-distance power is statistically
+// independent of the true state transition, so a first-order CPA on the
+// last round finds no correlation. Ciphertexts are unchanged.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "crypto/aes128.h"
 #include "fabric/geometry.h"
 #include "pdn/grid.h"
+#include "util/rng.h"
 
 namespace leakydsp::victim {
 
@@ -27,6 +37,10 @@ struct AesCoreParams {
   double idle_current = 0.01;
   /// Cycles between asserting start and the first round (load/latch).
   std::size_t load_cycles = 1;
+  /// First-order Boolean masking: the register power is the summed
+  /// Hamming distance of both share registers, with the round masks drawn
+  /// from the stream passed to start_encryption (a TRNG on the device).
+  bool masked = false;
 };
 
 /// One encryption as a sequence of per-cycle current draws.
@@ -44,7 +58,12 @@ class AesCoreModel {
   std::size_t cycles_per_encryption() const { return params_.load_cycles + 10; }
 
   /// Begins a new encryption; per-cycle currents are then queried with
-  /// current_at_cycle().
+  /// current_at_cycle(). A masked core draws its 11 round masks from `rng`
+  /// (two draws each); an unmasked core draws nothing from it.
+  void start_encryption(const crypto::Block& plaintext, util::Rng& rng);
+
+  /// Begins an encryption on an unmasked core, which needs no mask stream.
+  /// Throws util::PreconditionError on a masked core.
   void start_encryption(const crypto::Block& plaintext);
 
   /// Supply current during cycle `c` of the running encryption [A].
@@ -55,8 +74,9 @@ class AesCoreModel {
   /// Ciphertext of the encryption started last.
   const crypto::Block& ciphertext() const { return trace_.ciphertext; }
 
-  /// Hamming distance of the state-register transition entering round `r`
-  /// (1..10) — the quantity the CPA power model hypothesizes on.
+  /// Hamming distance of the true state-register transition entering round
+  /// `r` (1..10) — the quantity the CPA power model hypothesizes on. On a
+  /// masked core it is what the shares hide, not what the core leaks.
   std::size_t round_transition_hd(std::size_t r) const;
 
   const crypto::Aes128& cipher() const { return aes_; }
@@ -66,8 +86,9 @@ class AesCoreModel {
   fabric::SiteCoord placement_;
   std::size_t pdn_node_;
   AesCoreParams params_;
-  crypto::Block plaintext_{};
   crypto::EncryptionTrace trace_{};
+  /// Register Hamming distance of the load (0) and of each round (1..10).
+  std::array<std::size_t, 11> cycle_hd_{};
   bool running_ = false;
 };
 

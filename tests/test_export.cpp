@@ -42,9 +42,10 @@ struct RegistryGuard {
   ~RegistryGuard() { lo::Registry::global().reset(); }
 };
 
-/// Minimal blocking HTTP GET against 127.0.0.1:port; returns the full
+/// Minimal blocking HTTP request against 127.0.0.1:port; returns the full
 /// response (status line + headers + body) or "" on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
+std::string http_request(const std::string& method, std::uint16_t port,
+                         const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return {};
   sockaddr_in addr{};
@@ -57,7 +58,7 @@ std::string http_get(std::uint16_t port, const std::string& path) {
     return {};
   }
   const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      method + " " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   (void)::send(fd, request.data(), request.size(), 0);
   std::string response;
   char buf[2048];
@@ -69,6 +70,10 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   return response;
 }
 
+std::string http_get(std::uint16_t port, const std::string& path) {
+  return http_request("GET", port, path);
+}
+
 int response_status(const std::string& response) {
   if (response.size() < 12) return -1;
   return std::stoi(response.substr(9, 3));
@@ -77,6 +82,16 @@ int response_status(const std::string& response) {
 std::string response_body(const std::string& response) {
   const std::size_t sep = response.find("\r\n\r\n");
   return sep == std::string::npos ? std::string() : response.substr(sep + 4);
+}
+
+/// Value of header `name` in `response`, or "" when it is absent.
+std::string response_header(const std::string& response,
+                            const std::string& name) {
+  const std::string key = "\r\n" + name + ": ";
+  const std::size_t at = response.find(key);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size();
+  return response.substr(begin, response.find("\r\n", begin) - begin);
 }
 
 /// A synthetic registry with one of everything the renderer handles.
@@ -318,6 +333,21 @@ TEST(ExportServer, ServesMetricsStatuszHealthzAndRejectsUnknown) {
   EXPECT_GE(server.requests_served(), 6u);
   server.stop();
   server.stop();  // idempotent
+}
+
+TEST(ExportServer, HeadReportsTheGetContentLengthWithoutABody) {
+  lo::ExpositionServer server(lo::ExpositionConfig{});
+  ASSERT_GT(server.port(), 0);
+  const std::string get = http_get(server.port(), "/healthz");
+  const std::string head = http_request("HEAD", server.port(), "/healthz");
+  ASSERT_EQ(response_status(get), 200);
+  EXPECT_EQ(response_status(head), 200);
+  const std::string length = std::to_string(response_body(get).size());
+  EXPECT_NE(length, "0");
+  EXPECT_EQ(response_header(get, "Content-Length"), length);
+  EXPECT_EQ(response_header(head, "Content-Length"), length);
+  EXPECT_EQ(response_body(head), "");
+  server.stop();
 }
 
 TEST(ExportServer, StoppingOneServerNeverWaitsOnAnother) {

@@ -536,3 +536,92 @@ TEST_F(ParallelCampaignTest, RunBlockRejectsABlockThatAlreadyRan) {
   EXPECT_THROW(campaign.finish_step(task, std::move(plan)),
                lu::PreconditionError);
 }
+
+// ------------------------------------------------ the determinism contract
+
+namespace {
+
+/// One Basys3 campaign, rebuilt from seed 241 on every call: only the
+/// core's masking, the block size, the thread count and the checkpoint
+/// directory vary. Calls `drive` on the built campaign and its rng.
+template <class Drive>
+la::CampaignResult contract_campaign(const lsim::Basys3Scenario& scenario,
+                                     bool masked, std::size_t block_traces,
+                                     std::size_t threads,
+                                     const std::string& checkpoint_dir,
+                                     Drive&& drive) {
+  lu::Rng rng(241);
+  const lc::Key key = random_block(rng);
+  lv::AesCoreParams aes_params;
+  aes_params.current_per_hd_bit = 0.15;  // boosted: breaks within ~1k
+  aes_params.masked = masked;
+  lv::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(), aes_params);
+  lcore::LeakyDspSensor sensor(
+      scenario.device(),
+      scenario.attack_placements()[lsim::Basys3Scenario::kBestPlacementIndex]);
+  lsim::SensorRig rig(scenario.grid(), sensor);
+  rig.calibrate(rng);
+  la::CampaignConfig config;
+  config.max_traces = 512;
+  config.break_check_stride = 256;
+  config.rank_stride = 256;
+  config.block_traces = block_traces;
+  config.threads = threads;
+  config.keep_final_scores = true;
+  config.checkpoint_dir = checkpoint_dir;
+  la::TraceCampaign campaign(rig, aes, config);
+  return drive(campaign, rng);
+}
+
+}  // namespace
+
+TEST_F(ParallelCampaignTest, ResultIndependentOfBlockSizeAndThreadCount) {
+  // Readouts are counts, so every CPA sum is an exact integer: neither the
+  // block size nor the thread count can change a campaign, masked or not.
+  const auto run = [](la::TraceCampaign& campaign, lu::Rng& rng) {
+    return campaign.run(rng, /*stop_when_broken=*/false);
+  };
+  la::CampaignResult reference[2];
+  for (const bool masked : {false, true}) {
+    reference[masked] = contract_campaign(scenario_, masked, 64, 1, "", run);
+    ASSERT_EQ(reference[masked].traces_run, 512u);
+    ASSERT_EQ(reference[masked].final_scores.size(), 16u * 256u);
+    for (const std::size_t block : {16u, 32u, 64u, 128u}) {
+      for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+        if (block == 64 && threads == 1) continue;  // the reference itself
+        EXPECT_TRUE(reference[masked] == contract_campaign(scenario_, masked,
+                                                           block, threads, "",
+                                                           run))
+            << "masked=" << masked << " block=" << block
+            << " threads=" << threads;
+      }
+    }
+  }
+  // The masks change the leakage: the masked core is a different campaign.
+  EXPECT_FALSE(reference[0] == reference[1]);
+
+  // A masked campaign suspended after its first step and resumed in a
+  // rebuilt world at another thread count (the checkpoint pins the block
+  // size) draws its masks from the restored trace_parent and ends where
+  // the uninterrupted run does.
+  const std::string dir = "/tmp/leakydsp_test_masked_resume";
+  std::filesystem::remove_all(dir);
+  contract_campaign(scenario_, true, 32, 3, dir,
+                    [](la::TraceCampaign& campaign, lu::Rng& rng) {
+                      la::TraceCampaign::Task task = campaign.start(rng);
+                      la::TraceCampaign::StepPlan plan =
+                          campaign.plan_step(task, false);
+                      for (std::size_t b = 0; b < plan.block_count(); ++b) {
+                        campaign.run_block(plan, b);
+                      }
+                      EXPECT_TRUE(campaign.finish_step(task, std::move(plan)));
+                      campaign.suspend(task);
+                      return la::CampaignResult{};
+                    });
+  const auto resumed = contract_campaign(
+      scenario_, true, 32, 2, dir, [](la::TraceCampaign& campaign, lu::Rng&) {
+        return campaign.resume(/*stop_when_broken=*/false);
+      });
+  EXPECT_TRUE(resumed == reference[1]);
+  std::filesystem::remove_all(dir);
+}
