@@ -67,10 +67,7 @@ int main(int argc, char** argv) {
         campaign, cursor, next - done, pool,
         [&](std::span<const crypto::Block> cts, std::span<const double> rows) {
           cpa.add_traces(cts, rows);
-          for (std::size_t i = 0; i < cts.size(); ++i) {
-            dpa.add_trace(cts[i], rows.subspan(i * dpa.poi_count(),
-                                               dpa.poi_count()));
-          }
+          dpa.add_traces(cts, rows);
         });
     done = next;
     table.row()

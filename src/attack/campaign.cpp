@@ -284,16 +284,12 @@ std::string checkpoint_path(const std::string& dir, const std::string& id) {
   throw CheckpointError(std::string("campaign checkpoint ") + e.what());
 }
 
-/// Per-block accumulator a worker fills before the ordered merge.
-struct BlockShard {
+/// One worker's CPA sums inside a step plan: every block it ran, added in
+/// the order it ran them.
+struct Accumulator {
   CpaAttack cpa;
   double poi_sum = 0.0;
-  explicit BlockShard(std::size_t poi) : cpa(poi) {}
-  /// Back to a fresh shard's all-zero state, keeping the allocations.
-  void reset() {
-    cpa.reset();
-    poi_sum = 0.0;
-  }
+  explicit Accumulator(std::size_t poi) : cpa(poi) {}
 };
 
 /// Smallest multiple of `stride` strictly greater than `t`.
@@ -458,31 +454,32 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 // ---------------------------------------------------- resumable-task core
 
 /// One planned boundary step (or record wave): the materialized plaintext
-/// slice plus one slot per trace block — a CPA shard for an attack, the
-/// block's traces for a recording. run_block() fills slots independently.
-/// An attack's shards stream into the planning task's accumulator in block
-/// order: the block that completes a prefix of finished blocks folds that
-/// prefix under the plan's lock, and the merged shards are zeroed and
-/// reused by later blocks, so a step holds about one live shard per
-/// running thread plus the stragglers' successors. A recording's traces
-/// wait for finish_step, which appends them in block order.
+/// slice, the task's plaintext cursor as the step leaves it, and the
+/// blocks' results — a pool of accumulators for an attack, each block's
+/// traces for a recording. run_block() fills them independently; nothing
+/// reaches the planning task before finish_step commits the cursor and
+/// the results, so a plan that is dropped, or whose block threw, leaves
+/// its task as it was.
 struct TraceCampaign::StepPlan::Impl {
   std::size_t base_t = 0;       ///< traces done when the step was planned
   std::size_t next = 0;         ///< traces done after the step completes
   std::size_t count = 0;        ///< traces in this step (next - base_t)
   std::size_t block = 0;        ///< config.block_traces at planning time
   bool stop_when_broken = true;
-  RunState* state = nullptr;       ///< attack task planned on (merge target)
-  Recording* recording = nullptr;  ///< recording task planned on
+  const RunState* state = nullptr;       ///< attack task planned on
+  const Recording* recording = nullptr;  ///< recording task planned on
   util::Rng trace_parent;       ///< per-trace fork parent (snapshot)
+  crypto::Block plaintext{};    ///< plaintext cursor after the step
   std::vector<crypto::Block> plaintexts;
   std::vector<std::vector<sim::StoredTrace>> records;
 
   std::mutex mutex;  ///< guards the members below
   std::vector<bool> started;  ///< run_block has claimed the block
-  std::vector<std::unique_ptr<BlockShard>> shards;  ///< run, not yet merged
-  std::vector<std::unique_ptr<BlockShard>> spare;   ///< merged, reusable
-  std::size_t merged = 0;  ///< blocks [0, merged) are folded into *state
+  std::size_t finished = 0;   ///< blocks whose run_block returned
+  /// Accumulators not running a block: at most one per block that ran at
+  /// once. Every sum is an exact integer (readouts are counts), so
+  /// finish_step may merge them in any order.
+  std::vector<std::unique_ptr<Accumulator>> idle;
 };
 
 TraceCampaign::StepPlan::StepPlan() = default;
@@ -506,7 +503,7 @@ TraceCampaign::Task& TraceCampaign::Task::operator=(Task&&) noexcept = default;
 TraceCampaign::Task::~Task() = default;
 
 std::size_t TraceCampaign::Task::traces_done() const {
-  if (recording_) return recording_->written;
+  if (recording_) return recording_->cursor.produced;
   return state_ ? state_->t : 0;
 }
 
@@ -546,7 +543,7 @@ TraceCampaign::Task TraceCampaign::load_task() const {
   return Task(std::move(state));
 }
 
-TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
+TraceCampaign::StepPlan TraceCampaign::plan_step(const Task& task,
                                                  bool stop_when_broken) const {
   auto impl = std::make_unique<StepPlan::Impl>();
   impl->block = config_.block_traces;
@@ -554,16 +551,18 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
   if (task.recording_) {
     // One wave of the record stream: only one wave of plaintexts and
     // traces is ever resident, whatever the recording's length.
-    Recording& rec = *task.recording_;
+    const Recording& rec = *task.recording_;
     if (rec.cursor.produced >= rec.total) return StepPlan();
+    RecordCursor cursor = rec.cursor;
     impl->recording = &rec;
-    impl->base_t = rec.cursor.produced;
+    impl->base_t = cursor.produced;
     impl->count = std::min(rec.wave, rec.total - impl->base_t);
-    impl->trace_parent = rec.cursor.trace_parent;
-    impl->plaintexts = next_plaintexts(rec.cursor, impl->count);
+    impl->trace_parent = cursor.trace_parent;
+    impl->plaintexts = next_plaintexts(cursor, impl->count);
+    impl->plaintext = cursor.plaintext;
   } else {
     LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
-    RunState& state = *task.state_;
+    const RunState& state = *task.state_;
     if (state.completed || state.stopped || state.t >= config_.max_traces) {
       return StepPlan();
     }
@@ -580,18 +579,15 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
     impl->trace_parent = state.trace_parent;
     // The paper chains plaintexts (p[t+1] = ciphertext of trace t); the
     // chain is pure AES, so materialize it before any PDN work and hand
-    // each worker block its slice. This advances the state's cursor — the
-    // step is committed to run once planned.
-    impl->plaintexts = plaintext_chain(state.plaintext, impl->count);
+    // each worker block its slice. The chain advances the plan's copy of
+    // the cursor; finish_step commits it.
+    impl->plaintext = state.plaintext;
+    impl->plaintexts = plaintext_chain(impl->plaintext, impl->count);
   }
   impl->next = impl->base_t + impl->count;
   const std::size_t blocks = (impl->count + impl->block - 1) / impl->block;
   impl->started.resize(blocks);
-  if (impl->recording) {
-    impl->records.resize(blocks);
-  } else {
-    impl->shards.resize(blocks);
-  }
+  if (impl->recording) impl->records.resize(blocks);
   return StepPlan(std::move(impl));
 }
 
@@ -601,14 +597,14 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(block < plan.block_count(),
              "block " << block << " out of range (" << plan.block_count()
                       << " blocks)");
-  std::unique_ptr<BlockShard> shard;
+  std::unique_ptr<Accumulator> accumulator;
   {
     std::lock_guard<std::mutex> lock(impl.mutex);
     LD_REQUIRE(!impl.started[block], "block " << block << " already ran");
     impl.started[block] = true;
-    if (!impl.spare.empty()) {
-      shard = std::move(impl.spare.back());
-      impl.spare.pop_back();
+    if (!impl.idle.empty()) {
+      accumulator = std::move(impl.idle.back());
+      impl.idle.pop_back();
     }
   }
   const std::size_t lo = block * impl.block;
@@ -618,29 +614,16 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   if (impl.recording) {
     impl.records[block] =
         record_block(impl.trace_parent, impl.base_t + lo, plaintexts);
-    return;
-  }
-  if (shard) {
-    shard->reset();
   } else {
-    shard = std::make_unique<BlockShard>(poi_count_);
+    // Added with no lock held. A block that throws takes its accumulator,
+    // and the blocks it held, down with it: the plan can then never finish.
+    if (!accumulator) accumulator = std::make_unique<Accumulator>(poi_count_);
+    process_block(impl.base_t + lo + 1, plaintexts, impl.trace_parent,
+                  accumulator->cpa, accumulator->poi_sum);
   }
-  process_block(impl.base_t + lo + 1, plaintexts, impl.trace_parent,
-                shard->cpa, shard->poi_sum);
-
   std::lock_guard<std::mutex> lock(impl.mutex);
-  impl.shards[block] = std::move(shard);
-  // Fold the finished prefix in block order: the reduction tree is fixed
-  // by the block size, not by the schedule, so any thread count and any
-  // completion order give identical sums.
-  RunState& state = *impl.state;
-  while (impl.merged < impl.shards.size() && impl.shards[impl.merged]) {
-    std::unique_ptr<BlockShard>& ready = impl.shards[impl.merged];
-    state.cpa.merge(ready->cpa);
-    state.poi_sum += ready->poi_sum;
-    impl.spare.push_back(std::move(ready));
-    ++impl.merged;
-  }
+  if (accumulator) impl.idle.push_back(std::move(accumulator));
+  ++impl.finished;
 }
 
 bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
@@ -655,24 +638,28 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& step) const {
   LD_REQUIRE(plan.base_t == task.traces_done(),
              "finish_step on a plan of another step: plan at trace "
                  << plan.base_t << ", task at " << task.traces_done());
+  {
+    std::lock_guard<std::mutex> lock(plan.mutex);
+    LD_REQUIRE(plan.finished == plan.started.size(),
+               "finish_step before every block ran");
+  }
   if (task.recording_) {
     // Append the wave in trace order: the file depends only on the seed,
     // never on the wave size or on which threads filled the blocks.
     Recording& rec = *task.recording_;
     for (const auto& traces : plan.records) {
-      LD_REQUIRE(!traces.empty(), "finish_step before every block ran");
       for (const auto& t : traces) rec.writer->add(t.ciphertext, t.samples);
     }
-    rec.written = plan.next;
-    return rec.written < rec.total;
+    rec.cursor.plaintext = plan.plaintext;
+    rec.cursor.produced = plan.next;
+    return rec.cursor.produced < rec.total;
   }
   RunState& state = *task.state_;
-  {
-    // run_block already folded every shard into the task, in block order.
-    std::lock_guard<std::mutex> lock(plan.mutex);
-    LD_REQUIRE(plan.merged == plan.shards.size(),
-               "finish_step before every block ran");
+  for (const auto& accumulator : plan.idle) {
+    state.cpa.merge(accumulator->cpa);
+    state.poi_sum += accumulator->poi_sum;
   }
+  state.plaintext = plan.plaintext;
   state.t = plan.next;
   state.result.traces_run = state.t;
 
@@ -764,11 +751,11 @@ std::size_t TraceCampaign::approx_task_bytes() const {
   // Durable part: the merged CPA accumulator inside the RunState.
   const std::size_t durable = CpaAttack::approx_accumulator_bytes(poi_count_);
   // Transient part while a step is in flight: the widest boundary step is
-  // bounded by rank_stride (a rank boundary always terminates a step), and
-  // every block of it may hold a shard (one CPA accumulator + its working
-  // buffers: the POI panel, one trace, and the SoA scratch) at once. Shards
-  // merge as soon as their prefix has run, so that worst case needs a
-  // straggling first block; the bound stays a valid ceiling.
+  // bounded by rank_stride (a rank boundary always terminates a step). Its
+  // plan holds one accumulator per block running at once, each with its
+  // block's working buffers (the POI panel, one trace, the SoA scratch).
+  // Charging every block of the widest step is a ceiling reached only when
+  // every block runs at once, kept so the service's admission does not move.
   const std::size_t widest = std::min(config_.max_traces, config_.rank_stride);
   const std::size_t blocks =
       (widest + config_.block_traces - 1) / config_.block_traces;

@@ -61,11 +61,10 @@ struct CampaignConfig {
   /// Worker threads for trace generation (0 = hardware concurrency). The
   /// result is bit-identical for every value — see run().
   std::size_t threads = 0;
-  /// Traces per work block. Each block is generated by one worker into its
-  /// own CPA shard; shards merge in block order. Neither the block size nor
-  /// the thread count changes results: every readout is a count, so every
-  /// CPA sum is an exact integer in a double and no reduction order can
-  /// round it differently.
+  /// Traces per work block; a step's blocks run in any order. Neither the
+  /// block size nor the thread count changes results: every readout is a
+  /// count, so every CPA sum is an exact integer in a double and no
+  /// summation order can round it differently.
   std::size_t block_traces = 64;
   /// Directory for durable checkpoints ("" = disabled). When set, run()
   /// writes an atomic, CRC-protected snapshot of the full campaign state
@@ -157,11 +156,9 @@ class TraceCampaign {
   /// contract: the result depends only on the seed and the configuration,
   /// never on config.threads. The chained-plaintext sequence is materialized
   /// up front (AES is deterministic), every trace draws its noise from
-  /// rng.fork(trace_index), each block accumulates into a private CPA shard
-  /// through a clone of the rig's sampling front-end, and shards merge in
-  /// block order at checkpoint boundaries. The 1-thread path runs the exact
-  /// same block schedule, so serial and parallel results agree byte for
-  /// byte.
+  /// rng.fork(trace_index) through a clone of the rig's sampling front-end,
+  /// and every CPA sum is an exact integer, so serial and parallel results
+  /// agree byte for byte whichever worker ran which block.
   CampaignResult run(util::Rng& rng, bool stop_when_broken = true);
 
   /// Continues a campaign from the checkpoint in config.checkpoint_dir.
@@ -191,10 +188,11 @@ class TraceCampaign {
   // two record waves), a StepPlan is one step expanded into independently
   // runnable trace blocks. The campaign service schedules thousands of
   // Tasks over one shared thread pool at block granularity; because every
-  // block draws from per-trace RNG forks and finish_step folds blocks in
-  // block order, the final CampaignResult (or trace file) is byte-identical
-  // to the standalone call's no matter which threads ran which blocks, how
-  // steps interleaved, or how often the task was suspended and rehydrated.
+  // block draws from per-trace RNG forks and every CPA sum is an exact
+  // integer, the final CampaignResult (or trace file) is byte-identical to
+  // the standalone call's no matter which threads ran which blocks, in what
+  // order, how steps interleaved, or how often the task was suspended and
+  // rehydrated. A step writes its task only in finish_step.
   // ---------------------------------------------------------------------
 
   /// Opaque mid-campaign state (move-only). Produced by start(),
@@ -218,11 +216,9 @@ class TraceCampaign {
   };
 
   /// One planned checkpoint-boundary step (or record wave): the
-  /// materialized plaintext slice plus one CPA shard (or trace batch) per
-  /// trace block. Blocks are independent — any thread may execute any
-  /// subset concurrently via run_block() — and their results fold back into
-  /// the Task in block order: CPA shards as soon as every earlier block
-  /// has folded, trace batches at finish_step().
+  /// materialized plaintext slice, the advanced plaintext cursor, and the
+  /// blocks' results, which finish_step() commits to the Task. Any thread
+  /// may run any subset of the blocks concurrently via run_block().
   class StepPlan {
    public:
     StepPlan(StepPlan&&) noexcept;
@@ -265,21 +261,20 @@ class TraceCampaign {
   Task load_task() const;
 
   /// Plans the next boundary step (a recording's next wave). Empty when
-  /// the task is done. Mutates the task's plaintext cursor, so call it from
-  /// one thread at a time per task (block execution is free to fan out).
-  StepPlan plan_step(Task& task, bool stop_when_broken = true) const;
+  /// the task is done. Reads the task only: the plan advances its own copy
+  /// of the plaintext cursor, which finish_step commits.
+  StepPlan plan_step(const Task& task, bool stop_when_broken = true) const;
 
-  /// Runs one block of a planned step into a private shard. Thread-safe
-  /// across distinct `block` indices of the same plan; running a block a
-  /// second time throws util::PreconditionError. An attack block's shard
-  /// folds into the planning task as soon as every earlier block has
-  /// folded, so the task is mid-step from the first run_block on: a plan
-  /// abandoned part-way (a block threw, or the plan was dropped) leaves its
-  /// task unusable, like the plaintext cursor plan_step already advanced —
-  /// reload such a task from its checkpoint.
+  /// Runs one block of a planned step into one of the plan's accumulators.
+  /// Thread-safe across distinct `block` indices of the same plan; running
+  /// a block a second time throws util::PreconditionError. The task is not
+  /// touched: a plan abandoned part-way (a block threw, or the plan was
+  /// dropped) leaves its task as it was, ready to plan the step again.
   void run_block(StepPlan& plan, std::size_t block) const;
 
-  /// Completes a fully executed plan on the task it was planned on and
+  /// Completes a fully executed plan on the task it was planned on: merges
+  /// the plan's accumulators into the task in any order (or appends a
+  /// recording's traces in trace order), commits the plaintext cursor, and
   /// performs the boundary bookkeeping: break checks, rank checkpoints,
   /// stop decision. Throws util::PreconditionError for a plan of another
   /// task or step, or one with a block not yet run. Returns true while
@@ -298,9 +293,10 @@ class TraceCampaign {
   CampaignResult take_result(Task&& task) const;
 
   /// Approximate peak heap bytes of one in-flight task: the durable CPA
-  /// accumulator plus one transient per-block shard for the widest
-  /// boundary step. Deliberately coarse — the service uses it as the
-  /// admission unit of its memory budget, not as an allocator.
+  /// accumulator plus one transient accumulator per block of the widest
+  /// boundary step, a ceiling reached only when every block runs at once.
+  /// Deliberately coarse — the service uses it as the admission unit of its
+  /// memory budget, not as an allocator.
   std::size_t approx_task_bytes() const;
 
   /// The configuration this campaign was constructed with (the service's
@@ -381,13 +377,13 @@ class TraceCampaign {
     CampaignResult result;
   };
 
-  /// A recording task's state: the record stream and its sink.
+  /// A recording task's state: the record stream and its sink, which holds
+  /// every trace the cursor has produced.
   struct Recording {
     RecordCursor cursor;
     sim::TraceStoreWriter* writer = nullptr;
     std::size_t total = 0;    ///< traces to record
     std::size_t wave = 0;     ///< traces per step
-    std::size_t written = 0;  ///< traces appended to the writer
   };
 
   void write_checkpoint(const RunState& state) const;

@@ -37,13 +37,20 @@ void CpaAttack::add_trace(const crypto::Block& ciphertext,
 
 void CpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
                            std::span<const double> poi_matrix) {
+  OBS_COUNT("cpa.add_traces.calls", 1);
+  OBS_COUNT("cpa.traces_accumulated", ciphertexts.size());
+  OBS_HISTO("cpa.batch_traces", ({1, 8, 16, 32, 64, 128, 256, 512}),
+            ciphertexts.size());
+  add_traces(ciphertexts, poi_matrix, last_round_hd_pair_row);
+}
+
+void CpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
+                           std::span<const double> poi_matrix,
+                           const RowSource& row_of) {
   const std::size_t n = ciphertexts.size();
   LD_REQUIRE(poi_matrix.size() == n * poi_,
              "expected " << n * poi_ << " POI samples for " << n
                          << " traces, got " << poi_matrix.size());
-  OBS_COUNT("cpa.add_traces.calls", 1);
-  OBS_COUNT("cpa.traces_accumulated", n);
-  OBS_HISTO("cpa.batch_traces", ({1, 8, 16, 32, 64, 128, 256, 512}), n);
   traces_ += n;
   // The op's per-POI chains run in trace order on every dispatch tier.
   kernels::trace_sums(poi_matrix.data(), n, poi_, sum_t_.data(),
@@ -66,8 +73,7 @@ void CpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
       const int sr = crypto::Aes128::shift_rows_map(b);
       for (std::size_t t = 0; t < m; ++t) {
         const crypto::Block& ct = ciphertexts[t0 + t];
-        row_scratch_[t] =
-            last_round_hd_pair_row(ct[bi], ct[static_cast<std::size_t>(sr)]);
+        row_scratch_[t] = row_of(ct[bi], ct[static_cast<std::size_t>(sr)]);
       }
       kernels::hypothesis_sums(row_scratch_.data(), m, hs.data(), h2s.data());
       auto& h_sums = sum_h_[bi];
@@ -100,17 +106,6 @@ void CpaAttack::merge(const CpaAttack& other) {
     const auto& src = other.sum_ht_[b];
     auto& dst = sum_ht_[b];
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-  }
-}
-
-void CpaAttack::reset() {
-  traces_ = 0;
-  std::fill(sum_t_.begin(), sum_t_.end(), 0.0);
-  std::fill(sum_t2_.begin(), sum_t2_.end(), 0.0);
-  for (auto& per_byte : sum_h_) per_byte.fill(0.0);
-  for (auto& per_byte : sum_h2_) per_byte.fill(0.0);
-  for (auto& per_byte : sum_ht_) {
-    std::fill(per_byte.begin(), per_byte.end(), 0.0);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -57,15 +58,10 @@ class CpaAttack {
                   std::span<const double> poi_matrix);
 
   /// Folds another accumulator (same poi_count) into this one, as if this
-  /// attack had also seen every trace `other` saw. This is how the
-  /// per-block shards of a parallel campaign fold into its accumulator.
+  /// attack had also seen every trace `other` saw. This is how a parallel
+  /// campaign's per-worker accumulators fold into its own; for count
+  /// readouts every sum is an exact integer, so merge order never matters.
   void merge(const CpaAttack& other);
-
-  /// Zeroes every sum (all +0.0) and the trace count, keeping the POI
-  /// window and the allocations: the attack then accumulates exactly what
-  /// a freshly constructed one would. The campaign reuses merged block
-  /// shards this way.
-  void reset();
 
   /// Correlation snapshot for one key byte.
   ByteScores snapshot_byte(int byte_index) const;
@@ -101,6 +97,18 @@ class CpaAttack {
  private:
   // Reads the raw sums to correlate with centered squares at snapshot time.
   friend class SecondOrderCpa;
+  // Accumulates 0/1 selection rows and reads the sums as partition sums.
+  friend class DpaAttack;
+
+  /// The 256-guess hypothesis row (values 0..8) of a trace whose key-byte
+  /// position holds `ct_byte` and whose ShiftRows partner holds `reg_byte`.
+  using RowSource =
+      std::function<const std::uint8_t*(std::uint8_t ct_byte,
+                                        std::uint8_t reg_byte)>;
+
+  /// add_traces on the rows of `row_of` instead of the last-round HD rows.
+  void add_traces(std::span<const crypto::Block> ciphertexts,
+                  std::span<const double> poi_matrix, const RowSource& row_of);
 
   std::size_t poi_;
   std::size_t traces_ = 0;

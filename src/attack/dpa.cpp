@@ -1,20 +1,24 @@
 #include "attack/dpa.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "attack/power_model.h"
 #include "util/contracts.h"
 
 namespace leakydsp::attack {
 
 DpaAttack::DpaAttack(std::size_t poi_count, int target_bit)
-    : poi_(poi_count), target_bit_(target_bit) {
-  LD_REQUIRE(poi_ >= 1, "need at least one point of interest");
+    : target_bit_(target_bit), selection_(2 * 256 * 256), sums_(poi_count) {
   LD_REQUIRE(target_bit_ >= 0 && target_bit_ < 8, "target bit out of 0..7");
-  for (auto& per_byte : parts_) {
-    for (auto& per_guess : per_byte) {
-      for (auto& partition : per_guess) {
-        partition.sum.assign(poi_, 0.0);
+  // Kocher's selection function, tabulated: does the chosen state-register
+  // bit flip in the last round under guess g?
+  for (unsigned r = 0; r < 2; ++r) {
+    for (unsigned c = 0; c < 256; ++c) {
+      for (unsigned g = 0; g < 256; ++g) {
+        const std::uint8_t s9 =
+            crypto::Aes128::inv_sbox(static_cast<std::uint8_t>(c ^ g));
+        selection_[((r << 8) | c) * 256 + g] =
+            static_cast<std::uint8_t>(((s9 >> target_bit_) & 1) ^ r);
       }
     }
   }
@@ -22,46 +26,36 @@ DpaAttack::DpaAttack(std::size_t poi_count, int target_bit)
 
 void DpaAttack::add_trace(const crypto::Block& ciphertext,
                           std::span<const double> poi_samples) {
-  LD_REQUIRE(poi_samples.size() == poi_,
-             "expected " << poi_ << " POI samples, got "
-                         << poi_samples.size());
-  ++traces_;
-  for (int b = 0; b < 16; ++b) {
-    auto& per_guess = parts_[static_cast<std::size_t>(b)];
-    for (int g = 0; g < 256; ++g) {
-      // Kocher's selection function: does the chosen state-register bit
-      // flip in the last round under this guess?
-      const std::uint8_t z = last_round_transition(
-          ciphertext, b, static_cast<std::uint8_t>(g));
-      const int bit = (z >> target_bit_) & 1;
-      auto& partition =
-          per_guess[static_cast<std::size_t>(g)][static_cast<std::size_t>(bit)];
-      ++partition.count;
-      for (std::size_t k = 0; k < poi_; ++k) {
-        partition.sum[k] += poi_samples[k];
-      }
-    }
-  }
+  add_traces({&ciphertext, 1}, poi_samples);
+}
+
+void DpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
+                           std::span<const double> poi_matrix) {
+  sums_.add_traces(ciphertexts, poi_matrix,
+                   [this](std::uint8_t ct_byte, std::uint8_t reg_byte) {
+                     const unsigned r = (reg_byte >> target_bit_) & 1u;
+                     return selection_.data() + ((r << 8) | ct_byte) * 256;
+                   });
 }
 
 ByteScores DpaAttack::snapshot_byte(int byte_index) const {
   LD_REQUIRE(byte_index >= 0 && byte_index < 16, "bad byte index");
-  LD_REQUIRE(traces_ >= 2, "need at least two traces");
-  const auto& per_guess = parts_[static_cast<std::size_t>(byte_index)];
+  LD_REQUIRE(trace_count() >= 2, "need at least two traces");
+  const auto b = static_cast<std::size_t>(byte_index);
+  const double n = static_cast<double>(trace_count());
   ByteScores result;
-  for (int g = 0; g < 256; ++g) {
-    const auto& p0 = per_guess[static_cast<std::size_t>(g)][0];
-    const auto& p1 = per_guess[static_cast<std::size_t>(g)][1];
+  for (std::size_t g = 0; g < 256; ++g) {
+    const double n1 = sums_.sum_h_[b][g];  // an exact count
     double best = 0.0;
-    if (p0.count > 0 && p1.count > 0) {
-      for (std::size_t k = 0; k < poi_; ++k) {
+    if (n1 > 0.0 && n1 < n) {
+      const double* sum1 = sums_.sum_ht_[b].data() + g * poi_count();
+      for (std::size_t k = 0; k < poi_count(); ++k) {
         const double diff =
-            p1.sum[k] / static_cast<double>(p1.count) -
-            p0.sum[k] / static_cast<double>(p0.count);
+            sum1[k] / n1 - (sums_.sum_t_[k] - sum1[k]) / (n - n1);
         best = std::max(best, std::abs(diff));
       }
     }
-    result.score[static_cast<std::size_t>(g)] = best;
+    result.score[g] = best;
   }
   rank_guesses(result);
   return result;

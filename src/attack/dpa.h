@@ -6,8 +6,8 @@
 // hypothesis), which the tests quantify.
 #pragma once
 
-#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,7 +16,9 @@
 
 namespace leakydsp::attack {
 
-/// Difference-of-means DPA over a POI window.
+/// Difference-of-means DPA over a POI window, accumulated by the CPA
+/// kernels on 0/1 selection rows: the bit-1 partition's sizes and sums are
+/// the hypothesis and cross sums, the bit-0 partition the rest.
 class DpaAttack {
  public:
   /// `target_bit` selects which bit of the hypothesized state-register
@@ -24,27 +26,31 @@ class DpaAttack {
   /// selection function.
   DpaAttack(std::size_t poi_count, int target_bit = 0);
 
-  std::size_t poi_count() const { return poi_; }
-  std::size_t trace_count() const { return traces_; }
+  std::size_t poi_count() const { return sums_.poi_count(); }
+  std::size_t trace_count() const { return sums_.trace_count(); }
 
+  /// Accumulates one trace: a batch of one through add_traces.
   void add_trace(const crypto::Block& ciphertext,
                  std::span<const double> poi_samples);
 
-  /// max_k |mean1[k] - mean0[k]| per guess for one key byte.
+  /// Accumulates a batch laid out as for CpaAttack::add_traces; any batch
+  /// split accumulates the same bits.
+  void add_traces(std::span<const crypto::Block> ciphertexts,
+                  std::span<const double> poi_matrix);
+
+  /// max_k |mean1[k] - mean0[k]| per guess for one key byte. The bit-0
+  /// sums are the trace sums minus the bit-1 sums: exact for count
+  /// readouts, whose sums are integers.
   ByteScores snapshot_byte(int byte_index) const;
 
   crypto::RoundKey recovered_round_key() const;
 
  private:
-  std::size_t poi_;
   int target_bit_;
-  std::size_t traces_ = 0;
-  // Per (byte, guess, partition): count and per-POI sums.
-  struct Partition {
-    std::size_t count = 0;
-    std::vector<double> sum;  // [poi]
-  };
-  std::array<std::array<std::array<Partition, 2>, 256>, 16> parts_;
+  /// Row (r << 8 | c)[g] is bit target_bit of InvSbox(c ^ g), XOR r, where
+  /// c = CT[i] and r is that bit of CT[sr(i)]: 512 rows, 128 KiB.
+  std::vector<std::uint8_t> selection_;
+  CpaAttack sums_;
 };
 
 }  // namespace leakydsp::attack

@@ -8,8 +8,9 @@
 // dealt round-robin across per-worker deques, and idle workers steal from
 // their peers — so one slow campaign can never park the pool while
 // runnable blocks exist elsewhere. Determinism is inherited, not
-// re-proven: each block draws from per-trace RNG forks and finish_step
-// merges shards in block order, so every campaign's final CampaignResult
+// re-proven: each block draws from per-trace RNG forks, every CPA sum is
+// an exact integer so blocks may run in any order, and a step reaches its
+// task only in finish_step, so every campaign's final CampaignResult
 // is byte-identical to a standalone TraceCampaign::run at any thread
 // count, schedule, or eviction pattern (pinned by tests/test_serve.cpp
 // and the serve.scheduled_vs_standalone differential oracle).

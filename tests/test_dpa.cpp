@@ -1,10 +1,16 @@
 // Tests for classical difference-of-means DPA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "attack/cpa.h"
 #include "attack/dpa.h"
+#include "attack/power_model.h"
 #include "crypto/aes128.h"
 #include "util/contracts.h"
 #include "util/rng.h"
@@ -95,4 +101,66 @@ TEST(Dpa, Contracts) {
                lu::PreconditionError);
   EXPECT_THROW(dpa.snapshot_byte(0), lu::PreconditionError);  // no traces
   EXPECT_THROW(dpa.snapshot_byte(16), lu::PreconditionError);
+}
+
+TEST(Dpa, MatchesDifferenceOfMeansReference) {
+  // Integer leaks, as every sensor reads out counts: the kernel sums are
+  // then exact, and the scores equal a per-trace partition loop bit for
+  // bit, whatever the batch split.
+  constexpr std::size_t kPoi = 2;
+  constexpr std::size_t kTraces = 1500;
+  lu::Rng rng(1603);
+  const lc::Aes128 aes(random_block(rng));
+  std::vector<lc::Block> cts(kTraces);
+  std::vector<double> rows(kTraces * kPoi);
+  lc::Block pt = random_block(rng);
+  for (std::size_t t = 0; t < kTraces; ++t) {
+    const auto trace = aes.encrypt_trace(pt);
+    const auto hd = static_cast<double>(
+        lv::block_hd(trace.states[9], trace.states[10]));
+    cts[t] = trace.ciphertext;
+    rows[t * kPoi] = 200.0 - hd + static_cast<double>(rng() % 9);
+    rows[t * kPoi + 1] = static_cast<double>(rng() % 40);
+    pt = trace.ciphertext;
+  }
+  for (const int bit : {0, 5}) {
+    la::DpaAttack dpa(kPoi, bit);
+    // Uneven batches, one of them wider than a kernel panel.
+    for (std::size_t t0 = 0, batch = 1; t0 < kTraces; batch = batch * 3 + 2) {
+      const std::size_t n = std::min(batch, kTraces - t0);
+      dpa.add_traces(std::span(cts).subspan(t0, n),
+                     std::span(rows).subspan(t0 * kPoi, n * kPoi));
+      t0 += n;
+    }
+    ASSERT_EQ(dpa.trace_count(), kTraces);
+    for (int b = 0; b < 16; ++b) {
+      std::array<std::array<std::size_t, 2>, 256> count{};
+      std::array<std::array<std::array<double, kPoi>, 2>, 256> sum{};
+      for (std::size_t t = 0; t < kTraces; ++t) {
+        for (std::size_t g = 0; g < 256; ++g) {
+          const int z = (la::last_round_transition(
+                             cts[t], b, static_cast<std::uint8_t>(g)) >>
+                         bit) & 1;
+          ++count[g][z];
+          for (std::size_t k = 0; k < kPoi; ++k) {
+            sum[g][z][k] += rows[t * kPoi + k];
+          }
+        }
+      }
+      const la::ByteScores got = dpa.snapshot_byte(b);
+      for (std::size_t g = 0; g < 256; ++g) {
+        double best = 0.0;
+        if (count[g][0] > 0 && count[g][1] > 0) {
+          for (std::size_t k = 0; k < kPoi; ++k) {
+            const double diff =
+                sum[g][1][k] / static_cast<double>(count[g][1]) -
+                sum[g][0][k] / static_cast<double>(count[g][0]);
+            best = std::max(best, std::abs(diff));
+          }
+        }
+        ASSERT_EQ(got.score[g], best) << "bit " << bit << " byte " << b
+                                      << " guess " << g;
+      }
+    }
+  }
 }

@@ -36,6 +36,7 @@
 namespace la = leakydsp::attack;
 namespace lc = leakydsp::crypto;
 namespace lcore = leakydsp::core;
+namespace lpdn = leakydsp::pdn;
 namespace lsim = leakydsp::sim;
 namespace lv = leakydsp::victim;
 namespace lu = leakydsp::util;
@@ -515,11 +516,66 @@ TEST_F(ParallelCampaignTest, FinishStepRejectsAPlanOfAnotherTask) {
   for (std::size_t blk = 0; blk < plan.block_count(); ++blk) {
     campaign.run_block(plan, blk);
   }
-  // Same step number, other task: the blocks merged into `a`, so `b` must
-  // refuse the plan rather than advance past traces it never saw.
+  // Same step number, other task: the plan was made from `a`'s cursor and
+  // holds its blocks for `a`, so `b` must refuse it rather than advance
+  // past traces it never saw.
   EXPECT_THROW(campaign.finish_step(b, std::move(plan)),
                lu::PreconditionError);
   EXPECT_EQ(b.traces_done(), 0u);
+}
+
+TEST_F(ParallelCampaignTest, AbandonedStepLeavesTaskIntact) {
+  const std::string base = "/tmp/leakydsp_test_abandoned_step";
+  std::filesystem::remove_all(base);
+  StreamWorld reference(scenario_, base + "/run");
+  const la::CampaignResult expected = reference.campaign->run(reference.rng);
+  const std::string expected_checkpoint = reference.checkpoint();
+
+  // Every step is attempted once and abandoned before it is run for real:
+  // some of its blocks run and the plan is dropped, or a block throws
+  // part-way. A step writes its task only in finish_step, so neither
+  // attempt may show in the result or in the checkpoint bytes.
+  std::atomic<bool> fail{false};
+  for (const bool throwing : {false, true}) {
+    StreamWorld world(scenario_, base + (throwing ? "/throw" : "/drop"));
+    la::TraceCampaign& campaign = *world.campaign;
+    // Draws nothing and adds no current: the traces stay run()'s.
+    campaign.add_interferer(
+        [&fail](double, lu::Rng&, std::vector<lpdn::CurrentInjection>&) {
+          if (fail) throw std::runtime_error("injected block failure");
+        });
+    la::TraceCampaign::Task task = campaign.start(world.rng);
+    for (bool more = true; more;) {
+      const std::size_t done = task.traces_done();
+      {
+        la::TraceCampaign::StepPlan plan = campaign.plan_step(task);
+        ASSERT_GT(plan.block_count(), 2u);
+        campaign.run_block(plan, 0);
+        if (throwing) {
+          fail = true;
+          EXPECT_THROW(campaign.run_block(plan, 1), std::runtime_error);
+          fail = false;
+          EXPECT_THROW(campaign.finish_step(task, std::move(plan)),
+                       lu::PreconditionError);
+        } else {
+          campaign.run_block(plan, plan.block_count() - 1);
+        }
+      }
+      EXPECT_EQ(task.traces_done(), done);
+      la::TraceCampaign::StepPlan plan = campaign.plan_step(task);
+      for (std::size_t b = 0; b < plan.block_count(); ++b) {
+        campaign.run_block(plan, b);
+      }
+      more = campaign.finish_step(task, std::move(plan));
+      campaign.suspend(task);
+    }
+    const la::CampaignResult got = campaign.take_result(std::move(task));
+    EXPECT_TRUE(identical_results(got, expected)) << "throwing=" << throwing;
+    // Compared as one bool: a mismatch would otherwise print ~1 MB.
+    EXPECT_TRUE(world.checkpoint() == expected_checkpoint)
+        << "throwing=" << throwing;
+  }
+  std::filesystem::remove_all(base);
 }
 
 TEST_F(ParallelCampaignTest, RunBlockRejectsABlockThatAlreadyRan) {

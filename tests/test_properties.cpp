@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <ostream>
+#include <sstream>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -34,20 +33,11 @@ namespace lv = leakydsp::victim;
 namespace la = leakydsp::attack;
 namespace lu = leakydsp::util;
 
-// gtest prints a parameter struct that has no printer as a dump of its
-// bytes, and gtest_discover_tests names the ctest after that dump. Padding
-// bytes hold whatever the last copy left there, often pointer halves that
-// move with ASLR, so the names changed from run to run. Dump a copy whose
-// padding is zeroed: `assign` copies the fields into a zero-filled struct.
-template <typename T, typename Assign>
-void print_bytes_zero_padded(const T& value, Assign assign,
-                             std::ostream* os) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T copy;
-  std::memset(&copy, 0, sizeof copy);
-  assign(copy, value);
-  ::testing::internal::PrintBytesInObjectTo(
-      reinterpret_cast<const unsigned char*>(&copy), sizeof copy, os);
+// gtest_discover_tests names each ctest after its printed parameter, so
+// parameter structs print as names built from their fields, with '.'
+// spelled 'p' ("pitch4_gn400_gp40_boost2p5").
+void print_name(const std::ostringstream& name, std::ostream* os) {
+  for (const char c : name.str()) *os << (c == '.' ? 'p' : c);
 }
 
 // ------------------------------------------------ alpha-power law sweep
@@ -84,15 +74,10 @@ struct PdnCase {
 };
 
 void PrintTo(const PdnCase& c, std::ostream* os) {
-  print_bytes_zero_padded(
-      c,
-      [](PdnCase& to, const PdnCase& from) {
-        to.pitch = from.pitch;
-        to.gn = from.gn;
-        to.gp = from.gp;
-        to.boost = from.boost;
-      },
-      os);
+  std::ostringstream name;
+  name << "pitch" << c.pitch << "_gn" << c.gn << "_gp" << c.gp << "_boost"
+       << c.boost;
+  print_name(name, os);
 }
 
 class PdnSweep : public ::testing::TestWithParam<PdnCase> {};
@@ -146,15 +131,10 @@ struct LeakySweepCase {
 };
 
 void PrintTo(const LeakySweepCase& c, std::ostream* os) {
-  print_bytes_zero_padded(
-      c,
-      [](LeakySweepCase& to, const LeakySweepCase& from) {
-        to.n_dsp = from.n_dsp;
-        to.spread = from.spread;
-        to.taper = from.taper;
-        to.ultrascale = from.ultrascale;
-      },
-      os);
+  std::ostringstream name;
+  name << "n" << c.n_dsp << "_spread" << c.spread << "_taper" << c.taper
+       << (c.ultrascale ? "_axu3egb" : "_basys3");
+  print_name(name, os);
 }
 
 class LeakySweep : public ::testing::TestWithParam<LeakySweepCase> {};
