@@ -11,6 +11,9 @@
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
 //   key_rank     — the estimator's 16 histograms convolved with the plain
 //                  dense loop vs the whole estimate_key_rank call
+//   crc32        — Crc32::update over 1 MiB: the scalar tier's bytewise
+//                  loop vs the dispatch tier (the PCLMULQDQ fold on AVX2
+//                  and AVX-512), in ns per byte and MB/s
 //
 //   $ ./hotpath_micro [--quick]
 //   $ LEAKYDSP_SIMD=scalar ./hotpath_micro --quick   # cap the SIMD tier
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,6 +45,8 @@
 #include "timing/delay_model.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
+#include "util/cpu_features.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -408,9 +414,39 @@ int main(int argc, char** argv) {
     record("key_rank", "dense_convolution", dense, "estimate_key_rank", fast);
   }
 
+  // ---- CRC-32: bytewise loop vs the dispatch tier's fold, over 1 MiB ----
+  double crc_mb_per_s[2] = {0.0, 0.0};
+  {
+    std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+    util::Rng rng(13);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng() & 0xff);
+    const auto time_crc = [&](std::size_t reps) {
+      return run_bench(reps, [&](std::size_t n) {
+        std::uint32_t acc = 0;
+        for (std::size_t r = 0; r < n; ++r) acc ^= util::crc32(buf);
+        g_sink = acc;
+        return n * buf.size();
+      });
+    };
+    util::set_simd_tier_override(util::SimdTier::kScalar);
+    const auto bytewise = time_crc(4 * kScale);
+    util::set_simd_tier_override(std::nullopt);
+    const auto fold = time_crc(100 * kScale);
+    // ns per byte -> MB/s (1e6 bytes per second).
+    crc_mb_per_s[0] = 1e3 / bytewise.ns_per_op;
+    crc_mb_per_s[1] = 1e3 / fold.ns_per_op;
+    record("crc32", "bytewise_loop", bytewise,
+           util::to_string(util::current_simd_tier()), fold)
+        .set("baseline_mb_per_s", crc_mb_per_s[0])
+        .set("fast_mb_per_s", crc_mb_per_s[1]);
+  }
+
   std::cout << "=== hot-path microbenchmarks"
             << (quick ? " (--quick)" : "") << " ===\n\n";
   table.print(std::cout);
+  std::cout << "\ncrc32 over 1 MiB: bytewise " << crc_mb_per_s[0] << " MB/s, "
+            << util::to_string(util::current_simd_tier()) << " tier "
+            << crc_mb_per_s[1] << " MB/s\n";
   obs::fill_bench_metrics(report.metrics());
   report.write("BENCH_hotpath.json");
   obs::write_trace_out(trace_out);

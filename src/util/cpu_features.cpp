@@ -12,6 +12,9 @@ std::atomic<int> g_override{-1};
 
 SimdTier cpuid_simd_tier() {
 #if defined(__x86_64__) || defined(_M_X64)
+  // Both vector tiers run the 128-bit PCLMULQDQ CRC fold (crc32_avx2.cpp).
+  // Every AVX2 CPU has it, so the check moves no real host's tier.
+  if (!__builtin_cpu_supports("pclmul")) return SimdTier::kScalar;
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl")) {
     return SimdTier::kAvx512;

@@ -1,7 +1,8 @@
 // Runtime CPU-feature probing for the SIMD kernel layer. Every explicitly
 // vectorized kernel in the repository (CPA panel accumulation, sensor batch
-// ops) is compiled once per ISA tier in its own translation unit; this
-// header is the single authority on which tier a call dispatches to.
+// ops, the CRC-32 fold) is compiled once per ISA tier in its own
+// translation unit; this header is the single authority on which tier a
+// call dispatches to.
 //
 // Tier selection is: min(what the CPU reports via cpuid, what the build
 // compiled in, what the LEAKYDSP_SIMD environment variable permits), unless
@@ -19,8 +20,9 @@ namespace leakydsp::util {
 /// order (comparison operators are meaningful).
 enum class SimdTier {
   kScalar = 0,  ///< portable C++ (always available, the reference tier)
-  kAvx2 = 1,    ///< AVX2 + FMA (256-bit)
-  kAvx512 = 2,  ///< AVX-512 F/DQ/BW/VL (512-bit)
+  kAvx2 = 1,    ///< AVX2 + FMA + PCLMULQDQ (256-bit)
+  kAvx512 = 2,  ///< AVX-512 F/DQ/BW/VL + PCLMULQDQ (512-bit; the CRC fold
+                ///< stays 128-bit)
 };
 
 const char* to_string(SimdTier tier);

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "util/cpu_features.h"
+
 namespace leakydsp::util {
 
 namespace {
@@ -25,6 +27,15 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 }
 
 Crc32& Crc32::update(std::span<const std::uint8_t> data) {
+#ifdef LEAKYDSP_SIMD_AVX2
+  // The fold starts from four 16-byte lanes, so it needs 64 bytes; headers
+  // and other small updates stay on the bytewise loop.
+  if (data.size() >= 64 && current_simd_tier() >= SimdTier::kAvx2) {
+    const std::size_t folded = data.size() & ~std::size_t{15};
+    crc_ = detail::crc32_fold_avx2(data.data(), folded, crc_);
+    data = data.subspan(folded);
+  }
+#endif
   static const auto table = make_table();
   for (const std::uint8_t byte : data) {
     crc_ = table[(crc_ ^ byte) & 0xFFu] ^ (crc_ >> 8);

@@ -6,9 +6,11 @@
 //     count and the Hermite ScaleTable batch) vs the scalar tier: bitwise,
 //   - simd::convolve and Histogram::convolve (which runs it over each
 //     operand's nonzero support only) under every tier vs the scalar tier's
-//     dense convolution of the full operands: bitwise.
+//     dense convolution of the full operands: bitwise,
+//   - Crc32::update fed in random pieces from an unaligned start under every
+//     tier vs the scalar tier's bytewise loop over the whole buffer: equal.
 //
-// All three oracles pin tiers through util::set_simd_tier_override and release
+// All four oracles pin tiers through util::set_simd_tier_override and release
 // it on every exit path, so a failing case never leaks a pinned tier into
 // the rest of the sweep. On hosts (or builds) without the vector tiers the
 // tier list collapses to {scalar} and the oracles degenerate to cheap
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "util/aligned.h"
 #include "util/byte_io.h"
 #include "util/cpu_features.h"
+#include "util/crc32.h"
 #include "util/simd_ops.h"
 #include "verify/oracle.h"
 
@@ -372,6 +376,110 @@ Property<SimdConvolveConfig> simd_convolve_property() {
   return prop;
 }
 
+// ------------------------------------------------------ CRC-32 tier equality
+
+struct SimdCrcConfig {
+  std::int64_t length = 0;  ///< bytes of the short buffer
+  std::int64_t offset = 0;  ///< start offset from a 16-byte-aligned base
+  std::int64_t cuts = 1;    ///< split points through the update sequence
+  /// Also check the same start extended past a MiB, where the fold's 64-byte
+  /// loop runs ~16k times. Generated on; shrinking turns it off first, so a
+  /// failure the short buffer shows shrinks to its minimal length.
+  bool mib = true;
+  std::uint64_t seed = 0;
+};
+
+std::string describe_simd_crc(const SimdCrcConfig& c) {
+  std::ostringstream oss;
+  oss << "{length=" << c.length << " offset=" << c.offset
+      << " cuts=" << c.cuts << " mib=" << c.mib << " seed=" << c.seed
+      << "}";
+  return oss.str();
+}
+
+/// CRC of `data` fed through Crc32::update in the pieces that `cuts`
+/// sorted split points (drawn from `rng`) make.
+std::uint32_t crc_in_pieces(std::span<const std::uint8_t> data,
+                            std::int64_t cuts, util::Rng rng) {
+  std::vector<std::size_t> at{0, data.size()};
+  for (std::int64_t k = 0; k < cuts; ++k)
+    at.push_back(static_cast<std::size_t>(rng.uniform_u64(data.size() + 1)));
+  std::sort(at.begin(), at.end());
+  util::Crc32 crc;
+  for (std::size_t k = 0; k + 1 < at.size(); ++k)
+    crc.update(data.subspan(at[k], at[k + 1] - at[k]));
+  return crc.value();
+}
+
+Property<SimdCrcConfig> simd_crc_property() {
+  Property<SimdCrcConfig> prop;
+  prop.name = "simd.crc32_tiers_bitwise";
+  prop.generate = [](util::Rng& rng) {
+    SimdCrcConfig c;
+    c.length = gen_int(rng, 0, 5000);
+    c.offset = gen_int(rng, 0, 15);
+    c.cuts = gen_int(rng, 1, 4);
+    c.seed = rng();
+    return c;
+  };
+  prop.shrink = [](const SimdCrcConfig& c) {
+    std::vector<SimdCrcConfig> out;
+    if (c.mib) {
+      SimdCrcConfig s = c;
+      s.mib = false;
+      out.push_back(s);
+    }
+    for (const std::int64_t length : shrink_int(c.length, 0)) {
+      SimdCrcConfig s = c;
+      s.length = length;
+      out.push_back(s);
+    }
+    for (const std::int64_t offset : shrink_int(c.offset, 0)) {
+      SimdCrcConfig s = c;
+      s.offset = offset;
+      out.push_back(s);
+    }
+    for (const std::int64_t cuts : shrink_int(c.cuts, 1)) {
+      SimdCrcConfig s = c;
+      s.cuts = cuts;
+      out.push_back(s);
+    }
+    return out;
+  };
+  prop.describe = describe_simd_crc;
+  prop.check = [](const SimdCrcConfig& c) -> CheckOutcome {
+    const TierRelease release;
+    constexpr std::size_t kMiB = std::size_t{1} << 20;
+    const std::size_t offset = static_cast<std::size_t>(c.offset);
+    const std::size_t length = static_cast<std::size_t>(c.length);
+    util::Rng rng(c.seed);
+    const std::size_t longest = c.mib ? kMiB + length : length;
+    std::vector<std::uint8_t> storage(offset + longest);
+    for (std::size_t i = 0; i < storage.size(); i += 8) {
+      const std::uint64_t word = rng();
+      std::memcpy(storage.data() + i, &word,
+                  std::min<std::size_t>(8, storage.size() - i));
+    }
+    for (const std::size_t n : {length, longest}) {
+      const std::span<const std::uint8_t> data(storage.data() + offset, n);
+      util::set_simd_tier_override(util::SimdTier::kScalar);
+      const std::uint32_t reference = util::crc32(data);
+      for (const util::SimdTier tier : available_tiers()) {
+        util::set_simd_tier_override(tier);
+        if (crc_in_pieces(data, c.cuts, rng.fork(n)) != reference) {
+          std::ostringstream oss;
+          oss << "Crc32 over " << n << " bytes in " << c.cuts + 1
+              << " pieces under tier " << util::to_string(tier)
+              << " diverges from the scalar bytewise loop";
+          return fail(oss.str());
+        }
+      }
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
 
 void register_simd_oracles(std::vector<Oracle>& out) {
@@ -389,6 +497,11 @@ void register_simd_oracles(std::vector<Oracle>& out) {
       "only) under every available dispatch tier vs the scalar tier's dense "
       "convolution: bitwise-equal counts",
       1, simd_convolve_property()));
+  out.push_back(make_oracle(
+      "util::Crc32::update over 0-5,000 and 1 MiB+ byte buffers from offsets "
+      "0-15, fed in 2-5 pieces, under every available dispatch tier vs the "
+      "scalar tier's bytewise loop over the whole buffer: equal CRCs",
+      1, simd_crc_property()));
 }
 
 }  // namespace leakydsp::verify

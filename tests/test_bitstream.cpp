@@ -3,6 +3,7 @@
 // of every class of malformed blob.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/leaky_dsp.h"
@@ -12,7 +13,9 @@
 #include "sensors/rds.h"
 #include "sensors/tdc.h"
 #include "util/contracts.h"
+#include "util/cpu_features.h"
 #include "util/crc32.h"
+#include "verify/oracle.h"
 
 namespace lf = leakydsp::fabric;
 namespace lu = leakydsp::util;
@@ -25,6 +28,58 @@ TEST(Crc32, KnownVectors) {
   std::vector<std::uint8_t> data(s.begin(), s.end());
   EXPECT_EQ(lu::crc32(data), 0xCBF43926u);
   EXPECT_EQ(lu::crc32(std::vector<std::uint8_t>{}), 0x00000000u);
+}
+
+namespace {
+
+// The scalar tier's bytewise loop, written out here so the test does not
+// trust the class it checks.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0xEDB88320u & -(crc & 1u));
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+
+TEST(Crc32, EveryTierMatchesTheBytewiseLoop) {
+  std::vector<std::uint8_t> data(300);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  const std::string check = "123456789";
+  const leakydsp::verify::TierRelease release;
+  for (const auto tier : leakydsp::verify::available_tiers()) {
+    lu::set_simd_tier_override(tier);
+    SCOPED_TRACE(lu::to_string(tier));
+    EXPECT_EQ(lu::crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                         check.size()}),
+              0xCBF43926u);
+    for (std::size_t n = 0; n <= data.size(); ++n) {
+      ASSERT_EQ(lu::crc32({data.data(), n}), crc32_bitwise(data.data(), n))
+          << "length " << n;
+    }
+    // The fold's edges: one block, one block +-1 byte, a 16-byte tail past
+    // a block, and whole multiples — at every start offset 0..15.
+    for (const std::size_t n : {63u, 64u, 65u, 79u, 80u, 128u}) {
+      for (std::size_t off = 0; off < 16; ++off) {
+        ASSERT_EQ(lu::crc32({data.data() + off, n}),
+                  crc32_bitwise(data.data() + off, n))
+            << "length " << n << " offset " << off;
+        // Split in two updates: a folded head chained into a bytewise tail.
+        lu::Crc32 split;
+        split.update({data.data() + off, n / 2})
+            .update({data.data() + off + n / 2, n - n / 2});
+        ASSERT_EQ(split.value(), crc32_bitwise(data.data() + off, n))
+            << "split length " << n << " offset " << off;
+      }
+    }
+  }
 }
 
 TEST(Crc32, SensitiveToEveryByte) {

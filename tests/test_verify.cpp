@@ -120,7 +120,7 @@ TEST(OracleRegistry, CoversEveryOptimizedReferencePair) {
         "attack.campaign_parallel_vs_serial",
         "attack.campaign_resume_vs_straight", "fabric.spec_invariants",
         "fabric.generated_vs_hardcoded", "simd.convolve_tiers_bitwise",
-        "simd.leakydsp_groups_bitwise"}) {
+        "simd.leakydsp_groups_bitwise", "simd.crc32_tiers_bitwise"}) {
     EXPECT_TRUE(names.count(required)) << "oracle missing: " << required;
   }
 }
