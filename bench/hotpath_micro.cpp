@@ -8,6 +8,11 @@
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
 //   group        — eight per-trace LeakyDSP sample_batch() calls vs one
 //                  8-trace sample_traces() (ns per readout)
+//   calibrate    — one P6 SensorRig::calibrate (256 readouts per setting)
+//                  with LeakyDSP's calibration means read through the base
+//                  class's sample_batch path vs its one-pass mean_readout(),
+//                  one row pair per tier up to the dispatch tier (ns per
+//                  calibration; the closing lines print µs)
 //   cpa          — CpaAttack add_trace loop vs batched add_traces
 //   key_rank     — the estimator's 16 histograms convolved with the plain
 //                  dense loop vs the whole estimate_key_rank call
@@ -32,6 +37,8 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "attack/cpa.h"
@@ -42,6 +49,7 @@
 #include "obs/obs.h"
 #include "sensors/tdc.h"
 #include "sim/scenarios.h"
+#include "sim/sensor_rig.h"
 #include "timing/delay_model.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
@@ -123,6 +131,17 @@ double dense_rank_convolution(const std::array<attack::ByteScores, 16>& s) {
   for (const double c : joint) mass += c;
   return mass;
 }
+
+/// LeakyDSP whose calibration means go through the base class's path: one
+/// sample_batch call per setting, summed in order.
+class SampleBatchMeanSensor final : public core::LeakyDspSensor {
+ public:
+  using core::LeakyDspSensor::LeakyDspSensor;
+  double mean_readout(double supply_v, std::size_t n,
+                      util::Rng& rng) override {
+    return VoltageSensor::mean_readout(supply_v, n, rng);
+  }
+};
 
 }  // namespace
 
@@ -313,6 +332,45 @@ int main(int argc, char** argv) {
     record("leakydsp_group", "per_trace_batch", per_trace, "sample_traces",
            grouped);
   }
+
+  // ---- calibration: base-class sample_batch means vs one-pass means ----
+  std::vector<std::string> calibrate_lines;
+  {
+    const fabric::SiteCoord p6 =
+        scenario.attack_placements()[sim::Basys3Scenario::kBestPlacementIndex];
+    SampleBatchMeanSensor base_sensor(scenario.device(), p6);
+    core::LeakyDspSensor fast_sensor(scenario.device(), p6);
+    sim::SensorRig base_rig(scenario.grid(), base_sensor);
+    sim::SensorRig fast_rig(scenario.grid(), fast_sensor);
+    const auto time_calibrate = [&](sim::SensorRig& rig) {
+      return run_bench(20 * kScale, [&](std::size_t n) {
+        util::Rng rng(14);
+        for (std::size_t r = 0; r < n; ++r) {
+          g_sink = rig.calibrate(rng).idle_readout;
+        }
+        return n;
+      });
+    };
+    const util::SimdTier top = util::current_simd_tier();
+    for (int t = 0; t <= static_cast<int>(top); ++t) {
+      const auto tier = static_cast<util::SimdTier>(t);
+      util::set_simd_tier_override(tier);
+      const auto base = time_calibrate(base_rig);
+      const auto fast = time_calibrate(fast_rig);
+      const std::string kernel =
+          std::string("calibrate_") + util::to_string(tier);
+      record(kernel.c_str(), "sample_batch_mean", base, "one_pass_mean", fast)
+          .set("tier", util::to_string(tier))
+          .set("baseline_us", base.ns_per_op * 1e-3)
+          .set("fast_us", fast.ns_per_op * 1e-3);
+      std::ostringstream line;
+      line << "calibrate (P6, 256 per setting) on " << util::to_string(tier)
+           << ": sample_batch means " << base.ns_per_op * 1e-3
+           << " us, one-pass means " << fast.ns_per_op * 1e-3 << " us\n";
+      calibrate_lines.push_back(line.str());
+    }
+    util::set_simd_tier_override(std::nullopt);
+  }
   {
     sensors::TdcSensor sensor(scenario.device(), scenario.fig3_clb_site());
     util::Rng cal(7);
@@ -447,6 +505,7 @@ int main(int argc, char** argv) {
   std::cout << "\ncrc32 over 1 MiB: bytewise " << crc_mb_per_s[0] << " MB/s, "
             << util::to_string(util::current_simd_tier()) << " tier "
             << crc_mb_per_s[1] << " MB/s\n";
+  for (const std::string& line : calibrate_lines) std::cout << line;
   obs::fill_bench_metrics(report.metrics());
   report.write("BENCH_hotpath.json");
   obs::write_trace_out(trace_out);

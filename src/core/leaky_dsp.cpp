@@ -182,6 +182,52 @@ void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
   }
 }
 
+double LeakyDspSensor::mean_readout(double supply_v, std::size_t n,
+                                    util::Rng& rng) {
+  LD_REQUIRE(n >= 1, "need at least one sample");
+  const double t_capture = sampling_time_ns();
+  const double sigma = params_.jitter_sigma_ns;
+  const double* const settle = settle_ns_.data();
+  double scale = 0.0;
+  scale_lut_.eval_batch(&supply_v, &scale, 1);
+  if (sigma <= 0.0) {
+    double bound = 0.0;
+    util::simd::div_scalar(t_capture, &scale, &bound, 1);
+    const std::size_t count = util::simd::count_le(settle, kOutputBits, bound);
+    return static_cast<double>(n * count) / static_cast<double>(n);
+  }
+  double lo = 0.0;
+  double hi = 0.0;
+  capture_bounds(&scale, &lo, &hi, 1);
+  const std::size_t first = util::simd::count_le(settle, kOutputBits, lo);
+  const std::size_t last = util::simd::count_le(settle, kOutputBits, hi);
+  const std::size_t window = last - first;
+  std::size_t total = n * first;
+  if (window > 0) {
+    // The window's nominal arrivals, rounded as sample_batch rounds
+    // settle[i] * scale before adding the jitter.
+    std::array<double, kOutputBits> arrival{};
+    for (std::size_t i = 0; i < window; ++i) {
+      arrival[i] = settle[first + i] * scale;
+    }
+    std::array<double, 8 * kOutputBits> jitter{};
+    const std::size_t per_fill = jitter.size() / window;
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t readouts = std::min(per_fill, n - done);
+      rng.fill_gaussian_zig(
+          std::span<double>(jitter).first(readouts * window));
+      for (std::size_t r = 0; r < readouts; ++r) {
+        const double* const j = jitter.data() + r * window;
+        for (std::size_t i = 0; i < window; ++i) {
+          total += arrival[i] + sigma * j[i] <= t_capture;
+        }
+      }
+      done += readouts;
+    }
+  }
+  return static_cast<double>(total) / static_cast<double>(n);
+}
+
 void LeakyDspSensor::sample_traces(std::span<const double> supplies,
                                    std::span<double> out,
                                    std::span<util::Rng> rngs) {
@@ -246,8 +292,7 @@ sensors::CalibrationResult LeakyDspSensor::calibrate(
   double best_dist = std::numeric_limits<double>::max();
   for (int phase = 0; phase <= 5; ++phase) {
     set_fine_phase(phase);
-    const double m =
-        sensors::mean_readout(*this, idle_v, samples_per_setting, rng);
+    const double m = mean_readout(idle_v, samples_per_setting, rng);
     const double dist = std::abs(m - target);
     if (dist < best_dist) {
       best_dist = dist;

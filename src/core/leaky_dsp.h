@@ -105,6 +105,17 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   void sample_traces(std::span<const double> supplies, std::span<double> out,
                      std::span<util::Rng> rngs) override;
 
+  /// The base mean_readout() in one counting pass: the voltage scale,
+  /// capture bounds and settled prefix are the same for every readout at a
+  /// constant supply, so they are computed once (through the SIMD ops
+  /// sample_batch uses, on one element), and only the edge window's bits
+  /// are tested per readout. The window jitters come from the same
+  /// ziggurat stream, filled a few whole readouts at a time. Every readout
+  /// is an integer count, so the base path's in-order sum is exact and
+  /// equals this total: same bits, rng state and draws().
+  double mean_readout(double supply_v, std::size_t n,
+                      util::Rng& rng) override;
+
   /// Jitter truncation radius of the batched kernel, in units of
   /// jitter_sigma_ns: P(|N(0,1)| > 8) < 1.3e-15.
   static constexpr double kJitterCutSigma = 8.0;

@@ -8,17 +8,6 @@
 
 namespace leakydsp::sensors {
 
-double mean_readout(VoltageSensor& sensor, double supply_v, std::size_t n,
-                    util::Rng& rng) {
-  LD_REQUIRE(n >= 1, "need at least one sample");
-  const std::vector<double> supply(n, supply_v);
-  std::vector<double> out(n);
-  sensor.sample_batch(supply, out, rng);
-  double sum = 0.0;
-  for (const double r : out) sum += r;
-  return sum / static_cast<double>(n);
-}
-
 CalibrationResult sweep_settings(VoltageSensor& sensor, int settings,
                                  const std::function<void(int)>& apply,
                                  double idle_v,
@@ -30,7 +19,7 @@ CalibrationResult sweep_settings(VoltageSensor& sensor, int settings,
   for (int k = 0; k < settings; ++k) {
     apply(k);
     mean[static_cast<std::size_t>(k)] =
-        mean_readout(sensor, idle_v, samples_per_setting, rng);
+        sensor.mean_readout(idle_v, samples_per_setting, rng);
   }
   auto variation = [&](int k) {
     return std::abs(mean[static_cast<std::size_t>(k)] -

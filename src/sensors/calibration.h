@@ -1,7 +1,9 @@
 // The paper's post-deployment calibration (Section III), written once for
 // every sensor. Sensors supply only how a setting index maps onto their
-// delay knobs; readouts go through VoltageSensor::sample_batch, the
-// sampling path trace campaigns use.
+// delay knobs; each setting's mean idle readout comes from
+// VoltageSensor::mean_readout, whose base implementation reads through
+// sample_batch (the sampling path trace campaigns use) and which LeakyDSP
+// overrides with a one-pass count of the same readouts.
 #pragma once
 
 #include <cstddef>
@@ -11,11 +13,6 @@
 #include "util/rng.h"
 
 namespace leakydsp::sensors {
-
-/// Mean of `n` readouts of `sensor` at the constant supply `supply_v`, read
-/// in one sample_batch call and summed in order.
-double mean_readout(VoltageSensor& sensor, double supply_v, std::size_t n,
-                    util::Rng& rng);
 
 /// The tap sweep: for k = 0 .. settings-1, apply(k) and take the mean of
 /// `samples_per_setting` readouts at `idle_v`. Chooses the first k >= 1

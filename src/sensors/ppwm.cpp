@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -47,7 +46,7 @@ sensors::CalibrationResult PpwmSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
   sensors::CalibrationResult result;
   result.success = true;
-  result.idle_readout = mean_readout(*this, idle_v, samples_per_setting, rng);
+  result.idle_readout = mean_readout(idle_v, samples_per_setting, rng);
   return result;
 }
 

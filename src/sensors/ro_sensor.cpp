@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "fabric/netlist_builders.h"
-#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -35,7 +34,7 @@ sensors::CalibrationResult RoSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
   sensors::CalibrationResult result;
   result.success = true;
-  result.idle_readout = mean_readout(*this, idle_v, samples_per_setting, rng);
+  result.idle_readout = mean_readout(idle_v, samples_per_setting, rng);
   return result;
 }
 

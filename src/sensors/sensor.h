@@ -48,9 +48,10 @@ class VoltageSensor {
   /// scaling, ziggurat jitter). Batched readouts follow the same
   /// distribution as the scalar path but may consume the rng stream
   /// differently (documented per sensor), so a given experiment must pick
-  /// one path and stay on it. Calibration batches through this call, and
-  /// trace campaigns through sample_traces(), which is the same stream;
-  /// sample() and SensorRig's per-sample API stay the scalar reference.
+  /// one path and stay on it. Trace campaigns read through
+  /// sample_traces() and calibration through mean_readout(), both the
+  /// same stream as this call; sample() and SensorRig's per-sample API stay
+  /// the scalar reference.
   virtual void sample_batch(std::span<const double> supply_v,
                             std::span<double> out, util::Rng& rng) {
     LD_REQUIRE(out.size() >= supply_v.size(),
@@ -81,10 +82,19 @@ class VoltageSensor {
     }
   }
 
+  /// Mean of `n` readouts at the constant supply `supply_v`: the readouts
+  /// of one sample_batch() call over n copies of the supply, summed in
+  /// order and divided by n (n >= 1). The base implementation is that
+  /// call; an override must return the same bits and leave the same rng
+  /// state and draws(), and may only change how fast it runs. Calibration
+  /// sweeps read through this call.
+  virtual double mean_readout(double supply_v, std::size_t n,
+                              util::Rng& rng);
+
   /// Post-deployment calibration at the given idle supply voltage, following
   /// the paper's procedure: sweep the adjustable delay and keep the setting
   /// with maximum readout variation between consecutive settings (see
-  /// sensors/calibration.h). Reads through sample_batch.
+  /// sensors/calibration.h). Reads through mean_readout().
   virtual CalibrationResult calibrate(double idle_v, util::Rng& rng,
                                       std::size_t samples_per_setting = 64) = 0;
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sensors/calibration.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sensors {
@@ -68,10 +67,10 @@ sensors::CalibrationResult VitiSensor::calibrate(
     double idle_v, util::Rng& rng, std::size_t samples_per_setting) {
   // Run the self-calibration loop long enough to converge (a few control
   // windows), then report the settled operating point.
-  mean_readout(*this, idle_v, params_.control_window * 40, rng);
+  mean_readout(idle_v, params_.control_window * 40, rng);
   sensors::CalibrationResult result;
   result.success = true;
-  result.idle_readout = mean_readout(*this, idle_v, samples_per_setting, rng);
+  result.idle_readout = mean_readout(idle_v, samples_per_setting, rng);
   result.chosen_setting =
       static_cast<int>(std::lround(control_offset_ns_ * 1e3));  // ps
   result.steepness = 1.0;  // one element per element_delay of droop

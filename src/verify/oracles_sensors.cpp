@@ -17,10 +17,13 @@
 //
 // The trace-group path (sample_traces) is not a different distribution but
 // the same stream: it is checked bitwise against per-trace sample_batch.
+// So is LeakyDSP's constant-supply mean_readout, against the base class's
+// mean over one sample_batch call.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <numbers>
 #include <sstream>
@@ -28,8 +31,11 @@
 
 #include "core/leaky_dsp.h"
 #include "fabric/device.h"
+#include "fabric/primitives.h"
 #include "sensors/sensor.h"
 #include "sensors/tdc.h"
+#include "timing/delay_model.h"
+#include "util/cpu_features.h"
 #include "verify/oracle.h"
 
 namespace leakydsp::verify {
@@ -503,6 +509,121 @@ Property<LeakyGroupConfig> leaky_group_property() {
   return prop;
 }
 
+// ------------------------------------ LeakyDSP constant-supply mean
+
+struct LeakyMeanConfig {
+  std::int64_t n_dsp = 3;
+  double taper = 1.55;
+  double jitter_sigma_ns = 0.008;
+  std::uint64_t seed = 0;
+};
+
+/// The supply in `table`'s range nearest the one at which `bit` settles
+/// exactly at the capture edge: bisection on the alpha-power law, whose
+/// delay scale falls as the supply rises.
+double edge_supply(const core::LeakyDspSensor& sensor, std::size_t bit,
+                   const timing::ScaleTable& table) {
+  const double target = sensor.sampling_time_ns() / sensor.bit_settle_ns(bit);
+  double lo = table.v_lo();
+  double hi = table.v_hi();
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (sensor.params().law.scale(mid) > target ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+Property<LeakyMeanConfig> leaky_mean_property() {
+  Property<LeakyMeanConfig> prop;
+  prop.name = "sensors.leakydsp_constant_mean_bitwise";
+  prop.generate = [](util::Rng& rng) {
+    LeakyMeanConfig c;
+    c.n_dsp = gen_int(rng, 1, 4);
+    c.taper = gen_real(rng, 0.0, 1.55);
+    // Mostly the campaign's jitter range; sometimes none (no draws), and
+    // sometimes wide enough for windows of the whole word.
+    const std::int64_t kind = gen_int(rng, 0, 9);
+    c.jitter_sigma_ns = kind == 0   ? 0.0
+                        : kind == 1 ? gen_real(rng, 0.02, 0.05)
+                                    : gen_real(rng, 0.004, 0.012);
+    c.seed = rng();
+    return c;
+  };
+  prop.shrink = [](const LeakyMeanConfig& c) {
+    std::vector<LeakyMeanConfig> out;
+    for (const std::int64_t n : shrink_int(c.n_dsp, 1)) {
+      LeakyMeanConfig s = c;
+      s.n_dsp = n;
+      out.push_back(s);
+    }
+    for (const double taper : shrink_real(c.taper, 0.0)) {
+      LeakyMeanConfig s = c;
+      s.taper = taper;
+      out.push_back(s);
+    }
+    return out;
+  };
+  prop.describe = [](const LeakyMeanConfig& c) {
+    std::ostringstream oss;
+    oss << "{n_dsp=" << c.n_dsp << " taper=" << c.taper
+        << " jitter=" << c.jitter_sigma_ns << " seed=" << c.seed << "}";
+    return oss.str();
+  };
+  prop.check = [](const LeakyMeanConfig& c) -> CheckOutcome {
+    const TierRelease release;
+    core::LeakyDspParams params;
+    params.n_dsp = static_cast<std::size_t>(c.n_dsp);
+    params.taper = c.taper;
+    params.jitter_sigma_ns = c.jitter_sigma_ns;
+    const fabric::Device device = fabric::Device::basys3();
+    core::LeakyDspSensor sensor(device, {16, 20}, params);
+    const timing::ScaleTable table(params.law);
+    const int taps = fabric::idelay_taps(device.architecture()).tap_count;
+    constexpr std::size_t kCounts[] = {1, 2, 7, 64, 256, 1000};
+    for (const util::SimdTier tier : available_tiers()) {
+      util::set_simd_tier_override(tier);
+      // The same supplies and counts on every tier.
+      util::Rng pick(c.seed);
+      util::Rng fast = util::Rng(c.seed).fork(1);
+      util::Rng base = fast;
+      // Every coarse setting at every fine phase; the count cycles through
+      // kCounts, and the supply is either anywhere in the table's range or
+      // one that puts the capture edge on a random bit's settle time.
+      for (int k = 0; k < 2 * taps - 1; ++k) {
+        if (k < taps) {
+          sensor.set_taps(0, taps - 1 - k);
+        } else {
+          sensor.set_taps(k - taps + 1, 0);
+        }
+        for (int phase = 0; phase <= 5; ++phase) {
+          sensor.set_fine_phase(phase);
+          const std::size_t n = kCounts[static_cast<std::size_t>(
+              (k + phase) % static_cast<int>(std::size(kCounts)))];
+          const double v =
+              pick.uniform() < 0.5
+                  ? pick.uniform(table.v_lo(), table.v_hi())
+                  : edge_supply(sensor, pick() % sensor.readout_bits(), table);
+          const double m = sensor.mean_readout(v, n, fast);
+          const double ref = sensor.VoltageSensor::mean_readout(v, n, base);
+          const bool same_rng = fast.serialize() == base.serialize() &&
+                                fast.draws() == base.draws();
+          if (std::memcmp(&m, &ref, sizeof m) != 0 || !same_rng) {
+            std::ostringstream oss;
+            oss.precision(17);
+            oss << util::to_string(tier) << " setting " << k << " phase "
+                << phase << " n " << n << " v " << v << ": mean " << m
+                << " vs sample_batch " << ref
+                << (same_rng ? "" : ", rng ends elsewhere");
+            return fail(oss.str());
+          }
+        }
+      }
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
 
 void register_sensor_oracles(std::vector<Oracle>& out) {
@@ -525,6 +646,12 @@ void register_sensor_oracles(std::vector<Oracle>& out) {
       "sample_batch on the scalar tier: bitwise-equal readouts, rng states "
       "and draws",
       1, leaky_group_property()));
+  out.push_back(make_oracle(
+      "LeakyDspSensor::mean_readout (one counting pass at a constant "
+      "supply) at every coarse setting and fine phase, n in {1..1000}, "
+      "under every available dispatch tier vs the base class's "
+      "sample_batch path: bitwise-equal means, rng states and draws",
+      1, leaky_mean_property()));
 }
 
 }  // namespace leakydsp::verify

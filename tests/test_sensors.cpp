@@ -1,11 +1,14 @@
 // Tests for the sensor models: LeakyDSP (core), TDC and RO. Covers
 // functional identity computation, settle-time structure, voltage
 // sensitivity, calibration behaviour (including the batched calibration
-// against a scalar-sampling reference), and the relative granularity the
+// against a scalar-sampling reference and LeakyDSP's one-pass calibration
+// mean against the sample_batch path), and the relative granularity the
 // paper reports (LeakyDSP's regression slope ~3x the TDC's).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -17,12 +20,16 @@
 #include "sensors/calibration.h"
 #include "sensors/ro_sensor.h"
 #include "sensors/tdc.h"
+#include "timing/delay_model.h"
 #include "util/contracts.h"
+#include "util/cpu_features.h"
 #include "util/rng.h"
+#include "verify/oracle.h"
 
 namespace lcore = leakydsp::core;
 namespace lsens = leakydsp::sensors;
 namespace lf = leakydsp::fabric;
+namespace lt = leakydsp::timing;
 namespace lu = leakydsp::util;
 
 namespace {
@@ -322,6 +329,21 @@ class ScalarReader final : public lsens::VoltageSensor {
   lsens::VoltageSensor& inner_;
 };
 
+/// The supply in the table's range nearest the one at which `bit` settles
+/// exactly at the capture edge (bisection on the alpha-power law, whose
+/// delay scale falls as the supply rises).
+double edge_supply(const lcore::LeakyDspSensor& sensor, std::size_t bit,
+                   const lt::ScaleTable& table) {
+  const double target = sensor.sampling_time_ns() / sensor.bit_settle_ns(bit);
+  double lo = table.v_lo();
+  double hi = table.v_hi();
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (sensor.params().law.scale(mid) > target ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
 /// LeakyDSP's two calibration stages, reading every sample through the
 /// sensor's scalar sample().
 lsens::CalibrationResult scalar_reference_calibration(
@@ -342,7 +364,7 @@ lsens::CalibrationResult scalar_reference_calibration(
   double best_dist = std::numeric_limits<double>::max();
   for (int phase = 0; phase <= 5; ++phase) {
     sensor.set_fine_phase(phase);
-    const double m = lsens::mean_readout(reader, 1.0, n, rng);
+    const double m = reader.mean_readout(1.0, n, rng);
     if (std::abs(m - 0.85 * 48.0) < best_dist) {
       best_dist = std::abs(m - 0.85 * 48.0);
       best_phase = phase;
@@ -354,6 +376,70 @@ lsens::CalibrationResult scalar_reference_calibration(
 }
 
 }  // namespace
+
+TEST_F(LeakyDspTest, ConstantMeanMatchesSampleBatch) {
+  // LeakyDSP's one-pass mean_readout() against the base class's path (one
+  // sample_batch call over n copies of the supply, summed in order): equal
+  // bits, rng state and draws() at every coarse setting and fine phase, for
+  // short and long means, at supplies across the ScaleTable range, with
+  // and without jitter, on every dispatch tier.
+  const int taps = lf::idelay_taps(dev_.architecture()).tap_count;
+  const lt::ScaleTable table(lcore::LeakyDspParams{}.law);
+  // Every count runs twice per setting: at the next of 13 points over the
+  // whole table (13 is prime to the 6 counts, so every count meets every
+  // point), and at the supply that puts the capture edge on a settle time,
+  // where the window is widest.
+  std::vector<double> supplies;
+  for (int i = 0; i <= 12; ++i) {
+    supplies.push_back(table.v_lo() + (table.v_hi() - table.v_lo()) * i / 12.0);
+  }
+  constexpr std::size_t kCounts[] = {1, 2, 7, 64, 256, 1000};
+  const leakydsp::verify::TierRelease release;
+  for (const double sigma : {0.008, 0.0}) {
+    lcore::LeakyDspParams params;
+    params.jitter_sigma_ns = sigma;
+    lcore::LeakyDspSensor sensor(dev_, {16, 10}, params);
+    for (const lu::SimdTier tier : leakydsp::verify::available_tiers()) {
+      lu::set_simd_tier_override(tier);
+      lu::Rng fast(99);
+      lu::Rng base(99);
+      std::size_t at = 0;
+      std::size_t inside = 0;  // means strictly between the rails
+      for (int k = 0; k < 2 * taps - 1; ++k) {
+        if (k < taps) {
+          sensor.set_taps(0, taps - 1 - k);
+        } else {
+          sensor.set_taps(k - taps + 1, 0);
+        }
+        for (int phase = 0; phase <= 5; ++phase) {
+          sensor.set_fine_phase(phase);
+          for (const std::size_t n : kCounts) {
+            const double edge = edge_supply(sensor, at % 48, table);
+            for (const double v : {supplies[at++ % supplies.size()], edge}) {
+              const double m = sensor.mean_readout(v, n, fast);
+              const double ref = sensor.VoltageSensor::mean_readout(v, n, base);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(m),
+                        std::bit_cast<std::uint64_t>(ref))
+                  << lu::to_string(tier) << " sigma " << sigma << " setting "
+                  << k << " phase " << phase << " n " << n << " v " << v
+                  << ": " << m << " vs " << ref;
+              ASSERT_EQ(fast.serialize(), base.serialize())
+                  << lu::to_string(tier) << " setting " << k << " phase "
+                  << phase << " n " << n << " v " << v;
+              ASSERT_EQ(fast.draws(), base.draws());
+              inside += m > 0.0 && m < 48.0;
+            }
+          }
+        }
+      }
+      // The sweep must reach the edge window, not only the rails.
+      EXPECT_GT(inside, 2000u) << lu::to_string(tier) << " sigma " << sigma;
+      if (sigma > 0.0) {
+        EXPECT_GT(fast.draws(), 0u);
+      }
+    }
+  }
+}
 
 TEST_F(LeakyDspTest, BatchedCalibrationMatchesScalarReference) {
   // Over 50 seeds the batched calibration picks the same coarse setting

@@ -116,6 +116,7 @@ TEST(OracleRegistry, CoversEveryOptimizedReferencePair) {
        {"timing.scale_table_vs_pow", "timing.stages_within_scaled_vs_scan",
         "sensors.leakydsp_batch_vs_scalar", "sensors.tdc_batch_vs_scalar",
         "sensors.leakydsp_exact_law",
+        "sensors.leakydsp_constant_mean_bitwise",
         "store.v2_roundtrip_vs_memory", "attack.cpa_vs_reference",
         "attack.campaign_parallel_vs_serial",
         "attack.campaign_resume_vs_straight", "fabric.spec_invariants",
